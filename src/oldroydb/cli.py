@@ -3,7 +3,8 @@
 Every invocation, success or failure, leaves a machine-readable
 ``summary.json`` in the output directory naming any violated invariant.
 Exit codes: 0 all checks pass, 2 configuration problem, 3 solver failure,
-4 invariant violation.
+4 invariant violation.  Failures of kinds 3 and 4 also record
+``failed_timestep``, the step that failed or null if none did.
 """
 
 import argparse
@@ -83,7 +84,8 @@ def _print_run(payload) -> None:
     print(f"energy budget: {'pass' if en['satisfied'] else 'FAIL'} "
           f"(lhs {en['lhs']:.6g} vs rhs {en['rhs']:.6g})")
     cons = payload["constants"]
-    print(f"fitted constants: c1_emp {cons['c1_emp']:.6g}, "
+    c1 = "vacuous" if cons["c1_vacuous"] else f"{cons['c1_emp']:.6g}"
+    print(f"fitted constants: c1_emp {c1}, "
           f"c_domain {cons['c_domain_density']:.6g}")
     for name, ok in sorted(payload["checks"].items()):
         print(f"  [{'ok' if ok else 'VIOLATED'}] {name}")
@@ -161,10 +163,12 @@ def main(argv=None) -> int:
         history = getattr(exc, "history", None)
         if history:
             payload["distance_history"] = list(history)
+        payload["failed_timestep"] = getattr(exc, "timestep", None)
     except (DensityBandError, InvariantViolation) as exc:
         payload["status"] = "invariant-violation"
         payload["error"] = str(exc)
         payload["exit_code"] = EXIT_INVARIANT
+        payload["failed_timestep"] = getattr(exc, "timestep", None)
 
     summary_path = _write_summary(out_dir, payload)
 

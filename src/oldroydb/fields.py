@@ -10,16 +10,18 @@ and the discrete mean of a projected field vanishes to round-off.
 
 Differences: first and second derivatives are second-order centered in the
 interior with second-order one-sided closures at the boundary; every
-operator is exact on affine fields.  `viscous_operator` (the divergence-free
-elliptic block -(lap v + grad div v)) swaps in matched centered stencils on
-interior nodes so that its quadratic form on Dirichlet fields is exactly
-nonnegative and vanishes only for the zero field.
+operator is exact on affine fields.  Each grid also assembles, once, two
+CSR matrices on its interior nodes from Kronecker products of the 1-D
+compact second and centered first differences: `dirichlet_laplacian` (-lap)
+and `viscous_matrix`, the elliptic block A_h = -(lap + grad div) that
+`viscous_operator` applies at interior nodes and the velocity step solves.
 
 Sobolev norms H^k (k <= 3) sum weighted L2 squares of all repeated
 difference quotients up to order k.  H^{-1} is realized through one
 discrete Dirichlet-Laplacian solve per component.
 
-Everything here is stateless and safe to call concurrently.
+Everything here is safe to call concurrently: a grid's cached arrays and
+matrices are built on first use and never change afterwards.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveError, NonDirichletError
 
@@ -117,6 +120,43 @@ class Grid:
     @cached_property
     def interior_mask(self):
         return ~self.boundary_mask
+
+    def _kron(self, ops):
+        """ops[a] along axis a, identity elsewhere; axis 0 varies slowest,
+        which is the order of values[interior_mask]."""
+        out = None
+        for a, m in enumerate(self.n):
+            f = ops[a] if a in ops else sp.eye(m - 1, format="csr")
+            out = f if out is None else sp.kron(out, f, format="csr")
+        return out
+
+    def _d2(self, a):
+        return self._kron({a: _compact_d2(self.n[a], self.h[a])})
+
+    @cached_property
+    def dirichlet_laplacian(self):
+        """-lap on the interior nodes with zero boundary data (CSR)."""
+        lap = -self._d2(0)
+        for a in range(1, self.dim):
+            lap = lap - self._d2(a)
+        return lap
+
+    @cached_property
+    def viscous_matrix(self):
+        """A_h = -(lap + grad div) on the interior nodes, component-major.
+
+        Block (i, i) is the Dirichlet Laplacian minus the compact d^2/dx_i^2;
+        block (i, j) is -C_i C_j, a Kronecker product of two antisymmetric
+        centered differences and so symmetric: A_h is exactly symmetric.
+        Stacking one block row at a time keeps the assembly transient small.
+        """
+        d = self.dim
+        c = [_centered_d1(m, h) for m, h in zip(self.n, self.h)]
+        rows = [sp.hstack([self.dirichlet_laplacian - self._d2(i) if j == i
+                           else -self._kron({i: c[i], j: c[j]})
+                           for j in range(d)], format="csr")
+                for i in range(d)]
+        return sp.vstack(rows, format="csr")
 
     @property
     def volume(self):
@@ -293,6 +333,19 @@ class SymTensorField(_FieldBase):
 # difference stencils
 
 
+def _compact_d2(m, h):
+    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 on the m-1 interior nodes of an
+    m-cell axis; the zero boundary values drop out."""
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m - 1, m - 1),
+                    format="csr") / h**2
+
+
+def _centered_d1(m, h):
+    """(f[i+1] - f[i-1]) / (2 h) on the m-1 interior nodes of an m-cell axis."""
+    return sp.diags([-1.0, 1.0], [-1, 1], shape=(m - 1, m - 1),
+                    format="csr") / (2.0 * h)
+
+
 def _diff1(values, h, axis):
     """Second-order first derivative (centered interior, one-sided edges)."""
     return np.gradient(values, h, axis=axis, edge_order=2)
@@ -371,62 +424,22 @@ def laplacian(v) -> "VectorField | ScalarField":
     return VectorField(v.grid, vals)
 
 
-def _centered_interior(values, h, axis):
-    """Centered first difference at nodes interior along `axis` (length-2 shorter)."""
-    v = np.moveaxis(values, axis, 0)
-    out = (v[2:] - v[:-2]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _graddiv_interior(v: VectorField, i: int) -> np.ndarray:
-    """(grad div v)_i at fully interior nodes via matched centered stencils.
-
-    Diagonal term d^2 v_i / dx_i^2 uses the compact 3-point stencil; mixed
-    terms use the centered cross stencil C_i C_j.  With zero boundary data
-    the assembled operator is symmetric and its quadratic form equals a sum
-    of squared difference quotients, which makes `viscous_operator` exactly
-    coercive on Dirichlet fields.
-    """
-    g = v.grid
-    h = g.h
-    inner_sl = tuple(slice(1, -1) for _ in range(g.dim))
-    acc = np.zeros(tuple(m - 1 for m in g.n))
-    for j in range(g.dim):
-        if j == i:
-            w = np.moveaxis(v.values[i], i, 0)
-            term = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h[i]**2
-            term = np.moveaxis(term, 0, i)
-            # restrict the remaining axes to their interior range
-            sl = tuple(slice(None) if ax == i else slice(1, -1) for ax in range(g.dim))
-            acc += term[sl]
-        else:
-            term = _centered_interior(v.values[j], h[j], j)
-            term = _centered_interior(term, h[i], i)
-            sl = tuple(slice(None) if ax in (i, j) else slice(1, -1)
-                       for ax in range(g.dim))
-            acc += term[sl]
-    del inner_sl
-    return acc
-
-
 def viscous_operator(v: VectorField) -> VectorField:
     """The elliptic block A v = -(lap v + grad div v) on a Dirichlet field.
 
-    Interior nodes use matched centered stencils so that the weighted inner
-    product <A v, v> is exactly nonnegative and vanishes only for v = 0;
-    boundary nodes carry the generic one-sided composition (they never enter
+    Interior nodes apply `Grid.viscous_matrix`: an exactly symmetric matrix
+    whose quadratic form is a sum of squared difference quotients, so the
+    weighted <A v, v> is exactly nonnegative and vanishes only for v = 0.
+    Boundary nodes carry the generic one-sided composition (they never enter
     the inner product because v vanishes there).
     """
     if not v.dirichlet:
         raise NonDirichletError("viscous_operator requires a dirichlet-flagged field")
     g = v.grid
-    lap = laplacian(v)
-    gd_generic = gradient(divergence(v))
-    vals = -(lap.values + gd_generic.values)
-    interior = tuple(slice(1, -1) for _ in range(g.dim))
-    for i in range(g.dim):
-        vals[(i,) + interior] = (-lap.values[(i,) + interior]
-                                 - _graddiv_interior(v, i))
+    vals = -(laplacian(v).values + gradient(divergence(v)).values)
+    interior = g.interior_mask
+    vals[:, interior] = (g.viscous_matrix @ v.values[:, interior].ravel()
+                         ).reshape(g.dim, -1)
     return VectorField(g, vals, dirichlet=False)
 
 
@@ -519,33 +532,15 @@ def mean_zero_project(f: ScalarField) -> ScalarField:
 def _poisson_dirichlet(grid: Grid, rhs: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Solve -lap phi = rhs with phi = 0 on the boundary (compact stencil, CG)."""
     interior = grid.interior_mask
-    idx = np.where(interior.ravel())[0]
-    shape = grid.node_shape
-    h2 = [hh * hh for hh in grid.h]
-
-    def matvec(x):
-        full = np.zeros(shape)
-        full.ravel()[idx] = x
-        acc = np.zeros(tuple(m - 1 for m in grid.n))
-        for ax in range(grid.dim):
-            v = np.moveaxis(full, ax, 0)
-            term = -(v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2[ax]
-            term = np.moveaxis(term, 0, ax)
-            sl = tuple(slice(None) if a == ax else slice(1, -1) for a in range(grid.dim))
-            acc += term[sl]
-        return acc.ravel()
-
-    b = rhs[interior].ravel()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(shape)
-    n_int = b.size
-    op = LinearOperator((n_int, n_int), matvec=matvec)
-    x, info = cg(op, b, rtol=rtol, atol=0.0, maxiter=20 * n_int)
+    b = rhs[interior]
+    full = np.zeros(grid.node_shape)
+    if np.linalg.norm(b) == 0.0:
+        return full
+    x, info = cg(grid.dirichlet_laplacian, b, rtol=rtol, atol=0.0,
+                 maxiter=20 * b.size)
     if info != 0:
         raise LinearSolveError(f"poisson solve did not converge (info={info})")
-    full = np.zeros(shape)
-    full.ravel()[idx] = x
+    full[interior] = x
     return full
 
 

@@ -462,7 +462,9 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         },
         "energy": {"lhs": energy.lhs, "rhs": energy.rhs,
                    "slack": energy.slack, "satisfied": energy.satisfied},
-        "constants": {"c1_emp": regularity.c1_emp,
+        "constants": {"c1_emp": None if regularity.vacuous
+                      else regularity.c1_emp,
+                      "c1_vacuous": regularity.vacuous,
                       "c_domain_density": density_fit.c_domain,
                       "c_domain_stress": stress_fit.c_domain,
                       "c_relax_stress": stress_fit.c_relax},

@@ -7,7 +7,8 @@ the symmetric positive definite system
     (alpha I + dt (1-omega) A_h) u = alpha u_prev + dt F
 
 by conjugate gradients on the interior degrees of freedom, to a relative
-residual below `tol_lin`.
+residual below `tol_lin`.  The system matrix is a scaled copy of the grid's
+assembled `viscous_matrix` with alpha added to its diagonal.
 
 Two a-posteriori checks instrument a computed trajectory:
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveError
 from .fields import (VectorField, divergence, inner, norm, norm_hminus1,
@@ -62,19 +63,6 @@ class VelocityStepReport:
     viscous_norm: float    # ||A_h u||
 
 
-def _system_matvec(grid, interior, dt, visc_coef, alpha):
-    dim = grid.dim
-    n_int = int(interior.sum())
-
-    def matvec(vec):
-        full = np.zeros((dim,) + grid.node_shape)
-        full[:, interior] = vec.reshape(dim, n_int)
-        av = viscous_operator(VectorField(grid, full, dirichlet=True))
-        return alpha * vec + (dt * visc_coef) * av.values[:, interior].ravel()
-
-    return LinearOperator((dim * n_int, dim * n_int), matvec=matvec)
-
-
 def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
                   tol_lin: float = 1e-10,
                   max_iter: int = 20000) -> tuple:
@@ -96,13 +84,14 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
     b = (params.alpha * u_prev.values[:, interior]
          + dt * F_rhs.values[:, interior]).ravel()
     b_norm = float(np.linalg.norm(b))
-    op = _system_matvec(grid, interior, dt, visc_coef, params.alpha)
 
     if b_norm == 0.0:
         x = np.zeros_like(b)
         iters = 0
         rel_res = 0.0
     else:
+        system = grid.viscous_matrix * (dt * visc_coef)
+        system.setdiag(system.diagonal() + params.alpha)
         iters = 0
 
         def count(_):
@@ -112,12 +101,12 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
         x = u_prev.values[:, interior].ravel().copy()
         rel_res = np.inf
         for _ in range(3):  # restarts guard against CG recursion drift
-            x, info = cg(op, b, x0=x, rtol=tol_lin, atol=0.0,
+            x, info = cg(system, b, x0=x, rtol=tol_lin, atol=0.0,
                          maxiter=max_iter, callback=count)
             if info < 0:
                 raise LinearSolveError("velocity solve broke down "
                                        f"(cg info={info})")
-            rel_res = float(np.linalg.norm(b - op.matvec(x))) / b_norm
+            rel_res = float(np.linalg.norm(b - system @ x)) / b_norm
             if rel_res <= tol_lin:
                 break
         else:

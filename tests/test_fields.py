@@ -15,7 +15,8 @@ from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       rate_tensors, save_snapshot, load_snapshot,
                       viscous_operator)
 from oldroydb.errors import NonDirichletError
-from oldroydb.fields import random_smooth_field, sym_components
+from oldroydb.fields import (_diff1, _diff2, random_smooth_field,
+                             sym_components)
 
 
 def weighted_l2(grid, values):
@@ -224,8 +225,9 @@ def test_viscous_operator_matches_symbolic_expansion():
     assert order > 1.8, f"observed elliptic-block order {order:.2f}"
 
 
-def test_viscous_operator_coercive_on_rough_fields():
-    g = Grid(2, 16)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_viscous_operator_coercive_on_rough_fields(dim):
+    g = Grid(dim, 16)
     for seed in range(8):
         v = dirichlet_noise(g, seed)
         q = inner(viscous_operator(v), v)
@@ -234,12 +236,46 @@ def test_viscous_operator_coercive_on_rough_fields():
     assert inner(viscous_operator(z), z) == 0.0
 
 
-def test_viscous_operator_symmetric():
-    g = Grid(2, 16)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_viscous_operator_symmetric(dim):
+    g = Grid(dim, 16)
     v, w = dirichlet_noise(g, 10), dirichlet_noise(g, 11)
     a = inner(viscous_operator(v), w)
     b = inner(viscous_operator(w), v)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assembled_matrices_exactly_symmetric(dim):
+    g = Grid(dim, (8, 10, 12)[:dim], (1.0, 0.7, 1.3)[:dim])
+    for mat in (g.viscous_matrix, g.dirichlet_laplacian):
+        assert abs(mat - mat.T).max() == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assembled_matrices_match_stencil_compositions(dim):
+    # unequal cells and extents per axis expose any mix-up in the Kronecker
+    # ordering; at interior nodes of a Dirichlet field the compact second
+    # difference and the nested centered differences are exact oracles
+    g = Grid(dim, (8, 10, 12)[:dim], (1.0, 0.7, 1.3)[:dim])
+    h = g.h
+    interior = g.interior_mask
+    v = dirichlet_noise(g, 3)
+
+    f = v.values[0]
+    lap = g.dirichlet_laplacian @ f[interior]
+    assert np.allclose(lap, -laplacian(ScalarField(g, f)).values[interior],
+                       rtol=1e-13, atol=1e-13 * np.abs(lap).max())
+
+    av = viscous_operator(v).values
+    for i in range(dim):
+        expect = -laplacian(v).values[i] - _diff2(v.values[i], h[i], i)
+        for j in range(dim):
+            if j != i:
+                expect = expect - _diff1(_diff1(v.values[j], h[j], j), h[i], i)
+        got = av[i][interior]
+        assert np.allclose(got, expect[interior], rtol=1e-13,
+                           atol=1e-13 * np.abs(got).max())
 
 
 def test_quadratic_form_equals_gradient_plus_divergence_norms():

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import oldroydb.fixed_point as fixed_point
 from oldroydb import ConfigError, mean
 from oldroydb.cli import main
+from oldroydb.errors import DensityBandError, LinearSolveError
 from oldroydb.harness import (DENSITY_PRESETS, EnergyLedger, LEDGER_COLUMNS,
                               RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
                               build_initial_data, config_as_dict,
@@ -141,6 +143,16 @@ def _cfg_file(tmp_path, text, name="case.cfg"):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _strict_summary(out):
+    """summary.json under a parser that rejects NaN and Infinity."""
+    return json.loads((out / "summary.json").read_text(),
+                      parse_constant=_refuse_constant)
+
+
 def test_cli_zero_run(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "ic.velocity = zero\n"
                               "ic.density = zero\n"
@@ -148,9 +160,13 @@ def test_cli_zero_run(tmp_path, capsys):
                               "time.T = 0.002\ntime.dt = 0.001\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    summary = _strict_summary(tmp_path / "out")
     assert summary["status"] == "ok"
     assert summary["iterations"] == 1
+    # zero data leave the regularity bracket empty: no constant to fit
+    assert summary["constants"]["c1_vacuous"] is True
+    assert summary["constants"]["c1_emp"] is None
+    assert "c1_emp vacuous" in capsys.readouterr().out
     led = EnergyLedger.read(tmp_path / "out" / "ledger.csv")
     assert len(led.rows) == 2
     for row in led.rows:
@@ -167,11 +183,12 @@ def test_cli_run_writes_full_artifacts(tmp_path):
     for name in ("summary.json", "ledger.csv", "convergence.csv",
                  "u_final.dat", "sigma_final.dat", "tau_final.dat"):
         assert (out / name).exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert summary["checks"]["energy_budget"]
     assert summary["checks"]["step_dissipation"]
     assert summary["membership"]["passed"]
     assert summary["constants"]["c1_emp"] > 0.0
+    assert summary["constants"]["c1_vacuous"] is False
     led = EnergyLedger.read(out / "ledger.csv")
     assert len(led.rows) == 5
     ts = [r["t"] for r in led.rows]
@@ -199,6 +216,46 @@ def test_cli_divergence_exits_3(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "solver-failure"
     assert len(summary["distance_history"]) == 4
+    assert summary["failed_timestep"] is None  # no single step failed
+
+
+@pytest.mark.parametrize("target, exc, exit_code", [
+    ("step_velocity", LinearSolveError("injected stall"), 3),
+    ("step_density", DensityBandError((1, 1), 9.0, 0.5, 1.5), 4),
+])
+def test_cli_names_failed_timestep(tmp_path, monkeypatch, target, exc,
+                                   exit_code):
+    real = getattr(fixed_point, target)
+    calls = []
+
+    def fail_at_step_3(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # third step of the first sweep
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, target, fail_at_step_3)
+    cfg = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.005\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == exit_code
+    summary = _strict_summary(out)
+    assert summary["exit_code"] == exit_code
+    assert summary["failed_timestep"] == 3
+
+
+def test_cli_run_3d_smoke(tmp_path):
+    cfg = _cfg_file(tmp_path, "grid.dim = 3\ngrid.n = 8\ntime.T = 0.003\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    summary = _strict_summary(out)
+    assert summary["status"] == "ok"
+    assert summary["checks"] and all(summary["checks"].values())
+    assert summary["constants"]["c1_vacuous"] is False
+    led = EnergyLedger.read(out / "ledger.csv")
+    assert len(led.rows) == 3
+    assert all(row["lin_iters"] > 0 for row in led.rows)
 
 
 def test_cli_unreadable_config(tmp_path):

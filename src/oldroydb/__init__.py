@@ -12,7 +12,7 @@ from .errors import (ConfigError, DensityBandError, InvariantViolation,
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      div_tensor, divergence, grad_tensor, gradient, inner,
                      laplacian, mean, mean_zero_project, norm, norm_hminus1,
-                     rate_tensors, save_snapshot, load_snapshot,
+                     norms, rate_tensors, save_snapshot, load_snapshot,
                      sym_components, viscous_operator)
 from .rheology import (FluidParams, PressureLaw, density_band_check,
                        momentum_source, objective_coupling,

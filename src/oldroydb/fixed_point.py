@@ -23,8 +23,8 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      NonConvergenceError, NonDirichletError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, VectorField, div_tensor,
-                     grad_tensor, gradient, mean, norm, rate_tensors,
-                     viscous_operator)
+                     grad_tensor, gradient, mean, norm, norms,
+                     rate_tensors, viscous_operator)
 from .rheology import momentum_source
 from .transport import step_density, step_stress, trace
 from .velocity import step_velocity
@@ -263,11 +263,13 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
     dt = candidate.dt
     ws, pis, psis = candidate.w, candidate.pi, candidate.psi
 
-    w_rates = [(ws[k] - ws[k - 1]) * (1.0 / dt) for k in range(1, len(ws))]
-    w_used = (max(norm(v, 2) ** 2 for v in ws)
-              + sum(dt * norm(v, 3) ** 2 for v in ws[1:])
-              + max(norm(r, 0) ** 2 for r in w_rates)
-              + sum(dt * norm(r, 1) ** 2 for r in w_rates))
+    w_norms = [norms(ws[0], 2)] + [norms(v, 3) for v in ws[1:]]
+    rate_norms = [norms((ws[k] - ws[k - 1]) * (1.0 / dt), 1)
+                  for k in range(1, len(ws))]
+    w_used = (max(h[2] ** 2 for h in w_norms)
+              + sum(dt * h[3] ** 2 for h in w_norms[1:])
+              + max(h[0] ** 2 for h in rate_norms)
+              + sum(dt * h[1] ** 2 for h in rate_norms))
     data_used = (max(norm(p, 2) for p in pis)
                  + max(norm(s, 2) for s in psis))
     rate_used = (max(norm((pis[k] - pis[k - 1]) * (1.0 / dt), 1)
@@ -569,9 +571,9 @@ def uniqueness_experiment(sol1: IterTriple, sol2: IterTriple, delta: float,
         dT = sol1.psi[k] - sol2.psi[k]
         e[k] = (a * norm(du, 0) ** 2 + (eps ** 2 / a) * norm(ds, 0) ** 2
                 + (we / (2.0 * om)) * norm(dT, 0) ** 2)
-        u1, u2 = sol1.w[k], sol2.w[k]
-        lin[k] = norm(u1, 0) + norm(u2, 0) + norm(u1, 3)
-        quad[k] = (norm(u1, 2) ** 3 + norm(sol1.pi[k], 2) ** 2
+        u1_l2, _, u1_h2, u1_h3 = norms(sol1.w[k], 3)
+        lin[k] = u1_l2 + norm(sol2.w[k], 0) + u1_h3
+        quad[k] = (u1_h2 ** 3 + norm(sol1.pi[k], 2) ** 2
                    + 2.0 * norm(sol2.pi[k], 2) ** 2
                    + norm(sol1.psi[k], 2) ** 2) / (2.0 * delta)
 

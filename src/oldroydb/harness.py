@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
-                     mean_zero_project, norm, rate_tensors, save_snapshot)
+                     mean_zero_project, norm, norms, rate_tensors,
+                     save_snapshot)
 from .fixed_point import (continuity_probe, delta_threshold, iterate,
                           picard_sweep, trajectory_distance,
                           uniqueness_experiment)
@@ -399,9 +400,9 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
                                       diag.forcings[k + 1], dt, params,
                                       residual_norm=vrep.residual_norm)
         dissipation_ok = dissipation_ok and diss.satisfied
+        u_l2, _, u_h2 = norms(out.w[k + 1], 2)
         ledger.append(
-            t=(k + 1) * dt,
-            u_l2=norm(out.w[k + 1], 0), u_h2=norm(out.w[k + 1], 2),
+            t=(k + 1) * dt, u_l2=u_l2, u_h2=u_h2,
             sigma_h2=norm(out.pi[k + 1], 2), tau_h2=norm(out.psi[k + 1], 2),
             energy_lhs=float(energy.lhs_history[k + 1]),
             energy_rhs=float(energy.rhs_history[k + 1]),

@@ -42,7 +42,7 @@ from scipy.optimize import brentq
 
 from .errors import NonDirichletError, SingularStressSystemError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
-                     divergence, grad_tensor, mean, norm, rate_tensors,
+                     divergence, grad_tensor, mean, norm, norms,
                      sym_components)
 from .rheology import density_band_check, objective_coupling
 
@@ -205,7 +205,7 @@ def step_stress(tau_prev: SymTensorField, w: VectorField, dt: float, params,
     tau_dep = SymTensorField(grid, dep_vals)
 
     gw = grad_tensor(w)
-    D, _ = rate_tensors(w)
+    D = SymTensorField.from_full(grid, gw, symmetrize=True)
     g_dep = objective_coupling(gw, tau_dep, params.a)
     lam = params.We / dt
     rhs = ((lam - 0.5) * tau_dep.values - 0.5 * params.We * g_dep.values
@@ -235,8 +235,9 @@ def step_stress(tau_prev: SymTensorField, w: VectorField, dt: float, params,
 
 
 def _w_norms(ws, dt):
-    l1h3 = sum(dt * norm(wn, 3) for wn in ws[1:])
-    suph2 = max(norm(wn, 2) for wn in ws)
+    w_norms = [norms(ws[0], 2)] + [norms(wn, 3) for wn in ws[1:]]
+    l1h3 = sum(dt * h[3] for h in w_norms[1:])
+    suph2 = max(h[2] for h in w_norms)
     return l1h3, suph2
 
 
@@ -276,9 +277,10 @@ def check_density_bounds(sigmas, ws, dt, params) -> DensityBoundReport:
     if len(sigmas) != len(ws):
         raise ValueError("need matching sigma and w histories")
     lift = params.alpha / params.eps ** 2
-    sup_h2 = max(norm(s, 2) for s in sigmas)
-    base_h2 = norm(sigmas[0], 2) + lift
-    base_l2 = norm(sigmas[0], 0) + lift
+    sigma_norms = [norms(s, 2) for s in sigmas]
+    sup_h2 = max(h[2] for h in sigma_norms)
+    base_h2 = sigma_norms[0][2] + lift
+    base_l2 = sigma_norms[0][0] + lift
     l1h3, suph2 = _w_norms(ws, dt)
 
     if l1h3 > 0.0 and sup_h2 > base_h2:
@@ -331,8 +333,9 @@ def check_stress_bounds(taus, ws, dt, params,
     """
     if len(taus) != len(ws):
         raise ValueError("need matching tau and w histories")
-    sup_h2 = max(norm(t, 2) for t in taus)
-    base = norm(taus[0], 2)
+    h2 = [norm(t, 2) for t in taus]
+    sup_h2 = max(h2)
+    base = h2[0]
     l1h3, suph2 = _w_norms(ws, dt)
     relax = 2.0 * params.omega / params.We
 

@@ -42,7 +42,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveError
 from .fields import (VectorField, divergence, inner, norm, norm_hminus1,
-                     rate_tensors, viscous_operator)
+                     norms, rate_tensors, viscous_operator)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
@@ -58,9 +58,6 @@ class VelocityStepReport:
     residual: float        # relative linear residual ||b - M u|| / ||b||
     residual_norm: float   # weighted absolute residual, for the dissipation slack
     dt: float
-    u_norm: float
-    rate_norm: float       # ||(u - u_prev)/dt||
-    viscous_norm: float    # ||A_h u||
 
 
 def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
@@ -121,11 +118,8 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
     # interior quadrature weights are the uniform cell volume
     cell = float(np.prod(grid.h))
     res_weighted = 0.0 if b_norm == 0.0 else rel_res * b_norm * np.sqrt(cell)
-    rate = VectorField(grid, (u.values - u_prev.values) / dt)
     report = VelocityStepReport(
-        iterations=iters, residual=rel_res, residual_norm=res_weighted,
-        dt=dt, u_norm=norm(u, 0), rate_norm=norm(rate, 0),
-        viscous_norm=norm(viscous_operator(u), 0))
+        iterations=iters, residual=rel_res, residual_norm=res_weighted, dt=dt)
     return u, report
 
 
@@ -288,12 +282,13 @@ def check_regularity_budget(us, Fs, dt, params) -> RegularityReport:
     f_l2h1 = 0.0
     fprime = 0.0
     for n in range(1, nsteps + 1):
-        u_l2h3 += dt * norm(us[n], 3) ** 2
-        u_suph2 = max(u_suph2, norm(us[n], 2) ** 2)
-        rate = VectorField(us[n].grid,
-                           (us[n].values - us[n - 1].values) / dt)
-        rate_l2h1 += dt * norm(rate, 1) ** 2
-        rate_supl2 = max(rate_supl2, norm(rate, 0) ** 2)
+        _, _, u_h2, u_h3 = norms(us[n], 3)
+        u_l2h3 += dt * u_h3 ** 2
+        u_suph2 = max(u_suph2, u_h2 ** 2)
+        rate_l2, rate_h1 = norms(VectorField(
+            us[n].grid, (us[n].values - us[n - 1].values) / dt), 1)
+        rate_l2h1 += dt * rate_h1 ** 2
+        rate_supl2 = max(rate_supl2, rate_l2 ** 2)
         f_l2h1 += dt * norm(Fs[n], 1) ** 2
         dF = VectorField(Fs[n].grid, (Fs[n].values - Fs[n - 1].values) / dt)
         fprime += dt * norm_hminus1(dF) ** 2

@@ -4,15 +4,18 @@ Derivative checks compare against hand-derived analytic formulas; grid
 constants are fitted on the coarse grid and verified on the fine one.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       div_tensor, divergence, grad_tensor, gradient, inner,
                       laplacian, mean, mean_zero_project, norm, norm_hminus1,
-                      rate_tensors, save_snapshot, load_snapshot,
+                      norms, rate_tensors, save_snapshot, load_snapshot,
                       viscous_operator)
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, random_smooth_field,
@@ -82,9 +85,55 @@ def test_h1_norm_of_cosine_converges_to_closed_form():
 def test_norm_order_validation():
     g = Grid(2, 8)
     f = ScalarField.zeros(g)
-    for bad in (4, -1, 1.5, "2"):
+    for bad in (4, -1, 1.5, "2", True):
         with pytest.raises(ValueError):
             norm(f, bad)
+        with pytest.raises(ValueError):
+            norms(f, bad)
+
+
+def _norm_reference(f, k):
+    """H^k with every multi-index quotient differenced from scratch, one
+    component at a time: the formula `norms` must reproduce bit for bit."""
+    g = f.grid
+    if isinstance(f, ScalarField):
+        comps = [(f.values, 1.0)]
+    elif isinstance(f, VectorField):
+        comps = [(f.values[i], 1.0) for i in range(g.dim)]
+    else:
+        comps = [(f.values[q], 1.0 if i == j else 2.0)
+                 for q, (i, j) in enumerate(sym_components(g.dim))]
+    total = 0.0
+    for comp, mult in comps:
+        total += mult * float(np.sum(g.weights * comp * comp))
+        for order in range(1, k + 1):
+            for axes in itertools.combinations_with_replacement(range(g.dim),
+                                                                order):
+                d = comp
+                for ax in axes:
+                    d = _diff1(d, g.h[ax], ax)
+                total += mult * float(np.sum(g.weights * d * d))
+    return float(np.sqrt(total))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_norms_equal_norm_and_per_multi_index_reference(dim, data):
+    n = data.draw(st.tuples(*[st.integers(8, 14)] * dim), label="n")
+    extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
+                       label="extent")
+    kind = data.draw(st.sampled_from([ScalarField, VectorField,
+                                      SymTensorField]), label="kind")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    g = Grid(dim, n, extent)
+    ncomp = {ScalarField: (), VectorField: (dim,),
+             SymTensorField: (dim * (dim + 1) // 2,)}[kind]
+    f = kind(g, np.random.default_rng(seed).normal(size=ncomp + g.node_shape))
+    every = norms(f, 3)
+    assert len(every) == 4
+    for j in range(4):
+        assert every[j] == norm(f, j) == _norm_reference(f, j)
+        assert norms(f, j) == every[:j + 1]
 
 
 def test_tensor_norm_counts_off_diagonals_twice():

@@ -203,7 +203,7 @@ def test_cli_band_violation_names_hypothesis(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 2
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert summary["status"] == "config-error"
     assert "strict band" in summary["error"]
 
@@ -213,7 +213,7 @@ def test_cli_divergence_exits_3(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 3
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert summary["status"] == "solver-failure"
     assert len(summary["distance_history"]) == 4
     assert summary["failed_timestep"] is None  # no single step failed
@@ -285,7 +285,7 @@ def test_cli_mms_smoke(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "exact" in text
     assert "pass" in text
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     names = [st["name"] for st in summary["studies"]]
     assert len(names) == 5
     assert all(st["passed"] for st in summary["studies"])
@@ -299,7 +299,7 @@ def test_cli_uniqueness_zero_amplitude(tmp_path):
     out = tmp_path / "out"
     code = main(["uniqueness", "--config", cfg, "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert summary["identical"]
     assert summary["gap_energy_final"] == 0.0
     rows = (out / "gronwall.csv").read_text().strip().split("\n")[1:]
@@ -311,10 +311,20 @@ def test_cli_uniqueness_perturbed(tmp_path):
     out = tmp_path / "out"
     code = main(["uniqueness", "--config", cfg, "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert not summary["identical"]
     assert summary["satisfied"]
     assert summary["c12_fitted"]
+
+
+def test_cli_uniqueness_jobs_do_not_change_output_bytes(tmp_path):
+    cfg = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.005\n")
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(["uniqueness", "--jobs", str(jobs), "--config", cfg,
+                     "--out", str(out)]) == 0
+    a, b = ((out / "gronwall.csv").read_bytes() for out in outs)
+    assert a == b
 
 
 def test_cli_uniqueness_refuses_large_delta(tmp_path, capsys):
@@ -322,7 +332,7 @@ def test_cli_uniqueness_refuses_large_delta(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["uniqueness", "--config", cfg, "--out", str(out)])
     assert code == 2
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     # the refusal must print the positivity threshold
     assert "6.66667" in summary["error"]
 
@@ -332,7 +342,7 @@ def test_cli_probe_smoke(tmp_path):
     out = tmp_path / "out"
     code = main(["probe", "--config", cfg, "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_summary(out)
     assert summary["linear_ok"]
     assert len(summary["gaps"]) == 3
     for r in summary["shrink_ratios"]:

@@ -46,7 +46,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="flat 'section.key = value' file; "
                             "defaults apply when omitted")
         p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="parallel workers for independent sub-runs")
+                       help="accepted for compatibility and has no "
+                            "effect: sub-runs always run in sequence")
         p.add_argument("--out", metavar="DIR",
                        help="output directory (overrides output.dir)")
     return parser
@@ -142,10 +143,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             result = run_experiment(cfg, out_dir)
         elif args.command == "mms":
-            result = mms_experiment(cfg, out_dir, jobs=args.jobs)
+            result = mms_experiment(cfg, out_dir)
         elif args.command == "uniqueness":
-            result = uniqueness_pair_experiment(cfg, out_dir,
-                                                jobs=args.jobs)
+            result = uniqueness_pair_experiment(cfg, out_dir)
         else:
             result = probe_experiment(cfg, out_dir)
         payload.update(result)

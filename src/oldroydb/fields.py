@@ -25,9 +25,6 @@ quotients and the summation order are those of differencing each multi-index
 from scratch, one component at a time, so the two agree to the last bit.
 H^{-1} is realized through one discrete Dirichlet-Laplacian solve per
 component.
-
-Everything here is safe to call concurrently: a grid's cached arrays and
-matrices are built on first use and never change afterwards.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ __all__ = [
     "delta_threshold",
     "fixed_point_residual",
     "iterate",
-    "picard_map",
     "picard_sweep",
     "suggest_budgets",
     "trajectory_distance",
@@ -189,8 +188,8 @@ def picard_sweep(inp: IterTriple, f, params,
 
     Coefficients for step k are frozen at the arrival node k+1 of the input
     trajectory; the density and stress updates share one characteristic
-    trace per step. Solver failures gain a ``timestep`` attribute before
-    propagating.
+    trace per step. Initial data pass through exactly. Solver failures gain
+    a ``timestep`` attribute before propagating.
     """
     forcing = _normalize_forcing(f, inp.grid, inp.dt)
     u, sg, tau = inp.w[0], inp.pi[0], inp.psi[0]
@@ -222,12 +221,6 @@ def picard_sweep(inp: IterTriple, f, params,
     diag = SweepDiagnostics(tuple(Fs), tuple(vreps), tuple(dreps),
                             tuple(sreps))
     return out, diag
-
-
-def picard_map(inp: IterTriple, f, params,
-               tol_lin: float = 1e-10) -> IterTriple:
-    """The frozen-coefficient map alone; initial data pass through exactly."""
-    return picard_sweep(inp, f, params, tol_lin=tol_lin)[0]
 
 
 @dataclass(frozen=True)
@@ -384,7 +377,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     dists, ratios, slacks = [], [], []
     mem = None
     for k in range(1, max_iter + 1):
-        y = picard_map(x, f, params, tol_lin=tol_lin)
+        y = picard_sweep(x, f, params, tol_lin=tol_lin)[0]
         d = trajectory_distance(y, x, params)
         mem = check_membership(y, b1, b2, params)
         ratios.append(d / dists[-1] if dists and dists[-1] > 0.0
@@ -420,7 +413,7 @@ class SystemResidual:
 def fixed_point_residual(sol: IterTriple, f, params,
                          tol_lin: float = 1e-10) -> SystemResidual:
     """Plug a converged trajectory back into the coupled system."""
-    out = picard_map(sol, f, params, tol_lin=tol_lin)
+    out = picard_sweep(sol, f, params, tol_lin=tol_lin)[0]
     gv, gp, gs = _component_gaps(out, sol)
     return SystemResidual(velocity=gv, density=gp, stress=gs)
 
@@ -493,12 +486,12 @@ def continuity_probe(base: IterTriple, delta: float, params, f=None,
     if not components or set(components) - set("wps"):
         raise ValueError("components must be a nonempty subset of 'wps'")
     shapes = _probe_shapes(base.grid)
-    ref = picard_map(base, f, params, tol_lin=tol_lin)
+    ref = picard_sweep(base, f, params, tol_lin=tol_lin)[0]
     scales = (delta, delta / 2.0, delta / 4.0) if delta > 0.0 else (0.0,)
     gv, gp, gs, gtot = [], [], [], []
     for s in scales:
-        out = picard_map(_perturb(base, s, shapes, components), f, params,
-                         tol_lin=tol_lin)
+        out = picard_sweep(_perturb(base, s, shapes, components), f,
+                           params, tol_lin=tol_lin)[0]
         a, b, c = _component_gaps(out, ref)
         gv.append(a)
         gp.append(b)

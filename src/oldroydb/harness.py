@@ -8,11 +8,10 @@ Every numeric file is written with 17 significant digits so repeated runs
 of one config are byte-identical.
 """
 
-import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,73 +39,48 @@ __all__ = ["RunConfig", "EnergyLedger", "LEDGER_COLUMNS",
 
 # --------------------------------------------------------------- config
 
+def _key(name: str, default):
+    """A `RunConfig` field stored under config key ``name``."""
+    return field(default=default, metadata={"key": name})
+
+
 @dataclass
 class RunConfig:
-    """Everything a run needs, one attribute per config key."""
+    """Everything a run needs; each field names its config key."""
 
-    grid_dim: int = 2
-    grid_n: int = 32
-    grid_extent: float = 1.0
-    eps: float = 0.1
-    omega: float = 0.5
-    we: float = 0.1
-    alpha: float = 1.0
-    slip: float = 1.0
-    m1: float = 0.5
-    M1: float = 2.0
-    pressure: str = "linear"
-    pressure_kappa: float = 1.0
-    pressure_cs: float = 1.0
-    T: float = 0.01
-    dt: float = 1e-3
-    tol_lin: float = 1e-10
-    tol_fp: float = 1e-8
-    max_iter: int = 20
-    delta: float = 1.0
-    ic_velocity: str = "vortex"
-    ic_velocity_amplitude: float = 0.05
-    ic_density: str = "cosine-density"
-    ic_density_amplitude: float = 0.01
-    ic_stress: str = "proportional-stress"
-    ic_stress_amplitude: float = 0.02
-    forcing: str = "none"
-    probe_amplitude: float = 1e-3
-    uniqueness_amplitude: float = 1e-4
-    out_dir: str = "out"
+    grid_dim: int = _key("grid.dim", 2)
+    grid_n: int = _key("grid.n", 32)
+    grid_extent: float = _key("grid.extent", 1.0)
+    eps: float = _key("params.eps", 0.1)
+    omega: float = _key("params.omega", 0.5)
+    we: float = _key("params.We", 0.1)
+    alpha: float = _key("params.alpha", 1.0)
+    slip: float = _key("params.a", 1.0)
+    m1: float = _key("params.m1", 0.5)
+    M1: float = _key("params.M1", 2.0)
+    pressure: str = _key("params.pressure", "linear")
+    pressure_kappa: float = _key("params.pressure_kappa", 1.0)
+    pressure_cs: float = _key("params.pressure_cs", 1.0)
+    T: float = _key("time.T", 0.01)
+    dt: float = _key("time.dt", 1e-3)
+    tol_lin: float = _key("tol.lin", 1e-10)
+    tol_fp: float = _key("tol.fp", 1e-8)
+    max_iter: int = _key("tol.max_iter", 20)
+    delta: float = _key("tol.delta", 1.0)
+    ic_velocity: str = _key("ic.velocity", "vortex")
+    ic_velocity_amplitude: float = _key("ic.velocity_amplitude", 0.05)
+    ic_density: str = _key("ic.density", "cosine-density")
+    ic_density_amplitude: float = _key("ic.density_amplitude", 0.01)
+    ic_stress: str = _key("ic.stress", "proportional-stress")
+    ic_stress_amplitude: float = _key("ic.stress_amplitude", 0.02)
+    forcing: str = _key("forcing.preset", "none")
+    probe_amplitude: float = _key("probe.amplitude", 1e-3)
+    uniqueness_amplitude: float = _key("uniqueness.amplitude", 1e-4)
+    out_dir: str = _key("output.dir", "out")
 
 
 # config key <-> attribute <-> type, in file order
-_KEYS = [
-    ("grid.dim", "grid_dim", int),
-    ("grid.n", "grid_n", int),
-    ("grid.extent", "grid_extent", float),
-    ("params.eps", "eps", float),
-    ("params.omega", "omega", float),
-    ("params.We", "we", float),
-    ("params.alpha", "alpha", float),
-    ("params.a", "slip", float),
-    ("params.m1", "m1", float),
-    ("params.M1", "M1", float),
-    ("params.pressure", "pressure", str),
-    ("params.pressure_kappa", "pressure_kappa", float),
-    ("params.pressure_cs", "pressure_cs", float),
-    ("time.T", "T", float),
-    ("time.dt", "dt", float),
-    ("tol.lin", "tol_lin", float),
-    ("tol.fp", "tol_fp", float),
-    ("tol.max_iter", "max_iter", int),
-    ("tol.delta", "delta", float),
-    ("ic.velocity", "ic_velocity", str),
-    ("ic.velocity_amplitude", "ic_velocity_amplitude", float),
-    ("ic.density", "ic_density", str),
-    ("ic.density_amplitude", "ic_density_amplitude", float),
-    ("ic.stress", "ic_stress", str),
-    ("ic.stress_amplitude", "ic_stress_amplitude", float),
-    ("forcing.preset", "forcing", str),
-    ("probe.amplitude", "probe_amplitude", float),
-    ("uniqueness.amplitude", "uniqueness_amplitude", float),
-    ("output.dir", "out_dir", str),
-]
+_KEYS = [(f.metadata["key"], f.name, f.type) for f in fields(RunConfig)]
 _KEY_TO_ATTR = {k: (a, c) for k, a, c in _KEYS}
 
 VELOCITY_PRESETS = ("zero", "vortex", "gradient")
@@ -158,6 +132,10 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for key, attr, conv in _KEYS:
+        value = getattr(cfg, attr)
+        if conv is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.grid_dim not in (2, 3):
         raise ConfigError(f"grid.dim must be 2 or 3, got {cfg.grid_dim}")
     if cfg.grid_n < 8:
@@ -170,6 +148,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"time.dt = {cfg.dt} exceeds time.T = {cfg.T}")
     if cfg.max_iter < 1:
         raise ConfigError("tol.max_iter must be at least 1")
+    if cfg.tol_lin <= 0.0 or cfg.tol_fp <= 0.0:
+        raise ConfigError("tol.lin and tol.fp must be positive")
+    if cfg.probe_amplitude < 0.0:
+        raise ConfigError("probe.amplitude must be nonnegative")
     for name, value, allowed in [
             ("ic.velocity", cfg.ic_velocity, VELOCITY_PRESETS),
             ("ic.density", cfg.ic_density, DENSITY_PRESETS),
@@ -312,6 +294,8 @@ CONVERGENCE_COLUMNS = ("iteration", "distance", "ratio", "slack_min")
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
@@ -336,11 +320,8 @@ class EnergyLedger:
         self.rows.append(dict(row))
 
     def write(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(row[c]) for c in self.columns])
+        _write_csv(path, self.columns,
+                   ([row[c] for c in self.columns] for row in self.rows))
 
     @classmethod
     def read(cls, path) -> "EnergyLedger":
@@ -475,23 +456,10 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     }
 
 
-def mms_experiment(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
+def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     """Refinement studies for each linear solver, in a fixed order."""
     os.makedirs(out_dir, exist_ok=True)
-    params = build_params(cfg)
-    if jobs > 1:
-        from .mms import (density_advection_study, density_still_study,
-                          stress_relaxation_study, velocity_spatial_study,
-                          velocity_temporal_study)
-        tasks = [lambda: velocity_spatial_study(params),
-                 lambda: velocity_temporal_study(params),
-                 lambda: density_advection_study(),
-                 lambda: density_still_study(),
-                 lambda: stress_relaxation_study()]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            studies = list(ex.map(lambda fn: fn(), tasks))
-    else:
-        studies = all_studies(params)
+    studies = all_studies(build_params(cfg))
 
     rows = []
     report = []
@@ -504,14 +472,11 @@ def mms_experiment(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
                        "exact": st.exact, "threshold": st.threshold,
                        "passed": st.passed, "orders_text": orders})
         for i, (lab, err) in enumerate(zip(st.labels, st.errors)):
-            order = "" if (st.exact or i == 0) else _fmt(st.orders[i - 1])
-            rows.append((st.name, lab, _fmt(err), order))
+            order = "" if (st.exact or i == 0) else st.orders[i - 1]
+            rows.append((st.name, lab, err, order))
 
     path = os.path.join(out_dir, "mms.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("study", "label", "error", "order"))
-        writer.writerows(rows)
+    _write_csv(path, ("study", "label", "error", "order"), rows)
 
     failed = sorted(st["name"] for st in report if not st["passed"])
     return {
@@ -523,8 +488,7 @@ def mms_experiment(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     }
 
 
-def uniqueness_pair_experiment(cfg: RunConfig, out_dir,
-                               jobs: int = 1) -> dict:
+def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
     """Base run vs. density-perturbed run against the growth envelope."""
     os.makedirs(out_dir, exist_ok=True)
     grid, params, u0, s0, t0 = build_initial_data(cfg)
@@ -546,14 +510,7 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir,
         sol1 = solve(s0)
         sol2 = sol1
     else:
-        pert = _bump_density(grid, amp)
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
-                f1 = ex.submit(solve, s0)
-                f2 = ex.submit(solve, s0 + pert)
-                sol1, sol2 = f1.result(), f2.result()
-        else:
-            sol1, sol2 = solve(s0), solve(s0 + pert)
+        sol1, sol2 = solve(s0), solve(s0 + _bump_density(grid, amp))
 
     rep = uniqueness_experiment(sol1, sol2, cfg.delta, params,
                                 fp_tol=cfg.tol_fp)

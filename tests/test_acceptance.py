@@ -16,7 +16,7 @@ from oldroydb import (FluidParams, Grid, IterTriple, ScalarField,
                       check_step_dissipation, continuity_probe, div_tensor,
                       divergence, fixed_point_residual, grad_tensor,
                       gradient, inner,
-                      iterate, laplacian, mean, norm, picard_map,
+                      iterate, laplacian, mean, norm, picard_sweep,
                       rate_tensors, step_density, step_stress,
                       uniqueness_experiment, viscous_operator)
 from oldroydb.mms import taylor_vortex
@@ -193,8 +193,8 @@ def test_criterion_7_uniqueness_envelope(request):
     t0 = time.perf_counter()
     run = request.getfixturevalue("converged32")
     c = run
-    nudge = picard_map(
-        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)
+    nudge = picard_sweep(
+        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)[0]
     sol_b, _ = iterate(c.u0, c.s0, c.t0, None, c.params, T=0.01, dt=1e-3,
                        initial_guess=nudge)
     same = uniqueness_experiment(c.sol, sol_b, 1.0, c.params, fp_tol=1e-8)

@@ -10,8 +10,8 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
                       SymTensorField, VectorField, assemble_forcing,
                       check_membership, continuity_probe, delta_threshold,
-                      fixed_point_residual, iterate, mean, picard_map,
-                      picard_sweep, step_density, step_stress, step_velocity,
+                      fixed_point_residual, iterate, mean, picard_sweep,
+                      step_density, step_stress, step_velocity,
                       suggest_budgets, trace, trajectory_distance,
                       uniqueness_experiment)
 from oldroydb.velocity import run_velocity
@@ -73,7 +73,7 @@ def test_zero_guess_maps_to_zero():
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
     x = IterTriple.constant(z_w, z_s, z_t, 5, 1e-3)
-    y = picard_map(x, None, params)
+    y = picard_sweep(x, None, params)[0]
     for k in range(6):
         assert not y.w[k].values.any()
         assert not y.pi[k].values.any()
@@ -123,15 +123,15 @@ def test_sweep_failure_reports_timestep():
     pis[3] = ScalarField(grid, np.full(grid.node_shape, -150.0))
     x = IterTriple((u0,) * 6, pis, (t0,) * 6, dt=1e-3)
     with pytest.raises(DensityBandError) as err:
-        picard_map(x, None, params)
+        picard_sweep(x, None, params)
     assert err.value.timestep == 3
 
 
 def test_one_sweep_already_contracts():
     grid, params, u0, s0, t0 = small_preset(32)
     x0 = IterTriple.constant(u0, s0, t0, 10, 1e-3)
-    y1 = picard_map(x0, None, params)
-    y2 = picard_map(y1, None, params)
+    y1 = picard_sweep(x0, None, params)[0]
+    y2 = picard_sweep(y1, None, params)[0]
     d1 = trajectory_distance(y1, x0, params)
     d2 = trajectory_distance(y2, y1, params)
     assert d2 < 0.5 * d1
@@ -348,8 +348,8 @@ def test_identical_data_land_on_same_trajectory(converged32):
     # start the sweeps from a different (still pinned) guess: the limits
     # must agree to within the solver tolerance budget
     c = converged32
-    nudge = picard_map(
-        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)
+    nudge = picard_sweep(
+        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)[0]
     sol_b, hist_b = iterate(c.u0, c.s0, c.t0, None, c.params, T=0.01,
                             dt=1e-3, initial_guess=nudge)
     assert hist_b.converged

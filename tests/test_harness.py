@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oldroydb.fixed_point as fixed_point
 from oldroydb import ConfigError, mean
@@ -23,6 +25,46 @@ from oldroydb.fields import Grid, divergence, norm, rate_tensors
 def test_config_roundtrip_is_identity():
     cfg = RunConfig(grid_n=24, eps=0.25, T=0.004, dt=2e-3,
                     ic_velocity="zero", out_dir="elsewhere")
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text
+
+
+@st.composite
+def valid_configs(draw):
+    def real(lo, hi, **kw):
+        return draw(st.floats(lo, hi, allow_nan=False, **kw))
+
+    alpha = real(0.1, 10.0)
+    T = real(1e-4, 1.0)
+    return RunConfig(
+        grid_dim=draw(st.sampled_from((2, 3))),
+        grid_n=draw(st.integers(8, 256)), grid_extent=real(0.1, 10.0),
+        eps=real(0.0, 1.0, exclude_min=True),
+        omega=real(0.0, 1.0, exclude_min=True, exclude_max=True),
+        we=real(1e-3, 10.0), alpha=alpha, slip=real(-1.0, 1.0),
+        m1=real(0.0, alpha, exclude_min=True), M1=real(alpha, 100.0),
+        pressure=draw(st.sampled_from(("linear", "isothermal",
+                                       "quadratic"))),
+        pressure_kappa=real(-10.0, 10.0), pressure_cs=real(-10.0, 10.0),
+        T=T, dt=real(0.0, T, exclude_min=True),
+        tol_lin=real(1e-16, 1.0), tol_fp=real(1e-16, 1.0),
+        max_iter=draw(st.integers(1, 1000)), delta=real(-10.0, 10.0),
+        ic_velocity=draw(st.sampled_from(VELOCITY_PRESETS)),
+        ic_velocity_amplitude=real(-1.0, 1.0),
+        ic_density=draw(st.sampled_from(DENSITY_PRESETS)),
+        ic_density_amplitude=real(-1.0, 1.0),
+        ic_stress=draw(st.sampled_from(STRESS_PRESETS)),
+        ic_stress_amplitude=real(-1.0, 1.0),
+        probe_amplitude=real(0.0, 1.0),
+        uniqueness_amplitude=real(-1.0, 1.0),
+        out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs())
+def test_config_roundtrip_property(cfg):
     text = serialize_config(cfg)
     again = parse_config(text)
     assert again == cfg
@@ -59,6 +101,18 @@ def test_config_validation():
         parse_config("params.eps = 3.0\n")
     with pytest.raises(ConfigError, match="max_iter"):
         parse_config("tol.max_iter = 0\n")
+    for bad in ("tol.lin = 0\n", "tol.lin = -1e-10\n", "tol.fp = 0\n",
+                "tol.fp = -1e-8\n"):
+        with pytest.raises(ConfigError, match="tol.lin and tol.fp"):
+            parse_config(bad)
+    with pytest.raises(ConfigError, match="probe.amplitude"):
+        parse_config("probe.amplitude = -1e-3\n")
+    assert parse_config("probe.amplitude = 0\n").probe_amplitude == 0.0
+    for bad in ("time.dt = nan\n", "grid.extent = inf\n",
+                "tol.lin = nan\n", "probe.amplitude = nan\n",
+                "params.We = -inf\n"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(bad)
 
 
 # --------------------------------------------------------------- presets
@@ -280,7 +334,8 @@ def test_cli_mms_smoke(tmp_path, capsys):
     # dyadic ladders are built into the studies; this checks the wrapper,
     # the table and the exact marker
     out = tmp_path / "out"
-    code = main(["mms", "--out", str(out)])
+    # --jobs is inert but still parses, so older command lines keep working
+    code = main(["mms", "--jobs", "3", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "exact" in text
@@ -347,3 +402,25 @@ def test_cli_probe_smoke(tmp_path):
     assert len(summary["gaps"]) == 3
     for r in summary["shrink_ratios"]:
         assert 2.0 / 1.5 <= r <= 2.0 * 1.5
+
+
+def test_cli_probe_negative_amplitude_is_config_error(tmp_path):
+    cfg = _cfg_file(tmp_path, "probe.amplitude = -1e-3\n"
+                              "grid.n = 8\ntime.T = 0.002\n")
+    out = tmp_path / "out"
+    code = main(["probe", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    summary = _strict_summary(out)
+    assert summary["status"] == "config-error"
+    assert "probe.amplitude" in summary["error"]
+
+
+@pytest.mark.parametrize("command", ["uniqueness", "probe"])
+def test_cli_3d_smoke(tmp_path, command):
+    cfg = _cfg_file(tmp_path, "grid.dim = 3\ngrid.n = 8\ntime.T = 0.003\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code == 0
+    summary = _strict_summary(out)
+    assert summary["status"] == "ok"
+    assert summary["failed_checks"] == []

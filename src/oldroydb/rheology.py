@@ -160,7 +160,9 @@ def objective_coupling(grad_w: np.ndarray, tau: SymTensorField,
     `grad_tensor`; D and W are its symmetric and skew parts.  The result is
     symmetric for every input and bilinear in (grad_w, tau); symmetry is
     enforced structurally by storing the upper triangle of the symmetrized
-    product.
+    product.  The stress step applies the same map as a per-node matrix
+    (`transport._coupling_matrices`); this is the reference it is tested
+    against.
     """
     grid = tau.grid
     D = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))

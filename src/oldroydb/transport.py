@@ -3,7 +3,11 @@
 Both subproblems ride the same characteristic trace: departure points are
 found with one midpoint (RK2) step backward through the driving velocity,
 and field values are pulled back by multilinear interpolation (monotone, so
-the density band cannot be violated by interpolation overshoot).
+the density band cannot be violated by interpolation overshoot).  The trace
+computes the 2^dim corner indices and weights of each set of sample points
+once, for the midpoints and for the departure points; every pull gathers a
+whole stack of components through the same weights, so one set serves the
+density and all stress components of a step.
 
 Density:  sigma' + (w . grad) sigma + sigma div w = -eps^-2 alpha div w.
 With div w frozen at the arrival node, the along-path ODE has the closed
@@ -11,19 +15,24 @@ form update
 
     sigma_new = sigma_dep * exp(-dt divw) + eps^-2 alpha * expm1(-dt divw),
 
-which is exact per step and reduces to the identity bitwise when w = 0.
+which is exact per step and reduces to the identity bitwise when w = 0
+(the departure points are then the nodes themselves, with unit weights).
 The spatial mean is re-projected to zero after every step (the continuum
 problem conserves it; interpolation does not), and the pre-projection
 drift is reported.
 
-Stress:  tau + We (tau' + (w . grad) tau + g(grad w, tau)) = 2 omega D[w].
-After pullback, the relaxation/coupling part is advanced by the trapezoid
-rule with grad w frozen at the arrival node:
+Stress:  tau + We (tau' + (w . grad) tau + g(grad w, tau)) = 2 omega D[w],
+where g(grad w, tau) = L tau + tau L^T with L = -(W + a D).  After
+pullback, the relaxation/coupling part is advanced by the trapezoid rule
+with grad w frozen at the arrival node:
 
     (We/dt + 1/2) tau_new + (We/2) g(grad w, tau_new)
         = (We/dt - 1/2) tau_dep - (We/2) g(grad w, tau_dep) + 2 omega D[w],
 
-a dense solve on the dim (dim+1)/2 symmetric components per node.  The
+a dense system on the m = dim (dim+1)/2 symmetric components per node.  Its
+matrix G of tau -> g(grad w, tau) is written from grad w through a constant
+index table, and all nodes are solved at once by one Gaussian elimination
+with partial pivoting, whose pivots also give the determinant.  The
 trapezoid weighting keeps the pure-relaxation limit accurate to O(dt^2),
 which the exact-decay acceptance tolerance requires; backward Euler's
 O(dt) amplification bias is an order of magnitude too coarse at dt = 1e-3.
@@ -34,17 +43,16 @@ domain constant making each inequality hold on a computed history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 from scipy.optimize import brentq
 
 from .errors import NonDirichletError, SingularStressSystemError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      divergence, grad_tensor, mean, norm, norms,
                      sym_components)
-from .rheology import density_band_check, objective_coupling
+from .rheology import density_band_check
 
 __all__ = ["CharacteristicMap", "trace", "DensityStepReport", "step_density",
            "StressStepReport", "step_stress", "DensityBoundReport",
@@ -56,6 +64,43 @@ __all__ = ["CharacteristicMap", "trace", "DensityStepReport", "step_density",
 # characteristics
 
 
+def _stencil(grid, points):
+    """Multilinear corner indices and weights of index-space sample points.
+
+    `points` (dim, *node_shape) must lie in the closed index box.  Returns
+    flat node indices and weights, both (2^dim, N).  The corners are built
+    one axis at a time in place: each axis doubles the rows filled so far,
+    so the weights of a point are products of its per-axis fractions.
+    """
+    corners = np.zeros((2 ** grid.dim, points[0].size), dtype=np.intp)
+    weights = np.ones((2 ** grid.dim, points[0].size))
+    filled = 1
+    for x, n in zip(points, grid.node_shape):
+        x = x.ravel()
+        lo = np.minimum(x.astype(np.intp), n - 2)
+        frac = x - lo
+        done, new = slice(0, filled), slice(filled, 2 * filled)
+        corners[done] *= n
+        corners[done] += lo
+        np.add(corners[done], 1, out=corners[new])
+        np.multiply(weights[done], frac, out=weights[new])
+        weights[done] *= 1.0 - frac
+        filled *= 2
+    return corners, weights
+
+
+def _gather(values, corners, weights):
+    """Interpolate a nodal array, or a stack of them, through a stencil.
+
+    Clipped indexing keeps a non-finite point (from a non-finite velocity)
+    in range; its NaN weights then carry through to the result.
+    """
+    flat = values.reshape(-1, corners.shape[1])
+    out = np.einsum("kcn,cn->kn", flat.take(corners, axis=1, mode="clip"),
+                    weights)
+    return out.reshape(values.shape)
+
+
 @dataclass
 class CharacteristicMap:
     """Backward departure points for one timestep, in index coordinates."""
@@ -65,12 +110,19 @@ class CharacteristicMap:
     dt: float
     clipped: int              # nodes nudged back inside the closed domain
     max_excursion: float      # largest pre-clip overshoot, physical units
+    corners: np.ndarray = field(repr=False)   # (2^dim, N) flat node indices
+    weights: np.ndarray = field(repr=False)   # (2^dim, N) multilinear weights
 
     def pull(self, values: np.ndarray) -> np.ndarray:
-        """Multilinear sample of a nodal array at the departure points."""
-        coords = [c.ravel() for c in self.dep_index]
-        out = map_coordinates(values, coords, order=1, mode="nearest")
-        return out.reshape(self.grid.node_shape)
+        """Multilinear sample at the departure points.
+
+        `values` is one nodal array or a stack (k, *node_shape) of them;
+        the result has the same shape.
+        """
+        if values.shape[values.ndim - self.grid.dim:] != self.grid.node_shape:
+            raise ValueError(f"values of shape {values.shape} do not end in "
+                             f"the node shape {self.grid.node_shape}")
+        return _gather(values, self.corners, self.weights)
 
     @property
     def departure_points(self) -> np.ndarray:
@@ -85,7 +137,9 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
     The driving field must vanish on the boundary, so in exact arithmetic
     every departure point stays in the closed box; excursions beyond a
     round-off allowance mean the velocity is effectively not Dirichlet
-    (or the step is far too large) and raise NonDirichletError.
+    (or the step is far too large) and raise NonDirichletError.  The
+    interpolation weights of the departure points are computed here once
+    and reused by every `pull`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -99,11 +153,7 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
     mid = base - (0.5 * dt / h) * w.values
     for i in range(grid.dim):
         np.clip(mid[i], 0.0, extents[i], out=mid[i])
-    mid_flat = [c.ravel() for c in mid]
-    w_mid = np.stack([
-        map_coordinates(w.values[i], mid_flat, order=1,
-                        mode="nearest").reshape(grid.node_shape)
-        for i in range(grid.dim)])
+    w_mid = _gather(w.values, *_stencil(grid, mid))
 
     dep = base - (dt / h) * w_mid
     max_exc = 0.0
@@ -121,9 +171,11 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
             f"characteristic departure left the domain by {max_exc:.3e} "
             f"(allowance {tol:.1e}); driving velocity is not Dirichlet "
             f"or dt is too large")
+    corners, weights = _stencil(grid, dep)
     return CharacteristicMap(grid=grid, dep_index=dep, dt=dt,
                              clipped=int(clipped_mask.sum()),
-                             max_excursion=max_exc)
+                             max_excursion=max_exc, corners=corners,
+                             weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -177,57 +229,110 @@ class StressStepReport:
     clipped: int
 
 
-def _coupling_matrices(grid, grad_w, a):
-    """Per-node matrix of tau -> g(grad w, tau) on symmetric components."""
-    m = grid.dim * (grid.dim + 1) // 2
-    cols = []
-    for k in range(m):
-        basis = SymTensorField.zeros(grid)
-        basis.values[k] = 1.0
-        cols.append(objective_coupling(grad_w, basis, a).values)
-    # (m columns) x (m rows) x nodes -> nodes x m x m
-    G = np.stack(cols, axis=1)           # (m_out, m_in, *nodes)
-    return np.moveaxis(G.reshape(m, m, -1), -1, 0)   # (N, m, m)
+def _coupling_table(dim):
+    """Constant (m*m, dim*dim) table T with vec G = T vec L.
+
+    G is the matrix of tau -> g(grad w, tau) = L tau + tau L^T on the
+    stored components: (L tau + tau L^T)_ij = sum_k L_ik tau_kj + L_jk tau_ik.
+    """
+    pairs = sym_components(dim)
+    m = len(pairs)
+    slot = {}
+    for q, (k, l) in enumerate(pairs):
+        slot[k, l] = slot[l, k] = q
+    table = np.zeros((m * m, dim * dim))
+    for p, (i, j) in enumerate(pairs):
+        for k in range(dim):
+            table[p * m + slot[k, j], i * dim + k] += 1.0
+            table[p * m + slot[i, k], j * dim + k] += 1.0
+    return table
+
+
+_COUPLING_TABLES = {dim: _coupling_table(dim) for dim in (2, 3)}
+
+
+def _coupling_matrices(grad_w, a):
+    """Per-node matrix (m, m, N) of tau -> g(grad w, tau) on stored components.
+
+    L = -(W + a D) = -((1 + a) grad w + (a - 1) grad w^T) / 2.
+    """
+    dim = grad_w.shape[0]
+    m = dim * (dim + 1) // 2
+    gw = grad_w.reshape(dim, dim, -1)
+    L = -0.5 * ((1.0 + a) * gw + (a - 1.0) * gw.swapaxes(0, 1))
+    return (_COUPLING_TABLES[dim] @ L.reshape(dim * dim, -1)).reshape(m, m, -1)
+
+
+def _solve_nodes(M, b):
+    """Solve M x = b at every node by Gaussian elimination, partial pivoting.
+
+    M (m, m, N) and b (m, N) are overwritten.  Returns (x, det), det the
+    signed product of the pivots.  A zero pivot makes det zero or NaN and
+    x non-finite at that node; no floating-point warning is raised, so the
+    caller decides from det.
+    """
+    m = b.shape[0]
+    det = np.ones(b.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m - 1):
+            piv = k + np.argmax(np.abs(M[k:, k]), axis=0)
+            swap = np.flatnonzero(piv != k)
+            p = piv[swap]
+            M[p, k:, swap], M[k, k:, swap] = M[k, k:, swap], M[p, k:, swap]
+            b[p, swap], b[k, swap] = b[k, swap], b[p, swap]
+            det[swap] = -det[swap]
+            det *= M[k, k]
+            f = M[k + 1:, k] / M[k, k]
+            M[k + 1:, k + 1:] -= f[:, None] * M[k, k + 1:]
+            b[k + 1:] -= f * b[k]
+        det *= M[m - 1, m - 1]
+        x = np.empty_like(b)
+        for k in reversed(range(m)):
+            x[k] = (b[k] - (M[k, k + 1:] * x[k + 1:]).sum(axis=0)) / M[k, k]
+    return x, det
 
 
 def step_stress(tau_prev: SymTensorField, w: VectorField, dt: float, params,
                 char_map: CharacteristicMap = None) -> tuple:
     """One semi-Lagrangian, trapezoid-relaxation step of the stress.
 
-    Returns (field, StressStepReport); the output inherits exact symmetry
-    from the component storage.  A near-singular per-node system (extreme
-    dt |grad w|) raises SingularStressSystemError with the node.
+    All nodes are advanced at once.  The coupling matrix G of g = L tau +
+    tau L^T comes from grad w through `_coupling_matrices`, the right-hand
+    side applies G to the pulled-back tau_dep, and one pivoted elimination
+    of M = (We/dt + 1/2) I + (We/2) G yields both the solution and det M;
+    `min_det_scale` is the smallest |det M| / (We/dt + 1/2)^m.  The output
+    inherits exact symmetry from the component storage.  A per-node system
+    with |det M| / (We/dt + 1/2)^m below 1e-12, or a zero or non-finite
+    pivot product (extreme dt |grad w|), raises SingularStressSystemError
+    naming the node with the smallest |det M|.
     """
     grid = tau_prev.grid
-    m = grid.dim * (grid.dim + 1) // 2
+    m = tau_prev.ncomp
     cm = trace(w, dt) if char_map is None else char_map
-    dep_vals = np.stack([cm.pull(tau_prev.values[k]) for k in range(m)])
-    tau_dep = SymTensorField(grid, dep_vals)
+    tau_dep = cm.pull(tau_prev.values).reshape(m, -1)
 
     gw = grad_tensor(w)
-    D = SymTensorField.from_full(grid, gw, symmetrize=True)
-    g_dep = objective_coupling(gw, tau_dep, params.a)
+    D = SymTensorField.from_full(grid, gw, symmetrize=True).values
+    G = _coupling_matrices(gw, params.a)
     lam = params.We / dt
-    rhs = ((lam - 0.5) * tau_dep.values - 0.5 * params.We * g_dep.values
-           + 2.0 * params.omega * D.values)
+    rhs = ((lam - 0.5) * tau_dep
+           - 0.5 * params.We * np.einsum("pqn,qn->pn", G, tau_dep)
+           + 2.0 * params.omega * D.reshape(m, -1))
 
-    G = _coupling_matrices(grid, gw, params.a)
     M = 0.5 * params.We * G
-    M[:, np.arange(m), np.arange(m)] += lam + 0.5
+    M[np.arange(m), np.arange(m)] += lam + 0.5
+    sol, det = _solve_nodes(M, rhs)
 
     scale = (lam + 0.5) ** m
-    dets = np.linalg.det(M) / scale
+    dets = np.nan_to_num(det / scale, nan=0.0, posinf=0.0, neginf=0.0)
     worst = int(np.argmin(np.abs(dets)))
     if abs(dets[worst]) < 1e-12:
         node = np.unravel_index(worst, grid.node_shape)
         raise SingularStressSystemError(node, float(dets[worst] * scale))
 
-    rhs_flat = rhs.reshape(m, -1).T[..., None]          # (N, m, 1)
-    sol = np.linalg.solve(M, rhs_flat)[..., 0]          # (N, m)
-    vals = sol.T.reshape((m,) + grid.node_shape)
-    report = StressStepReport(min_det_scale=float(np.abs(dets[worst])),
+    report = StressStepReport(min_det_scale=float(abs(dets[worst])),
                               clipped=cm.clipped)
-    return SymTensorField(grid, vals), report
+    return SymTensorField(grid, sol.reshape((m,) + grid.node_shape)), report
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Config round-trip, preset registry, CSV ledgers and the CLI drivers."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oldroydb
 import oldroydb.fixed_point as fixed_point
 from oldroydb import ConfigError, mean
 from oldroydb.cli import main
@@ -318,6 +322,18 @@ def test_cli_unreadable_config(tmp_path):
                  "--out", str(out)])
     assert code == 2
     assert (out / "summary.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # the transport interpolation is numpy-only; importing scipy.ndimage
+    # would add about 0.1 s to every command's start-up
+    src = os.path.dirname(os.path.dirname(oldroydb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, oldroydb.cli; "
+             "sys.exit(3 if 'scipy.ndimage' in sys.modules else 0)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "scipy.ndimage was imported"
 
 
 def test_cli_determinism(tmp_path):

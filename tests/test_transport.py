@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import map_coordinates
 
 from oldroydb import (DensityBandError, FluidParams, Grid,
                       NonDirichletError, ScalarField,
                       SingularStressSystemError, SymTensorField, VectorField,
                       grad_tensor, mean, mean_zero_project, norm,
-                      rate_tensors, sym_components)
+                      objective_coupling, rate_tensors, sym_components)
 from oldroydb.fields import _diff1, random_smooth_field
 from oldroydb.mms import (density_advection_study, density_still_study,
                           stress_relaxation_study, taylor_vortex)
-from oldroydb.transport import (check_density_bounds, check_stress_bounds,
+from oldroydb.transport import (_coupling_matrices, _solve_nodes,
+                                check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
 
 
@@ -27,6 +31,22 @@ def rotation_field(grid, rate=2.0, r_flat=0.25, r_out=0.42):
     chi = 1.0 - smoothstep((r - r_flat) / (r_out - r_flat))
     vals = np.stack([-rate * (y - 0.5) * chi, rate * (x - 0.5) * chi])
     return VectorField(grid, vals, dirichlet=True)
+
+
+def random_dirichlet_velocity(grid, rng, courant):
+    """Rough nodal velocity, zero on the boundary, with the dt giving the
+    Courant number max_i dt |w_i| / h_i."""
+    vals = rng.normal(size=(grid.dim,) + grid.node_shape)
+    vals[:, grid.boundary_mask] = 0.0
+    speed = max(np.abs(vals[i]).max() / grid.h[i] for i in range(grid.dim))
+    return VectorField(grid, vals, dirichlet=True), courant / speed
+
+
+def drawn_grid(data, dim):
+    n = data.draw(st.tuples(*[st.integers(8, 12)] * dim), label="n")
+    extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
+                       label="extent")
+    return Grid(dim, n, extent)
 
 
 def mean_zero_noise(grid, seed, amp=0.35):
@@ -94,6 +114,45 @@ def test_trace_rejects_domain_excursion():
         trace(w, 0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_trace_stays_in_box_and_pull_interpolates(dim, data):
+    # with w zero on the boundary, |w_i| <= max|w_i| * (index distance to
+    # the wall), so a Courant number c <= 0.7 keeps every departure point
+    # at least (1 - c - c^2/2) > 0 cells inside: nothing may be clipped
+    grid = drawn_grid(data, dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    courant = data.draw(st.floats(0.01, 0.7), label="courant")
+    w, dt = random_dirichlet_velocity(grid, rng, courant)
+    cm = trace(w, dt)
+    assert cm.clipped == 0 and cm.max_excursion == 0.0
+    for i in range(dim):
+        assert 0.0 <= cm.dep_index[i].min()
+        assert cm.dep_index[i].max() <= grid.node_shape[i] - 1
+
+    stack = rng.normal(size=(4,) + grid.node_shape)
+    pulled = cm.pull(stack)
+    assert pulled.shape == stack.shape
+    coords = [c.ravel() for c in cm.dep_index]
+    for k in range(len(stack)):
+        oracle = map_coordinates(stack[k], coords, order=1, mode="nearest")
+        scale = np.abs(stack[k]).max()
+        assert np.abs(pulled[k].ravel() - oracle).max() <= 1e-14 * scale
+        assert np.abs(cm.pull(stack[k]) - pulled[k]).max() <= 1e-14 * scale
+
+    # multilinear interpolation reproduces affine fields
+    coef = rng.normal(size=dim + 1)
+
+    def affine(points):
+        return coef[0] + sum(coef[i + 1] * points[i] for i in range(dim))
+
+    exact = affine(cm.departure_points)
+    scale = abs(coef[0]) + sum(abs(coef[i + 1]) * grid.extent[i]
+                               for i in range(dim))
+    assert np.abs(cm.pull(affine(grid.coords)) - exact).max() <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # density step
 
@@ -110,6 +169,25 @@ def test_density_still_fluid_fixed_point():
         s, rep = step_density(s, w0, 1e-3, PARAMS)
         assert abs(mean(s)) <= 1e-12
     assert np.abs(s.values - sigma.values).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_density_step_is_bitwise_identity_in_still_fluid(dim, data):
+    # w = 0: the departure points are the nodes with unit weights and the
+    # dilation update is exp(0) = 1, expm1(0) = 0, so the step only
+    # subtracts the mean of its input
+    grid = drawn_grid(data, dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    sigma = ScalarField(grid, rng.normal(size=grid.node_shape))
+    still = VectorField.zeros(grid, dirichlet=True)
+    dt = data.draw(st.floats(1e-4, 1e-1), label="dt")
+    assert np.array_equal(trace(still, dt).pull(sigma.values), sigma.values)
+    out, rep = step_density(sigma, still, dt, PARAMS)
+    drift = mean(sigma)
+    assert rep.mean_preproject == drift
+    assert np.array_equal(out.values, sigma.values - drift)
 
 
 def test_density_uniform_dilation_closed_form():
@@ -228,23 +306,34 @@ def test_stress_one_step_from_zero_matches_closed_form():
 
 
 @pytest.mark.parametrize("a", [1.0, 0.0, -0.6])
-def test_stress_step_matches_pernode_dense_solve(a):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stress_step_matches_pernode_dense_solve(dim, a):
     params = FluidParams(We=0.3, omega=0.4, a=a)
-    grid = Grid.unit(16)
     rng = np.random.default_rng(9)
-    tau_prev = random_smooth_field(grid, rng, kind="symtensor")
-    w = VectorField(grid, 0.6 * taylor_vortex(grid).values, dirichlet=True)
+    if dim == 2:
+        grid = Grid.unit(16)
+        tau_prev = random_smooth_field(grid, rng, kind="symtensor")
+        w = VectorField(grid, 0.6 * taylor_vortex(grid).values,
+                        dirichlet=True)
+        nodes = [(3, 4), (8, 8), (12, 5), (1, 14), (7, 2)]
+    else:
+        grid = Grid(3, 8)
+        tau_prev = random_smooth_field(grid, rng, kind="symtensor")
+        w = random_smooth_field(grid, rng, kind="vector", amplitude=4.0)
+        nodes = [(3, 4, 2), (4, 4, 4), (6, 5, 1), (1, 7, 3), (7, 2, 6),
+                 (0, 3, 5)]
     dt = 5e-3
     tau, _ = step_stress(tau_prev, w, dt, params)
 
     cm = trace(w, dt)
-    dep = np.stack([cm.pull(tau_prev.values[k]) for k in range(3)])
+    m = dim * (dim + 1) // 2
+    dep = np.stack([cm.pull(tau_prev.values[k]) for k in range(m)])
     gw = grad_tensor(w)
     lam = params.We / dt
-    pairs = sym_components(2)
-    for node in [(3, 4), (8, 8), (12, 5), (1, 14), (7, 2)]:
-        gmat = np.array([[gw[(i, j) + node] for j in range(2)]
-                         for i in range(2)])
+    pairs = sym_components(dim)
+    for node in nodes:
+        at = (slice(None),) + node
+        gmat = gw[(slice(None), slice(None)) + node]
         Dm = 0.5 * (gmat + gmat.T)
         Wm = 0.5 * (gmat - gmat.T)
 
@@ -256,20 +345,55 @@ def test_stress_step_matches_pernode_dense_solve(a):
 
         basis = []
         for i, j in pairs:
-            E = np.zeros((2, 2))
+            E = np.zeros((dim, dim))
             E[i, j] = 1.0
             E[j, i] = 1.0
             basis.append(E)
         G = np.column_stack([to_comps(g_of(E)) for E in basis])
-        M = (lam + 0.5) * np.eye(3) + 0.5 * params.We * G
-        dep_mat = np.array([[dep[0][node], dep[1][node]],
-                            [dep[1][node], dep[2][node]]])
+        M = (lam + 0.5) * np.eye(m) + 0.5 * params.We * G
+        dep_mat = np.empty((dim, dim))
+        for q, (i, j) in enumerate(pairs):
+            dep_mat[i, j] = dep_mat[j, i] = dep[at][q]
         rhs = ((lam - 0.5) * to_comps(dep_mat)
                - 0.5 * params.We * to_comps(g_of(dep_mat))
                + 2.0 * params.omega * to_comps(Dm))
         expect = np.linalg.solve(M, rhs)
-        got = tau.values[(slice(None),) + node]
+        got = tau.values[at]
         assert np.abs(got - expect).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), a=st.floats(-1.0, 1.0), data=st.data())
+def test_coupling_matrix_and_min_det_match_dense_reference(dim, a, data):
+    grid = drawn_grid(data, dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    m = dim * (dim + 1) // 2
+    gw = rng.normal(size=(dim, dim) + grid.node_shape)
+    tau = SymTensorField(grid, rng.normal(size=(m,) + grid.node_shape))
+    applied = np.einsum("pqn,qn->pn", _coupling_matrices(gw, a),
+                        tau.values.reshape(m, -1))
+    expect = objective_coupling(gw, tau, a).values.reshape(m, -1)
+    scale = np.abs(gw).max() * np.abs(tau.values).max()
+    assert np.abs(applied - expect).max() <= 1e-14 * scale
+
+    # Courant numbers up to 0.05 keep dt |grad w| below 0.4, so every
+    # system stays far from singular
+    w, dt = random_dirichlet_velocity(
+        grid, rng, data.draw(st.floats(0.005, 0.05), label="courant"))
+    params = FluidParams(We=data.draw(st.floats(0.01, 2.0), label="We"), a=a)
+    _, rep = step_stress(tau, w, dt, params)
+    gw = grad_tensor(w)
+    columns = []
+    for k in range(m):
+        basis = SymTensorField.zeros(grid)
+        basis.values[k] = 1.0
+        columns.append(objective_coupling(gw, basis, a).values.reshape(m, -1))
+    lam = params.We / dt
+    G = np.moveaxis(np.stack(columns, axis=1), -1, 0)    # (N, m, m)
+    M = (lam + 0.5) * np.eye(m) + 0.5 * params.We * G
+    expect = np.abs(np.linalg.det(M)).min() / (lam + 0.5) ** m
+    assert abs(rep.min_det_scale - expect) <= 1e-12 * expect
 
 
 def test_stress_identity_under_rigid_rotation_only_relaxes():
@@ -311,23 +435,65 @@ def test_stress_step_is_affine():
     assert np.abs(a.values + b.values - ab.values - z.values).max() < 1e-12
 
 
-def test_stress_singular_system_raises_with_node():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stress_singular_system_raises_with_node(dim):
     # pure stretch tuned so (We/dt + 1/2) + (We/2)(-2 a d1) = 0 exactly at
-    # the strongest-stretch node
-    grid = Grid.unit(16)
-    x, y = grid.coords
-    w1 = np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
+    # the strongest-stretch node; the wall nodes of the opposite side come
+    # within round-off of it, so the error must name the smallest |det|
+    grid = Grid.unit(16, dim=dim) if dim == 2 else Grid(3, 8)
+    x = grid.coords
+    w1 = np.sin(2.0 * np.pi * x[0])
+    for ax in range(1, dim):
+        w1 = w1 * np.sin(np.pi * x[ax])
     w1[grid.boundary_mask] = 0.0
     g11 = _diff1(w1, grid.h[0], 0)
     node = np.unravel_index(int(np.argmax(g11)), g11.shape)
     dt, We, a = 1.0, 1.0, 1.0
     crit = (We / dt + 0.5) / (a * We)
-    w = VectorField(grid, np.stack([(crit / g11[node]) * w1,
-                                    np.zeros_like(w1)]), dirichlet=True)
+    vals = np.zeros((dim,) + grid.node_shape)
+    vals[0] = (crit / g11[node]) * w1
+    w = VectorField(grid, vals, dirichlet=True)
     params = FluidParams(We=We, a=a)
     with pytest.raises(SingularStressSystemError) as err:
         step_stress(SymTensorField.identity(grid), w, dt, params)
     assert err.value.node == node
+
+
+@pytest.mark.filterwarnings("error")
+def test_stress_exactly_singular_system_raises_without_warnings():
+    # dyadic data make d w1/dx = (We/dt + 1/2) / (a We) = 1.5 exactly at the
+    # centre node and nowhere else, so the first column of its system is
+    # exactly zero: the zero pivot must not surface as a RuntimeWarning
+    grid = Grid.unit(16)
+    vals = np.zeros((2,) + grid.node_shape)
+    vals[0, 9, 8] = 0.09375
+    vals[0, 7, 8] = -0.09375
+    w = VectorField(grid, vals, dirichlet=True)
+    assert grad_tensor(w)[0, 0, 8, 8] == 1.5
+    with pytest.raises(SingularStressSystemError) as err:
+        step_stress(SymTensorField.identity(grid), w, 1.0,
+                    FluidParams(We=1.0, a=1.0))
+    assert err.value.node == (8, 8)
+    assert err.value.det == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [3, 6])
+def test_pivoted_elimination_matches_lapack(m):
+    # zero diagonals and permutation-like blocks force row exchanges
+    rng = np.random.default_rng(m)
+    N = 64
+    M = rng.normal(size=(m, m, N))
+    M[np.arange(m), np.arange(m), :N // 2] = 0.0
+    M[:, :, -1] = np.eye(m)[::-1]
+    b = rng.normal(size=(m, N))
+    stacked = np.moveaxis(M, -1, 0)
+    expect_x = np.linalg.solve(stacked, b.T[..., None])[..., 0].T
+    expect_det = np.linalg.det(stacked)
+    x, det = _solve_nodes(M.copy(), b.copy())
+    assert np.abs(det - expect_det).max() <= 1e-12 * np.abs(expect_det).max()
+    assert np.abs(x - expect_x).max() <= 1e-10 * np.abs(expect_x).max()
 
 
 # ---------------------------------------------------------------------------

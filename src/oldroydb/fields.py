@@ -24,7 +24,8 @@ of a 3-D field take 19 difference calls whatever the component count.  The
 quotients and the summation order are those of differencing each multi-index
 from scratch, one component at a time, so the two agree to the last bit.
 H^{-1} is realized through one discrete Dirichlet-Laplacian solve per
-component.
+component by `conjugate_gradient`, the package's port of scipy's
+unpreconditioned CG, which also solves the velocity step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveError, NonDirichletError
 
@@ -45,6 +45,7 @@ __all__ = [
     "viscous_operator", "rate_tensors", "norm", "norms", "inner", "mean",
     "mean_zero_project", "norm_hminus1", "sym_components",
     "save_snapshot", "load_snapshot", "random_smooth_field",
+    "conjugate_gradient",
 ]
 
 
@@ -165,13 +166,6 @@ class Grid:
     def volume(self):
         return float(np.prod(self.extent))
 
-    def __eq__(self, other):
-        return (isinstance(other, Grid) and self.dim == other.dim
-                and self.n == other.n and self.extent == other.extent)
-
-    def __repr__(self):
-        return f"Grid(dim={self.dim}, n={self.n}, extent={self.extent})"
-
 
 def sym_components(dim):
     """Index pairs of the stored upper triangle, row-major."""
@@ -192,13 +186,13 @@ class _FieldBase:
     def _flags(self):
         return {}
 
-    def _binary(self, other, op, flag_and=True):
+    def _binary(self, other, op):
         _check_grid(self, other)
         if type(other) is not type(self):
             raise TypeError("mixed field types")
         flags = self._flags()
         for k, v in other._flags().items():
-            flags[k] = (v and flags[k]) if flag_and else False
+            flags[k] = v and flags[k]
         return self.__class__(self.grid, op(self.values, other.values), **flags)
 
     def __add__(self, other):
@@ -555,20 +549,43 @@ def mean_zero_project(f: ScalarField) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# discrete H^{-1} via one Dirichlet-Laplacian solve per component
+# conjugate gradients and the discrete H^{-1}
 
 
-def _poisson_dirichlet(grid: Grid, rhs: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def conjugate_gradient(A, b, x, rtol, maxiter):
+    """Unpreconditioned CG on the SPD matrix A from x, which it updates.
+
+    Stops once the recursive residual has ||r|| < rtol ||b||; returns
+    (x, iterations, converged).  The arithmetic and its order are those of
+    `scipy.sparse.linalg.cg` with atol=0, so x and the iteration count
+    agree with it bit for bit.
+    """
+    atol = rtol * np.linalg.norm(b)
+    r = b - A @ x if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it, True
+        rho = np.dot(r, r)
+        p = r.copy() if it == 0 else p * (rho / rho_prev) + r
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
+def _poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve -lap phi = rhs with phi = 0 on the boundary (compact stencil, CG)."""
     interior = grid.interior_mask
     b = rhs[interior]
     full = np.zeros(grid.node_shape)
     if np.linalg.norm(b) == 0.0:
         return full
-    x, info = cg(grid.dirichlet_laplacian, b, rtol=rtol, atol=0.0,
-                 maxiter=20 * b.size)
-    if info != 0:
-        raise LinearSolveError(f"poisson solve did not converge (info={info})")
+    x, iters, converged = conjugate_gradient(
+        grid.dirichlet_laplacian, b, np.zeros_like(b), 1e-12, 20 * b.size)
+    if not converged:
+        raise LinearSolveError(f"poisson solve stopped after {iters} steps")
     full[interior] = x
     return full
 
@@ -641,30 +658,27 @@ def random_smooth_field(grid: Grid, rng, kind="vector", modes=3, amplitude=1.0):
     """Random low-mode trigonometric field; 'vector'/'scalar' vanish on the
     boundary (products of sines), 'scalar_free' uses cosines instead."""
     coords = grid.coords
-    ks = range(1, modes + 1)
 
-    def sine_sum():
+    def trig_sum(fn, first):
+        # wave vectors with entries first..modes, the zero vector left out
         acc = np.zeros(grid.node_shape)
-        for kv in itertools.product(ks, repeat=grid.dim):
-            c = rng.normal() * amplitude / (sum(kv) ** 2)
-            term = np.ones(grid.node_shape)
-            for ax, k in enumerate(kv):
-                term = term * np.sin(k * np.pi * coords[ax] / grid.extent[ax])
-            acc += c * term
-        acc[grid.boundary_mask] = 0.0  # sin(k*pi) is only zero to round-off
-        return acc
-
-    def cosine_sum():
-        acc = np.zeros(grid.node_shape)
-        for kv in itertools.product(range(modes + 1), repeat=grid.dim):
+        for kv in itertools.product(range(first, modes + 1), repeat=grid.dim):
             if sum(kv) == 0:
                 continue
             c = rng.normal() * amplitude / (sum(kv) ** 2)
             term = np.ones(grid.node_shape)
             for ax, k in enumerate(kv):
-                term = term * np.cos(k * np.pi * coords[ax] / grid.extent[ax])
+                term = term * fn(k * np.pi * coords[ax] / grid.extent[ax])
             acc += c * term
         return acc
+
+    def sine_sum():
+        acc = trig_sum(np.sin, 1)
+        acc[grid.boundary_mask] = 0.0  # sin(k*pi) is only zero to round-off
+        return acc
+
+    def cosine_sum():
+        return trig_sum(np.cos, 0)
 
     if kind == "scalar":
         return ScalarField(grid, sine_sum())

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      mean_zero_project, norm, random_smooth_field)
@@ -147,6 +146,7 @@ def density_advection_study(ns=(24, 48, 96), T=0.25, width=0.18,
     zero divergence leaves only O(h^2) source noise, well below the O(h)
     interpolation error the study measures (dt is tied to h).
     """
+    from scipy.integrate import solve_ivp  # only here: keeps start-up light
     params = FluidParams(eps=1.0)
     errors = []
     for n in ns:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DensityBandError
 from .fields import (ScalarField, SymTensorField, VectorField, gradient,
@@ -34,32 +33,18 @@ __all__ = ["FluidParams", "PressureLaw", "pressure_increment",
 class PressureLaw:
     """Barotropic pressure law, consumed through its derivative p'(rho).
 
-    kinds: 'linear' (p = eps^-2 (rho - alpha)), 'isothermal' (p = cs^2 rho),
-    'quadratic' (p = kappa rho^2 / 2) and 'table' (sampled p'(rho) values,
-    cubic interpolation).  The two linear-in-rho laws have constant p', so
-    their pressure increment vanishes identically.
+    kinds: 'linear' (p = eps^-2 (rho - alpha)), 'isothermal' (p = cs^2 rho)
+    and 'quadratic' (p = kappa rho^2 / 2).  The two linear-in-rho laws have
+    constant p', so their pressure increment vanishes identically.
     """
 
     kind: str = "linear"
     kappa: float = 1.0
     cs: float = 1.0
-    rho_samples: tuple = ()
-    dpdrho_samples: tuple = ()
-    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("linear", "isothermal", "quadratic", "table"):
+        if self.kind not in ("linear", "isothermal", "quadratic"):
             raise ValueError(f"unknown pressure law {self.kind!r}")
-        if self.kind == "table":
-            rho = np.asarray(self.rho_samples, dtype=float)
-            dp = np.asarray(self.dpdrho_samples, dtype=float)
-            if rho.size < 4 or rho.size != dp.size:
-                raise ValueError("table law needs >= 4 matching samples")
-            if np.any(np.diff(rho) <= 0):
-                raise ValueError("table law rho samples must increase")
-            self.rho_samples = tuple(rho)
-            self.dpdrho_samples = tuple(dp)
-            self._spline = CubicSpline(rho, dp)
 
     def dpdrho(self, rho, params=None):
         rho = np.asarray(rho, dtype=float)
@@ -68,12 +53,7 @@ class PressureLaw:
             return np.full_like(rho, eps ** -2)
         if self.kind == "isothermal":
             return np.full_like(rho, self.cs ** 2)
-        if self.kind == "quadratic":
-            return self.kappa * rho
-        lo, hi = self.rho_samples[0], self.rho_samples[-1]
-        if np.any(rho < lo) or np.any(rho > hi):
-            raise ValueError(f"table law evaluated outside [{lo:.6g}, {hi:.6g}]")
-        return self._spline(rho)
+        return self.kappa * rho
 
 
 @dataclass

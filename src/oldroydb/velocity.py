@@ -6,9 +6,10 @@ the symmetric positive definite system
 
     (alpha I + dt (1-omega) A_h) u = alpha u_prev + dt F
 
-by conjugate gradients on the interior degrees of freedom, to a relative
-residual below `tol_lin`.  The system matrix is a scaled copy of the grid's
-assembled `viscous_matrix` with alpha added to its diagonal.
+by conjugate gradients (`fields.conjugate_gradient`) on the interior
+degrees of freedom, to a true relative residual below `tol_lin`.  The
+system matrix is a scaled copy of the grid's assembled `viscous_matrix`
+with alpha added to its diagonal.
 
 Two a-posteriori checks instrument a computed trajectory:
 
@@ -38,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveError
-from .fields import (VectorField, divergence, inner, norm, norm_hminus1,
-                     norms, rate_tensors, viscous_operator)
+from .fields import (VectorField, conjugate_gradient, divergence, inner, norm,
+                     norm_hminus1, norms, rate_tensors, viscous_operator)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
@@ -90,19 +90,12 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
         system = grid.viscous_matrix * (dt * visc_coef)
         system.setdiag(system.diagonal() + params.alpha)
         iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
         x = u_prev.values[:, interior].ravel().copy()
         rel_res = np.inf
         for _ in range(3):  # restarts guard against CG recursion drift
-            x, info = cg(system, b, x0=x, rtol=tol_lin, atol=0.0,
-                         maxiter=max_iter, callback=count)
-            if info < 0:
-                raise LinearSolveError("velocity solve broke down "
-                                       f"(cg info={info})")
+            x, used, _ = conjugate_gradient(system, b, x, rtol=tol_lin,
+                                            maxiter=max_iter)
+            iters += used
             rel_res = float(np.linalg.norm(b - system @ x)) / b_norm
             if rel_res <= tol_lin:
                 break

@@ -103,6 +103,8 @@ def test_config_validation():
         parse_config("ic.velocity = waterfall\n")
     with pytest.raises(ConfigError, match="eps"):
         parse_config("params.eps = 3.0\n")
+    with pytest.raises(ConfigError, match="unknown pressure law"):
+        parse_config("params.pressure = table\n")
     with pytest.raises(ConfigError, match="max_iter"):
         parse_config("tol.max_iter = 0\n")
     for bad in ("tol.lin = 0\n", "tol.lin = -1e-10\n", "tol.fp = 0\n",
@@ -324,16 +326,20 @@ def test_cli_unreadable_config(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    # the transport interpolation is numpy-only; importing scipy.ndimage
-    # would add about 0.1 s to every command's start-up
+def test_cli_import_loads_only_numpy_and_scipy_sparse():
+    # every command pays for what the package imports at start-up; the
+    # mms density-advection oracle imports scipy.integrate when it runs
     src = os.path.dirname(os.path.dirname(oldroydb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    absent = ("scipy.ndimage", "scipy.sparse.linalg", "scipy.linalg",
+              "scipy.optimize", "scipy.special", "scipy.interpolate",
+              "scipy.integrate")
     probe = ("import sys, oldroydb.cli; "
-             "sys.exit(3 if 'scipy.ndimage' in sys.modules else 0)")
+             f"print(' '.join(m for m in {absent!r} if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr or "scipy.ndimage was imported"
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"imported: {done.stdout.strip()}"
 
 
 def test_cli_determinism(tmp_path):

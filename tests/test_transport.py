@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
+from scipy.optimize import brentq
 
 from oldroydb import (DensityBandError, FluidParams, Grid,
                       NonDirichletError, ScalarField,
@@ -14,8 +15,8 @@ from oldroydb import (DensityBandError, FluidParams, Grid,
 from oldroydb.fields import _diff1, random_smooth_field
 from oldroydb.mms import (density_advection_study, density_still_study,
                           stress_relaxation_study, taylor_vortex)
-from oldroydb.transport import (_coupling_matrices, _solve_nodes,
-                                check_density_bounds, check_stress_bounds,
+from oldroydb.transport import (_coupling_matrices, _rate_constant,
+                                _solve_nodes, check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
 
 
@@ -538,6 +539,37 @@ def test_density_bounds_still_fluid():
     assert rep.c_domain_sup == 0.0 and rep.sup_vacuous
     assert rep.c_domain == 0.0
     assert rep.sup_bound_margin > 0.0
+
+
+def rate_constant_brentq(target, l1h3):
+    """The bracketed root search the closed form replaced, kept as its
+    reference: the c in [0, min(target, 700/l)] with c e^{c l} = target."""
+    hi = min(target, 700.0 / l1h3)  # keep exp() finite in the bracket
+    with np.errstate(over="ignore"):  # hi e^700 may still overflow to inf
+        if hi * np.exp(hi * l1h3) < target:
+            return hi
+        return brentq(lambda c: c * np.exp(c * l1h3) - target, 0.0, hi,
+                      xtol=1e-15, rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_target=st.floats(np.log(1e-12), np.log(1e12)),
+       log_l=st.floats(np.log(1e-6), np.log(1e3)))
+@example(log_target=np.log(1e-12), log_l=np.log(1e-6))
+@example(log_target=np.log(1e12), log_l=np.log(1e3))
+@example(log_target=np.log(1e12), log_l=np.log(1e-6))
+@example(log_target=np.log(1e-12), log_l=np.log(1e3))
+def test_rate_constant_closed_form_matches_brentq(log_target, log_l):
+    target, l1h3 = float(np.exp(log_target)), float(np.exp(log_l))
+    c = _rate_constant(target, l1h3)
+    assert c * np.exp(c * l1h3) == pytest.approx(target, rel=1e-13)
+    assert abs(c - rate_constant_brentq(target, l1h3)) <= 1e-15 + 1e-12 * c
+
+
+def test_rate_constant_degenerate_branches():
+    assert _rate_constant(0.0, 2.0) == 0.0
+    assert _rate_constant(-1.0, 2.0) == 0.0
+    assert _rate_constant(3.5, 0.0) == 3.5
 
 
 def test_stress_bounds_still_fluid():

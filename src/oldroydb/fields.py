@@ -16,6 +16,15 @@ compact second and centered first differences: `dirichlet_laplacian` (-lap)
 and `viscous_matrix`, the elliptic block A_h = -(lap + grad div) that
 `viscous_operator` applies at interior nodes and the velocity step solves.
 
+Sine eigenpairs: on an m-cell axis the 1-D Dirichlet -d^2/dx^2 is
+S diag(lam) S with lam_k = (4/h^2) sin^2(k pi/2m) and the symmetric,
+orthonormal DST-I matrix S_jk = sqrt(2/m) sin(jk pi/m), j, k = 1..m-1
+(`Grid.sine_eigenpairs`, one pair per axis).  `_sine_transform` applies S
+along every axis of a stack of interior values with one matmul per axis;
+it is its own inverse.  In that basis -lap is diagonal with eigenvalues
+sum_a lam_a, and so is each diagonal block -(lap + d^2/dx_i^2) of A_h,
+with sum_a lam_a + lam_i; only the off-diagonal blocks -C_i C_j are not.
+
 Sobolev norms H^k (k <= 3) sum weighted L2 squares of all repeated
 difference quotients up to order k.  `norms` walks one derivative tree per
 field: the components are stacked, and each sorted multi-index extends its
@@ -23,21 +32,28 @@ parent by one difference along an axis no smaller than its last, so H^0..H^3
 of a 3-D field take 19 difference calls whatever the component count.  The
 quotients and the summation order are those of differencing each multi-index
 from scratch, one component at a time, so the two agree to the last bit.
-H^{-1} is realized through one discrete Dirichlet-Laplacian solve per
-component by `conjugate_gradient`, the package's port of scipy's
-unpreconditioned CG, which also solves the velocity step.
+H^{-1} is realized through the discrete Dirichlet-Laplacian solve of every
+component, done exactly in the sine basis: transform, divide by
+sum_a lam_a, transform back.
+
+The velocity step solves alpha I + c A_h by `conjugate_gradient`, the
+package's port of scipy's preconditioned CG, with `viscous_preconditioner`:
+the exact inverse of the diagonal blocks of alpha I + c A_h in the sine
+basis (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  The coupling blocks
+it drops are bounded by the diagonal blocks it keeps, uniformly in h and
+c, so the iteration count does not grow as the grid is refined.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LinearSolveError, NonDirichletError
+from .errors import NonDirichletError
 
 __all__ = [
     "Grid", "ScalarField", "VectorField", "SymTensorField",
@@ -45,7 +61,7 @@ __all__ = [
     "viscous_operator", "rate_tensors", "norm", "norms", "inner", "mean",
     "mean_zero_project", "norm_hminus1", "sym_components",
     "save_snapshot", "load_snapshot", "random_smooth_field",
-    "conjugate_gradient",
+    "conjugate_gradient", "viscous_preconditioner",
 ]
 
 
@@ -161,6 +177,21 @@ class Grid:
                            for j in range(d)], format="csr")
                 for i in range(d)]
         return sp.vstack(rows, format="csr")
+
+    @cached_property
+    def sine_eigenpairs(self):
+        """Per axis, (lam, S): -`_compact_d2`(n_a, h_a) = S diag(lam) S.
+
+        jk is reduced mod 2m before the sine, so every argument lies in
+        [0, 2 pi) and S is exactly symmetric.
+        """
+        pairs = []
+        for m, h in zip(self.n, self.h):
+            k = np.arange(1, m)
+            lam = (4.0 / h**2) * np.sin(k * np.pi / (2 * m)) ** 2
+            S = np.sqrt(2.0 / m) * np.sin(np.outer(k, k) % (2 * m) * np.pi / m)
+            pairs.append((lam, S))
+        return tuple(pairs)
 
     @property
     def volume(self):
@@ -549,25 +580,70 @@ def mean_zero_project(f: ScalarField) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradients and the discrete H^{-1}
+# sine transforms, preconditioned conjugate gradients and the discrete H^{-1}
 
 
-def conjugate_gradient(A, b, x, rtol, maxiter):
-    """Unpreconditioned CG on the SPD matrix A from x, which it updates.
+def _sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """S along every spatial axis of a stack x (ncomp, n_0-1, ..., n_d-1)
+    of interior values; its own inverse.  In 2D this is S0 @ x @ S1."""
+    shape = x.shape
+    pairs = grid.sine_eigenpairs
+    y = x.reshape(-1, shape[-1]) @ pairs[-1][1]
+    for a in range(grid.dim - 2, -1, -1):
+        lead = int(np.prod(shape[:a + 1]))
+        y = pairs[a][1] @ y.reshape(lead, shape[a + 1], -1)
+    return y.reshape(shape)
 
-    Stops once the recursive residual has ||r|| < rtol ||b||; returns
-    (x, iterations, converged).  The arithmetic and its order are those of
-    `scipy.sparse.linalg.cg` with atol=0, so x and the iteration count
-    agree with it bit for bit.
+
+def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """sum_a lam_a over the interior index grid: -lap in the sine basis."""
+    return reduce(np.add.outer, [lam for lam, _ in grid.sine_eigenpairs])
+
+
+def viscous_preconditioner(grid: Grid, alpha: float, coef: float):
+    """r -> P r, P the inverse of the diagonal blocks of alpha I + coef A_h.
+
+    Block i is alpha I + coef (-(lap + d^2/dx_i^2)), diagonal in the sine
+    basis with entries alpha + coef (sum_a lam_a + lam_i); P is symmetric
+    positive definite for alpha > 0, coef >= 0.  r and P r are flat
+    component-major interior vectors, the layout of `viscous_matrix`.
+    """
+    lams = [lam for lam, _ in grid.sine_eigenpairs]
+    total = _laplacian_eigenvalues(grid)
+    inv = 1.0 / (alpha + coef * np.stack(
+        [total + lams[i].reshape((-1,) + (1,) * (grid.dim - 1 - i))
+         for i in range(grid.dim)]))
+
+    def apply(r):
+        return _sine_transform(grid, inv * _sine_transform(
+            grid, r.reshape(inv.shape))).ravel()
+
+    return apply
+
+
+def conjugate_gradient(A, M, b, x, rtol, maxiter):
+    """Preconditioned CG from x, which it updates in place.
+
+    A applies the SPD system matrix and M the SPD preconditioner to a
+    vector.  Stops once the recursive residual
+    has ||r|| < rtol ||b||; returns (x, iterations, converged).  The
+    arithmetic and its order are those of `scipy.sparse.linalg.cg` with
+    atol=0 and the same M, so x and the iteration count agree with it bit
+    for bit.
     """
     atol = rtol * np.linalg.norm(b)
-    r = b - A @ x if x.any() else b.copy()
+    r = b - A(x) if x.any() else b.copy()
     for it in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, it, True
-        rho = np.dot(r, r)
-        p = r.copy() if it == 0 else p * (rho / rho_prev) + r
-        q = A @ p
+        z = M(r)
+        rho = np.dot(r, z)
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -576,18 +652,13 @@ def conjugate_gradient(A, b, x, rtol, maxiter):
 
 
 def _poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve -lap phi = rhs with phi = 0 on the boundary (compact stencil, CG)."""
-    interior = grid.interior_mask
-    b = rhs[interior]
-    full = np.zeros(grid.node_shape)
-    if np.linalg.norm(b) == 0.0:
-        return full
-    x, iters, converged = conjugate_gradient(
-        grid.dirichlet_laplacian, b, np.zeros_like(b), 1e-12, 20 * b.size)
-    if not converged:
-        raise LinearSolveError(f"poisson solve stopped after {iters} steps")
-    full[interior] = x
-    return full
+    """Solve -lap phi = rhs with phi = 0 on the boundary for each component
+    of a stack (ncomp, *node_shape): exact in the sine basis."""
+    interior = (slice(None),) + (slice(1, -1),) * grid.dim
+    phi = np.zeros(rhs.shape)
+    phi[interior] = _sine_transform(
+        grid, _sine_transform(grid, rhs[interior]) / _laplacian_eigenvalues(grid))
+    return phi
 
 
 def norm_hminus1(f) -> float:
@@ -595,8 +666,7 @@ def norm_hminus1(f) -> float:
     stack, mults = _components(f)
     w = f.grid.weights
     total = 0.0
-    for comp, mult in zip(stack, mults):
-        phi = _poisson_dirichlet(f.grid, comp)
+    for comp, phi, mult in zip(stack, _poisson_dirichlet(f.grid, stack), mults):
         total += mult * float(np.sum(w * comp * phi))
     return float(np.sqrt(max(total, 0.0)))
 

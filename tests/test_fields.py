@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       div_tensor, divergence, grad_tensor, gradient, inner,
@@ -19,8 +19,9 @@ from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       norms, rate_tensors, save_snapshot, load_snapshot,
                       viscous_operator)
 from oldroydb.errors import NonDirichletError
-from oldroydb.fields import (_diff1, _diff2, conjugate_gradient,
-                             random_smooth_field, sym_components)
+from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
+                             conjugate_gradient, random_smooth_field,
+                             sym_components, viscous_preconditioner)
 
 
 def weighted_l2(grid, values):
@@ -216,6 +217,34 @@ def test_laplacian_exact_on_quadratics():
     x, y = g.coords
     f = ScalarField(g, x * x + 3.0 * y * y + x * y + x + 2.0)
     assert np.allclose(laplacian(f).values, 2.0 + 6.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_difference_operators_exact_on_affine_fields(dim, data):
+    # v_i = c_i + sum_j B_ij x_j: every first difference, one-sided ones at
+    # the boundary nodes included, is exact, and every second one vanishes,
+    # up to round-off in the samples scaled by 1/h per difference
+    n, extent, _ = data.draw(dirichlet_fields(dim))
+    g = Grid(dim, n, extent)
+    coef = st.floats(-3.0, 3.0)
+    c = np.array(data.draw(st.tuples(*[coef] * dim), label="c"))
+    B = np.array(data.draw(st.tuples(*[st.tuples(*[coef] * dim)] * dim),
+                           label="B"))
+    v = VectorField(g, c.reshape((dim,) + (1,) * dim)
+                    + np.einsum("ij,j...->i...", B, g.coords))
+    scale = 64 * np.finfo(float).eps * (np.abs(v.values).max()
+                                        + np.abs(B).max() * max(extent))
+    tol1, tol2 = scale / min(g.h), scale / min(g.h) ** 2
+    jac = B.reshape((dim, dim) + (1,) * dim)
+    assert np.abs(grad_tensor(v) - jac).max() <= tol1
+    assert np.abs(gradient(ScalarField(g, v.values[0])).values
+                  - jac[0]).max() <= tol1
+    assert np.abs(divergence(v).values - np.trace(B)).max() <= dim * tol1
+    assert np.abs(laplacian(v).values).max() <= dim * tol2
+    assert np.abs(laplacian(ScalarField(g, v.values[-1])).values).max() \
+        <= dim * tol2
 
 
 def test_laplacian_trig_order():
@@ -424,7 +453,9 @@ def test_hminus1_zero():
 def test_conjugate_gradient_matches_scipy_bit_for_bit(dim, data):
     # scipy's cg is the reference the in-house recurrence was ported from:
     # the same solution to the last bit and the same iteration count, on
-    # both systems the package solves, cold and warm started
+    # the matrix-free velocity system with its sine-basis preconditioner
+    # and on the Dirichlet Laplacian with the identity, cold and warm
+    # started
     n = data.draw(st.tuples(*[st.integers(8, 16 if dim == 3 else 40)] * dim),
                   label="n")
     extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
@@ -432,26 +463,98 @@ def test_conjugate_gradient_matches_scipy_bit_for_bit(dim, data):
     g = Grid(dim, n, extent)
     if data.draw(st.booleans(), label="velocity system"):
         alpha = data.draw(st.floats(0.1, 10.0), label="alpha")
-        dt = data.draw(st.floats(1e-5, 1e-1), label="dt")
-        A = g.viscous_matrix * (dt * 0.5)
-        A.setdiag(A.diagonal() + alpha)
+        coef = data.draw(st.floats(1e-5, 1e-1), label="dt") * 0.5
+        V = g.viscous_matrix
+
+        def A(p):
+            q = V @ p
+            q *= coef
+            q += alpha * p
+            return q
+
+        M = viscous_preconditioner(g, alpha, coef)
+        size = V.shape[0]
     else:
-        A = g.dirichlet_laplacian
+        L = g.dirichlet_laplacian
+        A, M, size = L.__matmul__, np.copy, L.shape[0]
     rtol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12]), label="rtol")
-    maxiter = data.draw(st.sampled_from([1, 7, 20 * A.shape[0]]),
-                        label="maxiter")
+    maxiter = data.draw(st.sampled_from([1, 7, 20 * size]), label="maxiter")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
-    b = rng.normal(size=A.shape[0])
+    b = rng.normal(size=size)
     x0 = (rng.normal(size=b.size) if data.draw(st.booleans(), label="warm")
           else np.zeros_like(b))
     calls = []
-    x_ref, info = cg(A, b, x0=x0.copy(), rtol=rtol, atol=0.0,
-                     maxiter=maxiter, callback=calls.append)
-    x, iters, converged = conjugate_gradient(A, b, x0.copy(), rtol, maxiter)
+    x_ref, info = cg(LinearOperator((size, size), matvec=A, dtype=float), b,
+                     x0=x0.copy(), rtol=rtol, atol=0.0, maxiter=maxiter,
+                     M=LinearOperator((size, size), matvec=M, dtype=float),
+                     callback=calls.append)
+    x, iters, converged = conjugate_gradient(A, M, b, x0.copy(), rtol, maxiter)
     assert np.array_equal(x, x_ref)
     assert iters == len(calls)
     assert converged == (info == 0)
+
+
+def interior_stack(grid, values):
+    """Interior nodes of a component stack, flat and component-major."""
+    return values[(slice(None),) + (slice(1, -1),) * grid.dim].ravel()
+
+
+def shifted_systems(dim):
+    """Strategy: a grid with drawn cells and extents per axis, a shift
+    alpha, a viscous coefficient and a seed."""
+    return st.tuples(dirichlet_fields(dim), st.floats(0.1, 10.0),
+                     st.sampled_from([0.0, 1e-4, 1e-2, 1.0, 5.0]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_viscous_preconditioner_inverts_diagonal_blocks(dim, data):
+    # block i of alpha I + coef A_h, cut from the assembled matrix, is
+    # diagonal in the sine basis, so the preconditioner undoes it exactly
+    (n, extent, seed), alpha, coef = data.draw(shifted_systems(dim))
+    g = Grid(dim, n, extent)
+    size = g.dirichlet_laplacian.shape[0]
+    x = np.random.default_rng(seed).normal(size=dim * size)
+    y = np.concatenate([
+        alpha * x[i * size:(i + 1) * size]
+        + coef * (g.viscous_matrix[i * size:(i + 1) * size,
+                                   i * size:(i + 1) * size]
+                  @ x[i * size:(i + 1) * size])
+        for i in range(dim)])
+    back = viscous_preconditioner(g, alpha, coef)(y)
+    assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_viscous_preconditioner_symmetric_positive(dim, data):
+    (n, extent, seed), alpha, coef = data.draw(shifted_systems(dim))
+    g = Grid(dim, n, extent)
+    P = viscous_preconditioner(g, alpha, coef)
+    r = interior_stack(g, dirichlet_noise(g, seed).values)
+    s = interior_stack(g, dirichlet_noise(g, seed + 1).values)
+    assert np.dot(P(r), s) == pytest.approx(np.dot(r, P(s)), rel=1e-13,
+                                            abs=1e-15 * np.dot(r, r) / alpha)
+    assert np.dot(P(r), r) > 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_poisson_dirichlet_matches_sparse_direct_solve(dim, data):
+    n, extent, seed = data.draw(dirichlet_fields(dim))
+    g = Grid(dim, n, extent)
+    rhs = np.random.default_rng(seed).normal(size=(2,) + g.node_shape)
+    phi = _poisson_dirichlet(g, rhs)
+    assert np.all(phi[:, g.boundary_mask] == 0.0)
+    for comp in range(2):
+        ref = spsolve(g.dirichlet_laplacian.tocsc(),
+                      rhs[comp][g.interior_mask])
+        got = phi[comp][g.interior_mask]
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------

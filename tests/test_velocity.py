@@ -79,13 +79,30 @@ def test_step_rejects_bad_dt_and_boundary_data():
 
 
 def test_step_reports_nonconvergence():
-    # one CG iteration cannot solve a stiff step; the restart guard must
-    # give up loudly rather than return a bad field
+    # one PCG iteration cannot solve a stiff step; the true-residual check
+    # must give up loudly rather than return a bad field
     grid = Grid.unit(16)
     u0 = random_smooth_field(grid, np.random.default_rng(2), kind="vector")
     with pytest.raises(LinearSolveError, match="stalled"):
         step_velocity(u0, VectorField.zeros(grid), 10.0, PARAMS,
                       tol_lin=1e-12, max_iter=1)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (3, 16),
+                                   (3, 32), (2, (32, 48)), (3, (16, 12, 20))])
+def test_pcg_iterations_bounded_across_grids_and_steps(dim, n):
+    # the sine-basis preconditioner keeps cold solves at a fixed iteration
+    # bound whatever n, the extents and dt: plain CG took 18-620 here
+    extent = 1.0 if np.isscalar(n) else (1.0, 0.6, 1.3)[:dim]
+    grid = Grid(dim, n, extent)
+    rng = np.random.default_rng(5)
+    for F in (random_smooth_field(grid, rng, kind="vector"),
+              VectorField(grid, rng.normal(size=(dim,) + grid.node_shape))):
+        for dt in (1e-3, 1e-1, 10.0):
+            _, rep = step_velocity(VectorField.zeros(grid, dirichlet=True), F,
+                                   dt, PARAMS, tol_lin=1e-10)
+            assert rep.residual <= 1e-10
+            assert rep.iterations <= 16, (n, dt, rep.iterations)
 
 
 # ---------------------------------------------------------------------------

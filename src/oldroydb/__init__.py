@@ -13,7 +13,7 @@ from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      div_tensor, divergence, grad_tensor, gradient, inner,
                      laplacian, mean, mean_zero_project, norm, norm_hminus1,
                      norms, rate_tensors, save_snapshot, load_snapshot,
-                     sym_components, viscous_operator)
+                     sym_components, trajectory_norms, viscous_operator)
 from .rheology import (FluidParams, PressureLaw, density_band_check,
                        momentum_source, objective_coupling,
                        pressure_increment)

@@ -34,7 +34,9 @@ quotients and the summation order are those of differencing each multi-index
 from scratch, one component at a time, so the two agree to the last bit.
 H^{-1} is realized through the discrete Dirichlet-Laplacian solve of every
 component, done exactly in the sine basis: transform, divide by
-sum_a lam_a, transform back.
+sum_a lam_a, transform back.  `trajectory_norms` takes each norm a
+trajectory's budgets read, once per node and rate, into one table whose
+columns the membership check and the post-run audit reduce.
 
 The velocity step solves alpha I + c A_h by `conjugate_gradient`, the
 package's port of scipy's preconditioned CG, with `viscous_preconditioner`:
@@ -61,7 +63,8 @@ __all__ = [
     "viscous_operator", "rate_tensors", "norm", "norms", "inner", "mean",
     "mean_zero_project", "norm_hminus1", "sym_components",
     "save_snapshot", "load_snapshot", "random_smooth_field",
-    "conjugate_gradient", "viscous_preconditioner",
+    "conjugate_gradient", "viscous_preconditioner", "TrajectoryNorms",
+    "trajectory_norms",
 ]
 
 
@@ -568,6 +571,67 @@ def norm(f, k: int = 0) -> float:
     k from the same derivative pass.
     """
     return norms(f, k)[k]
+
+
+@dataclass(frozen=True)
+class TrajectoryNorms:
+    """Per-node Sobolev norms of one trajectory on a uniform time ladder.
+
+    Row k of `w`, `pi` and `psi` is H^0..H^2 of node k; `w_h3[k-1]` is H^3
+    of velocity node k >= 1; row k-1 of each `*_rate` is L^2 and H^1 of the
+    backward difference (node_k - node_{k-1}) / dt.  Sups are column maxima
+    over the rows; `integral` is the right-endpoint rule over nodes 1..N.
+    """
+
+    dt: float
+    w: np.ndarray
+    w_h3: np.ndarray
+    w_rate: np.ndarray
+    pi: np.ndarray
+    pi_rate: np.ndarray
+    psi: np.ndarray
+    psi_rate: np.ndarray
+
+    def integral(self, values) -> float:
+        """sum_k dt values[k], added in node order."""
+        return sum(self.dt * v for v in values)
+
+    @property
+    def w_l1h3(self):
+        return self.integral(self.w_h3.tolist())
+
+    @property
+    def w_suph2(self):
+        return float(self.w[:, 2].max())
+
+    @property
+    def velocity_budget(self):
+        """int ||w||_H3^2 + sup ||w||_H2^2 + int ||w'||_H1^2 + sup ||w'||_L2^2,
+        squared on Python floats to match `norm(...) ** 2` to the bit."""
+        def squares(column):
+            return [x ** 2 for x in column.tolist()]
+        return (self.integral(squares(self.w_h3)) + max(squares(self.w[:, 2]))
+                + self.integral(squares(self.w_rate[:, 1]))
+                + max(squares(self.w_rate[:, 0])))
+
+
+def trajectory_norms(ws, pis, psis, dt) -> TrajectoryNorms:
+    """Every norm the budgets of a velocity, density and stress trajectory
+    read, each computed once by `norms`."""
+    if not len(ws) == len(pis) == len(psis) >= 2:
+        raise ValueError("need trajectories of one length, at least 2 nodes")
+
+    def rates(nodes):
+        return np.array([norms(type(cur)(cur.grid,
+                                         (cur.values - prev.values) / dt), 1)
+                         for prev, cur in zip(nodes[:-1], nodes[1:])])
+
+    w = [norms(ws[0], 2)] + [norms(v, 3) for v in ws[1:]]
+    return TrajectoryNorms(
+        dt=dt, w=np.array([h[:3] for h in w]),
+        w_h3=np.array([h[3] for h in w[1:]]), w_rate=rates(ws),
+        pi=np.array([norms(p, 2) for p in pis]), pi_rate=rates(pis),
+        psi=np.array([norms(s, 2) for s in psis]), psi_rate=rates(psis))
 
 
 def mean(f: ScalarField) -> float:

@@ -4,10 +4,11 @@ One sweep freezes the current guess trajectory (velocity, density remainder,
 elastic stress), assembles the full momentum forcing from it, and re-solves
 the three linear subproblems over the window. The sweep is repeated until
 consecutive trajectories agree in the sup-in-time L2 metric. Around that
-loop sit the admissible-set membership check (norm budgets plus the density
-band), a continuity probe that perturbs the input trajectory and watches the
-output gap shrink linearly, and a two-solution energy experiment that fits
-the growth constant of the discrete Gronwall envelope.
+loop sit the admissible-set membership check (norm budgets summed from one
+`trajectory_norms` table per sweep, plus the density band), a continuity
+probe that perturbs the input trajectory and watches the output gap shrink
+linearly, and a two-solution energy experiment that fits the growth
+constant of the discrete Gronwall envelope.
 
 Budgets and the Gronwall constant are empirical: the analysis guarantees
 their existence but not their size, so they are fitted on coarse runs and
@@ -24,7 +25,7 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, VectorField, div_tensor,
                      grad_tensor, gradient, mean, norm, norms,
-                     rate_tensors, viscous_operator)
+                     rate_tensors, trajectory_norms, viscous_operator)
 from .rheology import momentum_source
 from .transport import step_density, step_stress, trace
 from .velocity import step_velocity
@@ -245,36 +246,23 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
                      params) -> MembershipReport:
     """Evaluate the norm-budget and band inequalities; never raises.
 
-    Velocity usage combines sup-t H2 and time-integrated H3 of the guess
-    with sup-t L2 and time-integrated H1 of its discrete rate (all squared);
-    data usage is sup-t H2 of density plus stress; rate usage is sup-t H1 of
-    their discrete rates. Time derivatives are backward differences, so rate
-    terms start at the second node.
+    Every term comes from one `trajectory_norms` table: velocity usage is
+    its `velocity_budget`, data usage is sup-t H2 of density plus stress,
+    rate usage is sup-t H1 of their backward-difference rates.
     """
     if b1 <= 0.0 or b2 <= 0.0:
         raise ValueError("budgets must be positive")
-    dt = candidate.dt
-    ws, pis, psis = candidate.w, candidate.pi, candidate.psi
-
-    w_norms = [norms(ws[0], 2)] + [norms(v, 3) for v in ws[1:]]
-    rate_norms = [norms((ws[k] - ws[k - 1]) * (1.0 / dt), 1)
-                  for k in range(1, len(ws))]
-    w_used = (max(h[2] ** 2 for h in w_norms)
-              + sum(dt * h[3] ** 2 for h in w_norms[1:])
-              + max(h[0] ** 2 for h in rate_norms)
-              + sum(dt * h[1] ** 2 for h in rate_norms))
-    data_used = (max(norm(p, 2) for p in pis)
-                 + max(norm(s, 2) for s in psis))
-    rate_used = (max(norm((pis[k] - pis[k - 1]) * (1.0 / dt), 1)
-                     for k in range(1, len(pis)))
-                 + max(norm((psis[k] - psis[k - 1]) * (1.0 / dt), 1)
-                       for k in range(1, len(psis))))
+    table = trajectory_norms(candidate.w, candidate.pi, candidate.psi,
+                             candidate.dt)
+    w_used = table.velocity_budget
+    data_used = float(table.pi[:, 2].max() + table.psi[:, 2].max())
+    rate_used = float(table.pi_rate[:, 1].max() + table.psi_rate[:, 1].max())
 
     lo, hi = params.band
     rho_min = min(float((params.alpha + params.eps ** 2 * p.values).min())
-                  for p in pis)
+                  for p in candidate.pi)
     rho_max = max(float((params.alpha + params.eps ** 2 * p.values).max())
-                  for p in pis)
+                  for p in candidate.pi)
 
     items = [("velocity budget", w_used, b1),
              ("data budget", data_used, b1),

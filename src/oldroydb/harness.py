@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
-                     mean_zero_project, norm, norms, rate_tensors,
-                     save_snapshot)
+                     mean_zero_project, rate_tensors, save_snapshot,
+                     trajectory_norms)
 from .fixed_point import (continuity_probe, delta_threshold, iterate,
                           picard_sweep, trajectory_distance,
                           uniqueness_experiment)
@@ -366,10 +366,11 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     residual = trajectory_distance(out, sol)
 
     dt, nsteps = cfg.dt, sol.nsteps
+    table = trajectory_norms(out.w, out.pi, out.psi, dt)
     energy = check_energy_budget(out.w, diag.forcings, dt, params)
-    regularity = check_regularity_budget(out.w, diag.forcings, dt, params)
-    density_fit = check_density_bounds(out.pi, out.w, dt, params)
-    stress_fit = check_stress_bounds(out.psi, out.w, dt, params)
+    regularity = check_regularity_budget(table, out.w[0], diag.forcings)
+    density_fit = check_density_bounds(table, params)
+    stress_fit = check_stress_bounds(table, params)
 
     ledger = EnergyLedger()
     dissipation_ok = True
@@ -381,10 +382,9 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
                                       diag.forcings[k + 1], dt, params,
                                       residual_norm=vrep.residual_norm)
         dissipation_ok = dissipation_ok and diss.satisfied
-        u_l2, _, u_h2 = norms(out.w[k + 1], 2)
         ledger.append(
-            t=(k + 1) * dt, u_l2=u_l2, u_h2=u_h2,
-            sigma_h2=norm(out.pi[k + 1], 2), tau_h2=norm(out.psi[k + 1], 2),
+            t=(k + 1) * dt, u_l2=table.w[k + 1, 0], u_h2=table.w[k + 1, 2],
+            sigma_h2=table.pi[k + 1, 2], tau_h2=table.psi[k + 1, 2],
             energy_lhs=float(energy.lhs_history[k + 1]),
             energy_rhs=float(energy.rhs_history[k + 1]),
             energy_slack=(float(energy.rhs_history[k + 1]) * (1.0 + 10.0 * dt)
@@ -395,7 +395,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
             density_min=drep.density_min, density_max=drep.density_max,
             stress_min_det=srep.min_det_scale)
 
-    sigma_scale = max(1.0, max(norm(p, 0) for p in out.pi))
+    sigma_scale = max(1.0, float(table.pi[:, 0].max()))
     mean_sigma_max = max(abs(mean(p)) for p in out.pi)
     membership = hist.membership
 

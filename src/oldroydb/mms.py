@@ -73,43 +73,10 @@ def _vortex_laplacian(grid: Grid) -> np.ndarray:
     return np.stack([l1, l2])
 
 
-def _velocity_error_at_T(n, T, dt, params, tol_lin):
-    """Backward-Euler error against u*(x,t) = exp(-t/2) vortex at time T."""
-    grid = Grid.unit(n)
-    vort = taylor_vortex(grid)
-    lap = _vortex_laplacian(grid)
-
-    def g(t):
-        return np.exp(-0.5 * t)
-
-    def forcing(t):
-        # alpha g' V - (1-omega) g Laplacian(V); div V = 0 analytically
-        gv = g(t)
-        vals = (-0.5 * params.alpha * gv * vort.values
-                - (1.0 - params.omega) * gv * lap)
-        return VectorField(grid, vals)
-
-    _, us, _, _ = run_velocity(vort, forcing, T, dt, params, tol_lin=tol_lin)
-    exact = VectorField(grid, g(T) * vort.values)
-    return norm(VectorField(grid, us[-1].values - exact.values), 0)
-
-
-def velocity_spatial_study(params, ns=(16, 32, 64), T=0.04,
-                           tol_lin=1e-10) -> StudyResult:
-    """L2 error at fixed final time with dt tied to h^2."""
-    errors = []
-    for n in ns:
-        dt = T / (8 * (n // ns[0]) ** 2)
-        errors.append(_velocity_error_at_T(n, T, dt, params, tol_lin))
-    return StudyResult(name="velocity diffusion, space", labels=list(ns),
-                       errors=errors, orders=observed_orders(errors),
-                       threshold=1.8)
-
-
-def velocity_temporal_study(params, n=24, T=0.05, nsteps=(8, 16, 32, 64),
-                            tol_lin=1e-11) -> StudyResult:
-    """Self-convergence in dt on a fixed grid (spatial error cancels)."""
-    grid = Grid.unit(n)
+def _decaying_vortex(grid: Grid, params):
+    """The vortex V and the forcing manufactured for u*(x,t) = exp(-t/2) V:
+    alpha g' V - (1-omega) g Laplacian(V), g = exp(-t/2); div V = 0
+    analytically."""
     vort = taylor_vortex(grid)
     lap = _vortex_laplacian(grid)
 
@@ -119,6 +86,32 @@ def velocity_temporal_study(params, n=24, T=0.05, nsteps=(8, 16, 32, 64),
                 - (1.0 - params.omega) * gv * lap)
         return VectorField(grid, vals)
 
+    return vort, forcing
+
+
+def velocity_spatial_study(params, ns=(16, 32, 64), T=0.04,
+                           tol_lin=1e-10) -> StudyResult:
+    """L2 error against u*(x,t) = exp(-t/2) vortex at time T, with dt tied
+    to h^2."""
+    errors = []
+    for n in ns:
+        grid = Grid.unit(n)
+        vort, forcing = _decaying_vortex(grid, params)
+        dt = T / (8 * (n // ns[0]) ** 2)
+        _, us, _, _ = run_velocity(vort, forcing, T, dt, params,
+                                   tol_lin=tol_lin)
+        exact = VectorField(grid, np.exp(-0.5 * T) * vort.values)
+        errors.append(norm(VectorField(grid, us[-1].values - exact.values), 0))
+    return StudyResult(name="velocity diffusion, space", labels=list(ns),
+                       errors=errors, orders=observed_orders(errors),
+                       threshold=1.8)
+
+
+def velocity_temporal_study(params, n=24, T=0.05, nsteps=(8, 16, 32, 64),
+                            tol_lin=1e-11) -> StudyResult:
+    """Self-convergence in dt on a fixed grid (spatial error cancels)."""
+    grid = Grid.unit(n)
+    vort, forcing = _decaying_vortex(grid, params)
     finals = []
     for m in nsteps:
         _, us, _, _ = run_velocity(vort, forcing, T, T / m, params,

@@ -46,11 +46,10 @@ class PressureLaw:
         if self.kind not in ("linear", "isothermal", "quadratic"):
             raise ValueError(f"unknown pressure law {self.kind!r}")
 
-    def dpdrho(self, rho, params=None):
+    def dpdrho(self, rho, params):
         rho = np.asarray(rho, dtype=float)
         if self.kind == "linear":
-            eps = 1.0 if params is None else params.eps
-            return np.full_like(rho, eps ** -2)
+            return np.full_like(rho, params.eps ** -2)
         if self.kind == "isothermal":
             return np.full_like(rho, self.cs ** 2)
         return self.kappa * rho

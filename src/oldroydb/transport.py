@@ -38,9 +38,10 @@ which the exact-decay acceptance tolerance requires; backward Euler's
 O(dt) amplification bias is an order of magnitude too coarse at dt = 1e-3.
 
 The a-priori transport bounds are instrumented by fitting the smallest
-domain constant making each inequality hold on a computed history; the
-density rate constant solves c exp(c l) = target in closed form through the
-Lambert W function.
+domain constant making each inequality hold on a computed history; both
+fits read the history's norms from its `fields.trajectory_norms` table.
+The density rate constant solves c exp(c l) = target in closed form
+through the Lambert W function.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ import numpy as np
 
 from .errors import NonDirichletError, SingularStressSystemError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
-                     divergence, grad_tensor, mean, norm, norms,
-                     sym_components)
+                     divergence, grad_tensor, mean, sym_components)
 from .rheology import density_band_check
 
 __all__ = ["CharacteristicMap", "trace", "DensityStepReport", "step_density",
@@ -194,14 +194,13 @@ class DensityStepReport:
 
 
 def step_density(sigma_prev: ScalarField, w: VectorField, dt: float, params,
-                 band_tol: float = 1e-8,
                  char_map: CharacteristicMap = None) -> tuple:
     """One semi-Lagrangian step of the density-remainder transport.
 
     Pull back along characteristics, apply the exact per-step dilation ODE
     with div w frozen at the arrival node, then re-project the mean to
     zero.  The total density alpha + eps^2 sigma must stay inside the
-    working band widened by band_tol.  Returns (field, DensityStepReport).
+    working band widened by 1e-8 (relative).  Returns (field, report).
     """
     grid = sigma_prev.grid
     cm = trace(w, dt) if char_map is None else char_map
@@ -211,7 +210,7 @@ def step_density(sigma_prev: ScalarField, w: VectorField, dt: float, params,
     vals = sigma_dep * np.exp(-theta) + lift * np.expm1(-theta)
     drift = mean(ScalarField(grid, vals))
     out = ScalarField(grid, vals - drift)
-    rmin, rmax = density_band_check(out, params, tol=band_tol,
+    rmin, rmax = density_band_check(out, params, tol=1e-8,
                                     context="step_density")
     report = DensityStepReport(mean_preproject=drift, density_min=rmin,
                                density_max=rmax, clipped=cm.clipped)
@@ -340,21 +339,6 @@ def step_stress(tau_prev: SymTensorField, w: VectorField, dt: float, params,
 # a-priori bound instrumentation
 
 
-def _w_norms(ws, dt):
-    w_norms = [norms(ws[0], 2)] + [norms(wn, 3) for wn in ws[1:]]
-    l1h3 = sum(dt * h[3] for h in w_norms[1:])
-    suph2 = max(h[2] for h in w_norms)
-    return l1h3, suph2
-
-
-def _sup_rate_h1(fields, dt):
-    worst = 0.0
-    for prev, cur in zip(fields[:-1], fields[1:]):
-        rate = type(cur)(cur.grid, (cur.values - prev.values) / dt)
-        worst = max(worst, norm(rate, 1))
-    return worst
-
-
 def _rate_constant(target, l1h3):
     """The c >= 0 with c exp(c l1h3) = target: c = W(target l1h3) / l1h3.
 
@@ -381,8 +365,6 @@ class DensityBoundReport:
     sup_h2: float
     base_h2: float          # ||sigma0||_H2 + alpha eps^-2
     base_l2: float          # ||sigma0||_L2 + alpha eps^-2, reported alongside
-    w_l1h3: float
-    w_suph2: float
     c_domain_sup: float     # smallest constant closing the sup bound
     sup_vacuous: bool       # sup bound already holds with constant 0
     sup_rate_h1: float
@@ -390,35 +372,31 @@ class DensityBoundReport:
     sup_bound_margin: float  # bound(c_domain) - sup_h2, nonnegative on pass
 
 
-def check_density_bounds(sigmas, ws, dt, params) -> DensityBoundReport:
+def check_density_bounds(table, params) -> DensityBoundReport:
     """Fit the transport estimate constants on a density history.
 
-    sigmas and ws are field lists over the same time nodes (initial data
+    table is the `trajectory_norms` table of the history (initial data
     first).  The sup estimate is usually vacuous because of the alpha
     eps^-2 lift, so the quotable constant comes from the rate estimate:
     the smallest c with sup||sigma'||_1 <= c ||w||_sup (||sigma0||_2 +
     alpha eps^-2) exp(c ||w||_L1H3).
     """
-    if len(sigmas) != len(ws):
-        raise ValueError("need matching sigma and w histories")
     lift = params.alpha / params.eps ** 2
-    sigma_norms = [norms(s, 2) for s in sigmas]
-    sup_h2 = max(h[2] for h in sigma_norms)
-    base_h2 = sigma_norms[0][2] + lift
-    base_l2 = sigma_norms[0][0] + lift
-    l1h3, suph2 = _w_norms(ws, dt)
+    sup_h2 = float(table.pi[:, 2].max())
+    base_h2 = float(table.pi[0, 2]) + lift
+    base_l2 = float(table.pi[0, 0]) + lift
+    l1h3, suph2 = table.w_l1h3, table.w_suph2
 
     if l1h3 > 0.0 and sup_h2 > base_h2:
         c_sup = np.log(sup_h2 / base_h2) / l1h3
     else:
         c_sup = 0.0
-    rate = _sup_rate_h1(sigmas, dt)
+    rate = float(table.pi_rate[:, 1].max())
     target = rate / (suph2 * base_h2) if suph2 > 0.0 else 0.0
     c_fit = _rate_constant(target, l1h3)
     margin = base_h2 * np.exp(c_fit * l1h3) - sup_h2
     return DensityBoundReport(
-        sup_h2=sup_h2, base_h2=base_h2, base_l2=base_l2, w_l1h3=l1h3,
-        w_suph2=suph2, c_domain_sup=c_sup,
+        sup_h2=sup_h2, base_h2=base_h2, base_l2=base_l2, c_domain_sup=c_sup,
         sup_vacuous=bool(sup_h2 <= base_h2), sup_rate_h1=rate,
         c_domain=c_fit, sup_bound_margin=margin)
 
@@ -429,8 +407,6 @@ class StressBoundReport:
 
     sup_h2: float
     base_h2: float          # ||tau0||_H2
-    w_l1h3: float
-    w_suph2: float
     c_domain: float         # supplied, or minimizer of the sup bound
     sup_bound: float        # (base + 2 omega/(c We)) exp(c ||w||_L1H3)
     sup_bound_holds: bool
@@ -438,20 +414,17 @@ class StressBoundReport:
     c_relax: float          # fitted prefactor of the rate bound
 
 
-def check_stress_bounds(taus, ws, dt, params,
+def check_stress_bounds(table, params,
                         c_domain: float = None) -> StressBoundReport:
-    """Fit the stress estimate constants on a history.
+    """Fit the stress estimate constants on a `trajectory_norms` table.
 
     With no supplied domain constant, uses the one minimizing the sup
     bound (the inequality is then checked where it is sharpest; it holds
     everywhere else if it holds there, since both tails diverge).
     """
-    if len(taus) != len(ws):
-        raise ValueError("need matching tau and w histories")
-    h2 = [norm(t, 2) for t in taus]
-    sup_h2 = max(h2)
-    base = h2[0]
-    l1h3, suph2 = _w_norms(ws, dt)
+    sup_h2 = float(table.psi[:, 2].max())
+    base = float(table.psi[0, 2])
+    l1h3, suph2 = table.w_l1h3, table.w_suph2
     relax = 2.0 * params.omega / params.We
 
     if c_domain is None:
@@ -462,11 +435,10 @@ def check_stress_bounds(taus, ws, dt, params,
             a, b = l1h3 * base, l1h3 * relax
             c_domain = (-b + np.sqrt(b * b + 4.0 * a * relax)) / (2.0 * a)
     bound = (base + relax / c_domain) * np.exp(c_domain * l1h3)
-    rate = _sup_rate_h1(taus, dt)
+    rate = float(table.psi_rate[:, 1].max())
     denom = (suph2 + 1.0 / (c_domain * params.We)) * (base + relax / c_domain)
     c0 = rate / (denom * np.exp(c_domain * l1h3)) if denom > 0.0 else 0.0
     return StressBoundReport(
-        sup_h2=sup_h2, base_h2=base, w_l1h3=l1h3, w_suph2=suph2,
-        c_domain=c_domain, sup_bound=bound,
+        sup_h2=sup_h2, base_h2=base, c_domain=c_domain, sup_bound=bound,
         sup_bound_holds=bool(sup_h2 <= bound * (1.0 + 1e-12)),
         sup_rate_h1=rate, c_relax=c0)

@@ -31,7 +31,8 @@ Two a-posteriori checks instrument a computed trajectory:
       / (||A u0||^2 + ||F(0)||^2 + ||F||_{L2 H1}^2 + ||F'||_{L2 H-1}^2),
 
   whose boundedness under grid refinement is the computable shadow of the
-  parabolic regularity constant.
+  parabolic regularity constant.  Its numerator is the velocity budget of
+  a `fields.trajectory_norms` table, the sum fixed-point membership caps.
 
 Time integrals use the right-endpoint rule matching backward Euler; sups
 run over all time nodes including t = 0.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import LinearSolveError
 from .fields import (VectorField, conjugate_gradient, divergence, inner, norm,
-                     norm_hminus1, norms, rate_tensors, viscous_operator,
+                     norm_hminus1, rate_tensors, viscous_operator,
                      viscous_preconditioner)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
@@ -249,53 +250,33 @@ class RegularityReport:
     bracket: float
     c1_emp: float
     vacuous: bool
-    u_l2h3: float
-    u_suph2: float
-    rate_l2h1: float
-    rate_supl2: float
     f0_norm: float
     f_l2h1: float
     fprime_l2hm1: float
     visc0_norm: float
 
 
-def check_regularity_budget(us, Fs, dt, params) -> RegularityReport:
+def check_regularity_budget(table, u0, Fs) -> RegularityReport:
     """Ratio of trajectory regularity norms to the data bracket.
 
-    Fs[0] must be the right side assembled from the initial data; the
-    forcing rate F' is its per-step finite difference measured in the
-    discrete dual norm (one Dirichlet-Laplacian solve per sample).
+    The numerator is the `trajectory_norms` table's velocity budget.  Fs[0]
+    must be the right side assembled from the initial data u0; the forcing
+    rate F' is its per-step finite difference measured in the discrete dual
+    norm (one Dirichlet-Laplacian solve per sample).
     """
-    if len(Fs) != len(us):
+    if len(Fs) != len(table.w):
         raise ValueError("need one forcing sample per time node")
-    nsteps = len(us) - 1
-
-    u_l2h3 = 0.0
-    u_suph2 = norm(us[0], 2) ** 2
-    rate_l2h1 = 0.0
-    rate_supl2 = 0.0
-    f_l2h1 = 0.0
-    fprime = 0.0
-    for n in range(1, nsteps + 1):
-        _, _, u_h2, u_h3 = norms(us[n], 3)
-        u_l2h3 += dt * u_h3 ** 2
-        u_suph2 = max(u_suph2, u_h2 ** 2)
-        rate_l2, rate_h1 = norms(VectorField(
-            us[n].grid, (us[n].values - us[n - 1].values) / dt), 1)
-        rate_l2h1 += dt * rate_h1 ** 2
-        rate_supl2 = max(rate_supl2, rate_l2 ** 2)
-        f_l2h1 += dt * norm(Fs[n], 1) ** 2
-        dF = VectorField(Fs[n].grid, (Fs[n].values - Fs[n - 1].values) / dt)
-        fprime += dt * norm_hminus1(dF) ** 2
-
-    visc0 = norm(viscous_operator(us[0]), 0)
+    dt = table.dt
+    f_l2h1 = table.integral(norm(F, 1) ** 2 for F in Fs[1:])
+    fprime = table.integral(
+        norm_hminus1(VectorField(F.grid, (F.values - prev.values) / dt)) ** 2
+        for prev, F in zip(Fs[:-1], Fs[1:]))
+    visc0 = norm(viscous_operator(u0), 0)
     f0 = norm(Fs[0], 0)
-    lhs = u_l2h3 + u_suph2 + rate_l2h1 + rate_supl2
+    lhs = table.velocity_budget
     bracket = visc0 ** 2 + f0 ** 2 + f_l2h1 + fprime
     vacuous = bracket == 0.0
     c1 = float("nan") if vacuous else lhs / bracket
     return RegularityReport(
-        lhs=lhs, bracket=bracket, c1_emp=c1, vacuous=vacuous,
-        u_l2h3=u_l2h3, u_suph2=u_suph2, rate_l2h1=rate_l2h1,
-        rate_supl2=rate_supl2, f0_norm=f0, f_l2h1=f_l2h1,
-        fprime_l2hm1=fprime, visc0_norm=visc0)
+        lhs=lhs, bracket=bracket, c1_emp=c1, vacuous=vacuous, f0_norm=f0,
+        f_l2h1=f_l2h1, fprime_l2hm1=fprime, visc0_norm=visc0)

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
                       VectorField, mean_zero_project, rate_tensors)
+from oldroydb.fields import random_smooth_field
 from oldroydb.fixed_point import iterate, picard_sweep
 from oldroydb.mms import taylor_vortex
 
@@ -37,6 +39,26 @@ def compressive_preset(n=32, amp=0.5):
                      0.01 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     t0 = SymTensorField(grid, 0.02 * rate_tensors(u0)[0].values)
     return grid, params, u0, s0, t0
+
+
+def draw_trajectory(data, dim):
+    """A short random smooth trajectory (ws, pis, psis, dt) on a grid whose
+    cells and extents are drawn per axis; the velocity vanishes on the
+    boundary."""
+    n = data.draw(st.tuples(*[st.integers(8, 12)] * dim), label="n")
+    extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
+                       label="extent")
+    nodes = data.draw(st.integers(2, 5), label="nodes")
+    dt = data.draw(st.floats(1e-3, 0.1), label="dt")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    grid = Grid(dim, n, extent)
+
+    def draw(kind):
+        return [random_smooth_field(grid, rng, kind=kind)
+                for _ in range(nodes)]
+
+    return draw("vector"), draw("scalar_free"), draw("symtensor"), dt
 
 
 def centered_bump_perturbation(grid, amp=1e-4):

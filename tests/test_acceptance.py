@@ -18,7 +18,8 @@ from oldroydb import (FluidParams, Grid, IterTriple, ScalarField,
                       gradient, inner,
                       iterate, laplacian, mean, norm, picard_sweep,
                       rate_tensors, step_density, step_stress,
-                      uniqueness_experiment, viscous_operator)
+                      trajectory_norms, uniqueness_experiment,
+                      viscous_operator)
 from oldroydb.mms import taylor_vortex
 
 
@@ -221,10 +222,10 @@ def test_criterion_8_constant_stability(request):
     consts = {}
     for name in ("converged32", "converged64"):
         run = request.getfixturevalue(name)
-        dt = run.sol.dt
-        reg = check_regularity_budget(run.out.w, run.diag.forcings, dt,
-                                      run.params)
-        dens = check_density_bounds(run.out.pi, run.out.w, dt, run.params)
+        table = trajectory_norms(run.out.w, run.out.pi, run.out.psi,
+                                 run.sol.dt)
+        reg = check_regularity_budget(table, run.out.w[0], run.diag.forcings)
+        dens = check_density_bounds(table, run.params)
         consts[name] = (reg.c1_emp, dens.c_domain)
 
     (c1a, cda), (c1b, cdb) = consts["converged32"], consts["converged64"]

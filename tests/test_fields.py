@@ -17,11 +17,13 @@ from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       div_tensor, divergence, grad_tensor, gradient, inner,
                       laplacian, mean, mean_zero_project, norm, norm_hminus1,
                       norms, rate_tensors, save_snapshot, load_snapshot,
-                      viscous_operator)
+                      trajectory_norms, viscous_operator)
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
                              conjugate_gradient, random_smooth_field,
                              sym_components, viscous_preconditioner)
+
+from conftest import draw_trajectory
 
 
 def weighted_l2(grid, values):
@@ -136,6 +138,42 @@ def test_norms_equal_norm_and_per_multi_index_reference(dim, data):
     for j in range(4):
         assert every[j] == norm(f, j) == _norm_reference(f, j)
         assert norms(f, j) == every[:j + 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_trajectory_norms_are_norms_of_each_node_and_rate(dim, data):
+    ws, pis, psis, dt = draw_trajectory(data, dim)
+    table = trajectory_norms(ws, pis, psis, dt)
+
+    def rate(prev, cur):
+        return type(cur)(cur.grid, (cur.values - prev.values) / dt)
+
+    for k in range(len(ws)):
+        hw = norms(ws[k], 2 if k == 0 else 3)
+        assert tuple(table.w[k]) == hw[:3]
+        assert tuple(table.pi[k]) == norms(pis[k], 2)
+        assert tuple(table.psi[k]) == norms(psis[k], 2)
+        if k == 0:
+            continue
+        assert table.w_h3[k - 1] == hw[3]
+        assert tuple(table.w_rate[k - 1]) == norms(rate(ws[k - 1], ws[k]), 1)
+        assert tuple(table.pi_rate[k - 1]) == norms(rate(pis[k - 1], pis[k]),
+                                                    1)
+        assert tuple(table.psi_rate[k - 1]) == norms(
+            rate(psis[k - 1], psis[k]), 1)
+    assert table.w_h3.shape == (len(ws) - 1,)
+    assert table.w_rate.shape == table.pi_rate.shape == (len(ws) - 1, 2)
+
+
+def test_trajectory_norms_validates_lengths():
+    g = Grid(2, 8)
+    w = VectorField.zeros(g, dirichlet=True)
+    s, t = ScalarField.zeros(g), SymTensorField.zeros(g)
+    with pytest.raises(ValueError):
+        trajectory_norms([w, w], [s], [t, t], 0.1)
+    with pytest.raises(ValueError):
+        trajectory_norms([w], [s], [t], 0.1)
 
 
 def test_tensor_norm_counts_off_diagonals_twice():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
@@ -13,10 +15,12 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       fixed_point_residual, iterate, mean, picard_sweep,
                       step_density, step_stress, step_velocity,
                       suggest_budgets, trace, trajectory_distance,
-                      uniqueness_experiment)
-from oldroydb.velocity import run_velocity
+                      trajectory_norms, uniqueness_experiment)
+from oldroydb.fields import random_smooth_field
+from oldroydb.transport import check_density_bounds, check_stress_bounds
+from oldroydb.velocity import check_regularity_budget, run_velocity
 
-from conftest import centered_bump_perturbation, small_preset
+from conftest import centered_bump_perturbation, draw_trajectory, small_preset
 
 
 # ---------------------------------------------------------------- triples
@@ -177,6 +181,25 @@ def test_membership_flags_budget_overrun():
     assert "velocity budget" in rep.violations
     assert "data budget" in rep.violations
     assert "rate budget" not in rep.violations
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_membership_budgets_are_the_audit_sums(dim, data):
+    ws, pis, psis, dt = draw_trajectory(data, dim)
+    params = FluidParams(We=0.5)
+    rng = np.random.default_rng(0)
+    Fs = [random_smooth_field(ws[0].grid, rng) for _ in ws]
+    mem = check_membership(IterTriple(ws, pis, psis, dt), 1.0, 1.0, params)
+    table = trajectory_norms(ws, pis, psis, dt)
+    reg = check_regularity_budget(table, ws[0], Fs)
+    dens = check_density_bounds(table, params)
+    stress = check_stress_bounds(table, params)
+    assert mem.velocity_budget == pytest.approx(reg.lhs, rel=1e-14, abs=0.0)
+    assert mem.data_budget == pytest.approx(dens.sup_h2 + stress.sup_h2,
+                                            rel=1e-14, abs=0.0)
+    assert mem.rate_budget == pytest.approx(
+        dens.sup_rate_h1 + stress.sup_rate_h1, rel=1e-14, abs=0.0)
 
 
 def test_suggested_budgets():

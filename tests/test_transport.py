@@ -11,7 +11,8 @@ from oldroydb import (DensityBandError, FluidParams, Grid,
                       NonDirichletError, ScalarField,
                       SingularStressSystemError, SymTensorField, VectorField,
                       grad_tensor, mean, mean_zero_project, norm,
-                      objective_coupling, rate_tensors, sym_components)
+                      objective_coupling, rate_tensors, sym_components,
+                      trajectory_norms)
 from oldroydb.fields import _diff1, random_smooth_field
 from oldroydb.mms import (density_advection_study, density_still_study,
                           stress_relaxation_study, taylor_vortex)
@@ -533,8 +534,10 @@ def driven_histories(n, nsteps=10, dt=5e-3, seed=14):
 def test_density_bounds_still_fluid():
     grid = Grid.unit(16)
     sigmas, ws, dt = still_density_history(grid)
-    rep = check_density_bounds(sigmas, ws, dt, PARAMS)
-    assert rep.w_l1h3 == 0.0
+    taus = [SymTensorField.zeros(grid)] * len(ws)
+    table = trajectory_norms(ws, sigmas, taus, dt)
+    rep = check_density_bounds(table, PARAMS)
+    assert table.w_l1h3 == 0.0
     assert abs(rep.sup_h2 - norm(sigmas[0], 2)) < 1e-10
     assert rep.c_domain_sup == 0.0 and rep.sup_vacuous
     assert rep.c_domain == 0.0
@@ -583,7 +586,8 @@ def test_stress_bounds_still_fluid():
         tau, _ = step_stress(tau, w0, 1e-3, params)
         taus.append(tau)
         ws.append(w0)
-    rep = check_stress_bounds(taus, ws, 1e-3, params)
+    sigmas = [ScalarField.zeros(grid)] * len(ws)
+    rep = check_stress_bounds(trajectory_norms(ws, sigmas, taus, 1e-3), params)
     assert rep.sup_bound_holds
     assert rep.sup_h2 <= rep.base_h2 * (1.0 + 1e-12)  # relaxation shrinks
     assert rep.c_domain == 1.0  # any constant closes the bound when w = 0
@@ -593,7 +597,8 @@ def test_density_bound_fit_is_grid_stable():
     fits = []
     for n in (32, 64):
         params, sigmas, taus, ws, dt = driven_histories(n)
-        rep = check_density_bounds(sigmas, ws, dt, params)
+        rep = check_density_bounds(trajectory_norms(ws, sigmas, taus, dt),
+                                   params)
         assert rep.c_domain > 0.0
         assert rep.sup_bound_margin >= 0.0
         fits.append(rep.c_domain)
@@ -602,7 +607,7 @@ def test_density_bound_fit_is_grid_stable():
 
 def test_stress_bound_fit_driven():
     params, sigmas, taus, ws, dt = driven_histories(32)
-    rep = check_stress_bounds(taus, ws, dt, params)
+    rep = check_stress_bounds(trajectory_norms(ws, sigmas, taus, dt), params)
     assert rep.sup_bound_holds
     assert rep.c_relax > 0.0
     assert np.isfinite(rep.c_domain) and rep.c_domain > 0.0
@@ -614,9 +619,10 @@ def test_bound_checks_validate_lengths():
     t = SymTensorField.zeros(grid)
     w = VectorField.zeros(grid, dirichlet=True)
     with pytest.raises(ValueError):
-        check_density_bounds([s, s], [w], 1e-3, PARAMS)
+        check_density_bounds(trajectory_norms([w], [s, s], [t], 1e-3), PARAMS)
     with pytest.raises(ValueError):
-        check_stress_bounds([t], [w, w], 1e-3, PARAMS)
+        check_stress_bounds(trajectory_norms([w, w], [s, s], [t], 1e-3),
+                            PARAMS)
 
 
 # ---------------------------------------------------------------------------

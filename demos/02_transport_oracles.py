@@ -12,7 +12,7 @@ import numpy as np
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
                       VectorField, mean, norm, rate_tensors, step_density,
-                      step_stress)
+                      step_stress, trace)
 from oldroydb.mms import taylor_vortex
 
 
@@ -27,7 +27,7 @@ def main():
     sigma = sigma0
     worst = 0.0
     for _ in range(200):
-        sigma, rep = step_density(sigma, still, 1e-3, params)
+        sigma, rep = step_density(sigma, trace(still, 1e-3), params)
         worst = max(worst, abs(mean(sigma)))
     drift = np.abs(sigma.values - sigma0.values).max()
     print("still-fluid density after 200 steps:")
@@ -39,7 +39,7 @@ def main():
     dt, nsteps = 1e-2, 100
     print(f"\nstill-fluid stress, We = {params.We}, dt = {dt}:")
     for k in range(1, nsteps + 1):
-        tau, _ = step_stress(tau, still, dt, params)
+        tau, _ = step_stress(tau, trace(still, dt), params)
         if k % 25 == 0:
             t = k * dt
             expected = math.exp(-t / params.We)

@@ -140,13 +140,10 @@ class Grid:
             mask[tuple(sl)] = True
         return mask
 
-    @cached_property
-    def interior_mask(self):
-        return ~self.boundary_mask
-
     def _kron(self, ops):
         """ops[a] along axis a, identity elsewhere; axis 0 varies slowest,
-        which is the order of values[interior_mask]."""
+        which is the C order of one component's interior block
+        values[i][1:-1, ..., 1:-1]."""
         out = None
         for a, m in enumerate(self.n):
             f = ops[a] if a in ops else sp.eye(m - 1, format="csr")
@@ -468,9 +465,9 @@ def viscous_operator(v: VectorField) -> VectorField:
         raise NonDirichletError("viscous_operator requires a dirichlet-flagged field")
     g = v.grid
     vals = -(laplacian(v).values + gradient(divergence(v)).values)
-    interior = g.interior_mask
-    vals[:, interior] = (g.viscous_matrix @ v.values[:, interior].ravel()
-                         ).reshape(g.dim, -1)
+    interior = (slice(None),) + (slice(1, -1),) * g.dim
+    vals[interior] = (g.viscous_matrix @ v.values[interior].ravel()
+                      ).reshape(vals[interior].shape)
     return VectorField(g, vals, dirichlet=False)
 
 

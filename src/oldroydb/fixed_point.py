@@ -119,6 +119,18 @@ def _component_gaps(a: IterTriple, b: IterTriple) -> tuple:
     return gv, gp, gs
 
 
+def _gap_energy(a: IterTriple, b: IterTriple, k: int, params) -> float:
+    """Weighted L2 gap at node k: the two-solution energy
+
+    alpha |du|^2 + (eps^2 / alpha) |dpi|^2 + (We / 2 omega) |dpsi|^2.
+    """
+    du = norm(a.w[k] - b.w[k], 0)
+    dp = norm(a.pi[k] - b.pi[k], 0)
+    ds = norm(a.psi[k] - b.psi[k], 0)
+    return (params.alpha * du ** 2 + (params.eps ** 2 / params.alpha) * dp ** 2
+            + (params.We / (2.0 * params.omega)) * ds ** 2)
+
+
 def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
     """Sup-in-time L2 distance between trajectories.
 
@@ -132,15 +144,9 @@ def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
         raise ValueError("trajectories live on different time ladders")
     if params is None:
         return max(_component_gaps(a, b))
-    cu = params.alpha
-    cp = params.eps ** 2 / params.alpha
-    cs = params.We / (2.0 * params.omega)
     worst = 0.0
     for k in range(len(a.w)):
-        e = (cu * norm(a.w[k] - b.w[k], 0) ** 2
-             + cp * norm(a.pi[k] - b.pi[k], 0) ** 2
-             + cs * norm(a.psi[k] - b.psi[k], 0) ** 2)
-        worst = max(worst, e)
+        worst = max(worst, _gap_energy(a, b, k, params))
     return math.sqrt(worst)
 
 
@@ -205,8 +211,8 @@ def picard_sweep(inp: IterTriple, f, params,
                                   params)
             u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin)
             cm = trace(wk, inp.dt)
-            sg, dr = step_density(sg, wk, inp.dt, params, char_map=cm)
-            tau, sr = step_stress(tau, wk, inp.dt, params, char_map=cm)
+            sg, dr = step_density(sg, cm, params)
+            tau, sr = step_stress(tau, cm, params)
         except (DensityBandError, LinearSolveError, NonDirichletError,
                 SingularStressSystemError) as exc:
             exc.timestep = k + 1
@@ -281,15 +287,15 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
 
 
 def suggest_budgets(u0: VectorField, sigma0: ScalarField,
-                    tau0: SymTensorField, params,
-                    margin: float = 4.0) -> tuple:
+                    tau0: SymTensorField, params) -> tuple:
     """Size the norm budgets from the initial data.
 
     The first budget covers the largest of the squared viscous load of the
     initial velocity and the H2 norms of the density and stress data; the
     second follows the relaxation-weighted structure of the stress-rate
-    bound. Margins are empirical, not theoretical.
+    bound. Both carry the empirical, not theoretical, margin 4.
     """
+    margin = 4.0
     visc0 = norm(viscous_operator(u0), 0) ** 2
     s2, t2 = norm(sigma0, 2), norm(tau0, 2)
     base1 = max(visc0, s2, t2)
@@ -541,17 +547,12 @@ def uniqueness_experiment(sol1: IterTriple, sol2: IterTriple, delta: float,
             f"splitting weight delta={delta:.6g} must lie in (0, "
             f"{cap:.6g}) to keep the gap dissipation coefficients positive")
 
-    a, om, we, eps = params.alpha, params.omega, params.We, params.eps
     npts = sol1.nsteps + 1
     e = np.empty(npts)
     lin = np.empty(npts)  # coefficient of c12 in the rate
     quad = np.empty(npts)  # coefficient of c12**2
     for k in range(npts):
-        du = sol1.w[k] - sol2.w[k]
-        ds = sol1.pi[k] - sol2.pi[k]
-        dT = sol1.psi[k] - sol2.psi[k]
-        e[k] = (a * norm(du, 0) ** 2 + (eps ** 2 / a) * norm(ds, 0) ** 2
-                + (we / (2.0 * om)) * norm(dT, 0) ** 2)
+        e[k] = _gap_energy(sol1, sol2, k, params)
         u1_l2, _, u1_h2, u1_h3 = norms(sol1.w[k], 3)
         lin[k] = u1_l2 + norm(sol2.w[k], 0) + u1_h3
         quad[k] = (u1_h2 ** 3 + norm(sol1.pi[k], 2) ** 2

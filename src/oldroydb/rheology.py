@@ -115,18 +115,14 @@ def pressure_increment(sigma: ScalarField, params: FluidParams,
     """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha); w(0) = 0 exactly.
 
     Evaluation outside the working density band [m1/2, 2 M1] is an
-    unphysical state and raises with the offending node.
+    unphysical state and raises through `density_band_check`, naming the
+    worst node.
     """
     law = params.law if law is None else law
-    rho = params.alpha + params.eps ** 2 * sigma.values
-    lo, hi = params.band
-    if rho.min() < lo or rho.max() > hi:
-        bad = np.where((rho < lo) | (rho > hi))
-        node = tuple(int(ix[0]) for ix in bad)
-        raise DensityBandError(node, float(rho[node]), lo, hi,
-                               context="pressure_increment")
+    density_band_check(sigma, params, context="pressure_increment")
     if law.kind in ("linear", "isothermal"):
         return ScalarField.zeros(sigma.grid)
+    rho = params.alpha + params.eps ** 2 * sigma.values
     ref = law.dpdrho(np.asarray(params.alpha), params)
     return ScalarField(sigma.grid, law.dpdrho(rho, params) - ref)
 

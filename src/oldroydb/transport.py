@@ -1,17 +1,20 @@
 """Semi-Lagrangian transport of the density remainder and elastic stress.
 
-Both subproblems ride the same characteristic trace: departure points are
-found with one midpoint (RK2) step backward through the driving velocity,
-and field values are pulled back by multilinear interpolation (monotone, so
-the density band cannot be violated by interpolation overshoot).  The trace
-computes the 2^dim corner indices and weights of each set of sample points
-once, for the midpoints and for the departure points; every pull gathers a
-whole stack of components through the same weights, so one set serves the
-density and all stress components of a step.
+Both subproblems ride the characteristics of one frozen velocity per step,
+and `trace` is the one place that velocity is read: it finds the departure
+points with one midpoint (RK2) step backward, computes the 2^dim corner
+indices and weights of each set of sample points once, for the midpoints
+and for the departure points, and differentiates the velocity once
+(`grad_w`).  The steps take the resulting `CharacteristicMap`; every pull
+gathers a whole stack of components through the same weights, so one map
+serves the density and all stress components of a step, and every step of
+a steady velocity.  Values are pulled back by multilinear interpolation
+(monotone, so the density band cannot be violated by interpolation
+overshoot).
 
 Density:  sigma' + (w . grad) sigma + sigma div w = -eps^-2 alpha div w.
-With div w frozen at the arrival node, the along-path ODE has the closed
-form update
+With div w (the trace of grad_w) frozen at the arrival node, the
+along-path ODE has the closed form update
 
     sigma_new = sigma_dep * exp(-dt divw) + eps^-2 alpha * expm1(-dt divw),
 
@@ -52,7 +55,7 @@ import numpy as np
 
 from .errors import NonDirichletError, SingularStressSystemError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
-                     divergence, grad_tensor, mean, sym_components)
+                     grad_tensor, mean, sym_components)
 from .rheology import density_band_check
 
 __all__ = ["CharacteristicMap", "trace", "DensityStepReport", "step_density",
@@ -104,7 +107,7 @@ def _gather(values, corners, weights):
 
 @dataclass
 class CharacteristicMap:
-    """Backward departure points for one timestep, in index coordinates."""
+    """One timestep's frozen velocity: departure points and gradient."""
 
     grid: Grid
     dep_index: np.ndarray     # (dim, *node_shape), clipped to the index box
@@ -113,6 +116,7 @@ class CharacteristicMap:
     max_excursion: float      # largest pre-clip overshoot, physical units
     corners: np.ndarray = field(repr=False)   # (2^dim, N) flat node indices
     weights: np.ndarray = field(repr=False)   # (2^dim, N) multilinear weights
+    grad_w: np.ndarray = field(repr=False)    # grad_tensor(w), (dim, dim, ...)
 
     def pull(self, values: np.ndarray) -> np.ndarray:
         """Multilinear sample at the departure points.
@@ -176,7 +180,7 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
     return CharacteristicMap(grid=grid, dep_index=dep, dt=dt,
                              clipped=int(clipped_mask.sum()),
                              max_excursion=max_exc, corners=corners,
-                             weights=weights)
+                             weights=weights, grad_w=grad_tensor(w))
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +197,22 @@ class DensityStepReport:
     clipped: int
 
 
-def step_density(sigma_prev: ScalarField, w: VectorField, dt: float, params,
-                 char_map: CharacteristicMap = None) -> tuple:
+def step_density(sigma_prev: ScalarField, cm: CharacteristicMap,
+                 params) -> tuple:
     """One semi-Lagrangian step of the density-remainder transport.
 
-    Pull back along characteristics, apply the exact per-step dilation ODE
-    with div w frozen at the arrival node, then re-project the mean to
-    zero.  The total density alpha + eps^2 sigma must stay inside the
-    working band widened by 1e-8 (relative).  Returns (field, report).
+    Pull back along the characteristics of `cm`, apply the exact per-step
+    dilation ODE with div w, the trace of `cm.grad_w` summed in
+    `divergence`'s order, frozen at the arrival node, then re-project the
+    mean to zero.  The total density alpha + eps^2 sigma must stay inside
+    the working band widened by 1e-8 (relative).  Returns (field, report).
     """
     grid = sigma_prev.grid
-    cm = trace(w, dt) if char_map is None else char_map
     sigma_dep = cm.pull(sigma_prev.values)
-    theta = dt * divergence(w).values
+    divw = cm.grad_w[0, 0]
+    for i in range(1, grid.dim):
+        divw = divw + cm.grad_w[i, i]
+    theta = cm.dt * divw
     lift = params.alpha / params.eps ** 2
     vals = sigma_dep * np.exp(-theta) + lift * np.expm1(-theta)
     drift = mean(ScalarField(grid, vals))
@@ -292,29 +299,28 @@ def _solve_nodes(M, b):
     return x, det
 
 
-def step_stress(tau_prev: SymTensorField, w: VectorField, dt: float, params,
-                char_map: CharacteristicMap = None) -> tuple:
+def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
+                params) -> tuple:
     """One semi-Lagrangian, trapezoid-relaxation step of the stress.
 
-    All nodes are advanced at once.  The coupling matrix G of g = L tau +
-    tau L^T comes from grad w through `_coupling_matrices`, the right-hand
-    side applies G to the pulled-back tau_dep, and one pivoted elimination
-    of M = (We/dt + 1/2) I + (We/2) G yields both the solution and det M;
-    `min_det_scale` is the smallest |det M| / (We/dt + 1/2)^m.  The output
-    inherits exact symmetry from the component storage.  A per-node system
-    with |det M| / (We/dt + 1/2)^m below 1e-12, or a zero or non-finite
-    pivot product (extreme dt |grad w|), raises SingularStressSystemError
-    naming the node with the smallest |det M|.
+    All nodes are advanced at once along the characteristics of `cm`.  D
+    and the coupling matrix G of g = L tau + tau L^T come from `cm.grad_w`
+    (G through `_coupling_matrices`), the right-hand side applies G to the
+    pulled-back tau_dep, and one pivoted elimination of M = (We/dt + 1/2) I
+    + (We/2) G yields both the solution and det M; `min_det_scale` is the
+    smallest |det M| / (We/dt + 1/2)^m.  The output inherits exact symmetry
+    from the component storage.  A per-node system with |det M| / (We/dt +
+    1/2)^m below 1e-12, or a zero or non-finite pivot product (extreme dt
+    |grad w|), raises SingularStressSystemError naming the node with the
+    smallest |det M|.
     """
     grid = tau_prev.grid
     m = tau_prev.ncomp
-    cm = trace(w, dt) if char_map is None else char_map
     tau_dep = cm.pull(tau_prev.values).reshape(m, -1)
 
-    gw = grad_tensor(w)
-    D = SymTensorField.from_full(grid, gw, symmetrize=True).values
-    G = _coupling_matrices(gw, params.a)
-    lam = params.We / dt
+    D = SymTensorField.from_full(grid, cm.grad_w, symmetrize=True).values
+    G = _coupling_matrices(cm.grad_w, params.a)
+    lam = params.We / cm.dt
     rhs = ((lam - 0.5) * tau_dep
            - 0.5 * params.We * np.einsum("pqn,qn->pn", G, tau_dep)
            + 2.0 * params.omega * D.reshape(m, -1))
@@ -407,33 +413,31 @@ class StressBoundReport:
 
     sup_h2: float
     base_h2: float          # ||tau0||_H2
-    c_domain: float         # supplied, or minimizer of the sup bound
+    c_domain: float         # minimizer of the sup bound
     sup_bound: float        # (base + 2 omega/(c We)) exp(c ||w||_L1H3)
     sup_bound_holds: bool
     sup_rate_h1: float
     c_relax: float          # fitted prefactor of the rate bound
 
 
-def check_stress_bounds(table, params,
-                        c_domain: float = None) -> StressBoundReport:
+def check_stress_bounds(table, params) -> StressBoundReport:
     """Fit the stress estimate constants on a `trajectory_norms` table.
 
-    With no supplied domain constant, uses the one minimizing the sup
-    bound (the inequality is then checked where it is sharpest; it holds
-    everywhere else if it holds there, since both tails diverge).
+    The domain constant is the one minimizing the sup bound (the
+    inequality is then checked where it is sharpest; it holds everywhere
+    else if it holds there, since both tails diverge).
     """
     sup_h2 = float(table.psi[:, 2].max())
     base = float(table.psi[0, 2])
     l1h3, suph2 = table.w_l1h3, table.w_suph2
     relax = 2.0 * params.omega / params.We
 
-    if c_domain is None:
-        if l1h3 == 0.0 or base == 0.0:
-            c_domain = 1.0
-        else:
-            # minimize (base + relax/c) e^{c L}: L base c^2 + L relax c - relax = 0
-            a, b = l1h3 * base, l1h3 * relax
-            c_domain = (-b + np.sqrt(b * b + 4.0 * a * relax)) / (2.0 * a)
+    if l1h3 == 0.0 or base == 0.0:
+        c_domain = 1.0
+    else:
+        # minimize (base + relax/c) e^{c L}: L base c^2 + L relax c - relax = 0
+        a, b = l1h3 * base, l1h3 * relax
+        c_domain = (-b + np.sqrt(b * b + 4.0 * a * relax)) / (2.0 * a)
     bound = (base + relax / c_domain) * np.exp(c_domain * l1h3)
     rate = float(table.psi_rate[:, 1].max())
     denom = (suph2 + 1.0 / (c_domain * params.We)) * (base + relax / c_domain)

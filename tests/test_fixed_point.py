@@ -101,8 +101,8 @@ def test_sweep_matches_manual_composition():
         Fk = assemble_forcing(wk, pk, qk, zero_f, params)
         u, _ = step_velocity(u, Fk, dt, params)
         cm = trace(wk, dt)
-        sg, _ = step_density(sg, wk, dt, params, char_map=cm)
-        tau, _ = step_stress(tau, wk, dt, params, char_map=cm)
+        sg, _ = step_density(sg, cm, params)
+        tau, _ = step_stress(tau, cm, params)
         assert np.array_equal(out.w[k + 1].values, u.values)
         assert np.array_equal(out.pi[k + 1].values, sg.values)
         assert np.array_equal(out.psi[k + 1].values, tau.values)

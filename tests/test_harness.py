@@ -446,3 +446,19 @@ def test_cli_3d_smoke(tmp_path, command):
     summary = _strict_summary(out)
     assert summary["status"] == "ok"
     assert summary["failed_checks"] == []
+
+
+# ---------------------------------------------------------------- demos
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos")
+
+
+@pytest.mark.parametrize("script", sorted(
+    name for name in os.listdir(DEMOS) if name.endswith(".py")))
+def test_demo_runs(script):
+    # each demo runs standalone from its own directory, as the README shows
+    src = os.path.dirname(os.path.dirname(oldroydb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, script], cwd=DEMOS, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

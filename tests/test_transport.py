@@ -155,6 +155,57 @@ def test_trace_stays_in_box_and_pull_interpolates(dim, data):
     assert np.abs(cm.pull(affine(grid.coords)) - exact).max() <= 1e-14 * scale
 
 
+def reference_divergence(w):
+    """div w as `fields.divergence` forms it: second-order differences with
+    one-sided edges, summed in axis order."""
+    h = w.grid.h
+    acc = np.gradient(w.values[0], h[0], axis=0, edge_order=2)
+    for ax in range(1, w.grid.dim):
+        acc = acc + np.gradient(w.values[ax], h[ax], axis=ax, edge_order=2)
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_steps_on_one_map_equal_a_fresh_trace_per_step(dim, data):
+    # the map carries everything a step reads of its frozen velocity, so a
+    # steady velocity traced once must give the same bits as a new trace
+    # per step; the density step's div w is the trace of grad_w, summed in
+    # the order of `divergence`
+    grid = drawn_grid(data, dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    # repeated steps on one rough velocity compound its dilation at the
+    # same nodes: a total Courant number of 0.7 and a wide band keep the
+    # density inside it
+    nsteps = data.draw(st.integers(1, 3), label="steps")
+    courant = data.draw(st.floats(0.01, 0.7 / nsteps), label="courant")
+    w, dt = random_dirichlet_velocity(grid, rng, courant)
+    params = FluidParams(eps=1.0, m1=1e-3, M1=1e3,
+                         We=data.draw(st.floats(0.01, 2.0), label="We"),
+                         a=data.draw(st.floats(-1.0, 1.0), label="a"))
+    cm = trace(w, dt)
+    assert np.array_equal(cm.grad_w, grad_tensor(w))
+
+    theta = dt * reference_divergence(w)
+    m = dim * (dim + 1) // 2
+    sigma = sigma_fresh = mean_zero_noise(grid, int(rng.integers(2**32)))
+    tau = tau_fresh = SymTensorField(grid,
+                                     rng.normal(size=(m,) + grid.node_shape))
+    for _ in range(nsteps):
+        vals = (cm.pull(sigma.values) * np.exp(-theta)
+                + params.alpha / params.eps ** 2 * np.expm1(-theta))
+        drift = mean(ScalarField(grid, vals))
+        sigma, rep = step_density(sigma, cm, params)
+        assert rep.mean_preproject == drift
+        assert np.array_equal(sigma.values, vals - drift)
+        sigma_fresh, _ = step_density(sigma_fresh, trace(w, dt), params)
+        assert np.array_equal(sigma.values, sigma_fresh.values)
+        tau, _ = step_stress(tau, cm, params)
+        tau_fresh, _ = step_stress(tau_fresh, trace(w, dt), params)
+        assert np.array_equal(tau.values, tau_fresh.values)
+
+
 # ---------------------------------------------------------------------------
 # density step
 
@@ -168,7 +219,7 @@ def test_density_still_fluid_fixed_point():
     w0 = VectorField.zeros(grid, dirichlet=True)
     s = sigma
     for _ in range(25):
-        s, rep = step_density(s, w0, 1e-3, PARAMS)
+        s, rep = step_density(s, trace(w0, 1e-3), PARAMS)
         assert abs(mean(s)) <= 1e-12
     assert np.abs(s.values - sigma.values).max() < 1e-13
 
@@ -186,7 +237,7 @@ def test_density_step_is_bitwise_identity_in_still_fluid(dim, data):
     still = VectorField.zeros(grid, dirichlet=True)
     dt = data.draw(st.floats(1e-4, 1e-1), label="dt")
     assert np.array_equal(trace(still, dt).pull(sigma.values), sigma.values)
-    out, rep = step_density(sigma, still, dt, PARAMS)
+    out, rep = step_density(sigma, trace(still, dt), PARAMS)
     drift = mean(sigma)
     assert rep.mean_preproject == drift
     assert np.array_equal(out.values, sigma.values - drift)
@@ -205,7 +256,7 @@ def test_density_uniform_dilation_closed_form():
                                     gamma * (y - 0.5) * chi]),
                     dirichlet=True)
     dt = 1e-3
-    out, rep = step_density(ScalarField.zeros(grid), w, dt, params)
+    out, rep = step_density(ScalarField.zeros(grid), trace(w, dt), params)
     lift = params.alpha / params.eps ** 2
     closed = -lift * (1.0 - np.exp(-2.0 * gamma * dt))
     patch = (np.abs(x - 0.5) < 0.1) & (np.abs(y - 0.5) < 0.1)
@@ -224,7 +275,7 @@ def test_density_advection_max_principle():
     s = sigma
     drift_total = 0.0
     for _ in range(20):
-        s, rep = step_density(s, w, 5e-3, params)
+        s, rep = step_density(s, trace(w, 5e-3), params)
         drift_total += abs(rep.mean_preproject)
     assert np.abs(s.values).max() <= cap0 * (1.0 + 1e-3) + drift_total
 
@@ -236,11 +287,11 @@ def test_density_step_is_affine():
     s2 = mean_zero_noise(grid, 7)
     w = VectorField(grid, 0.5 * taylor_vortex(grid).values, dirichlet=True)
     dt = 2e-3
-    a, _ = step_density(s1, w, dt, params)
-    b, _ = step_density(s2, w, dt, params)
-    ab, _ = step_density(ScalarField(grid, s1.values + s2.values), w, dt,
-                         params)
-    z, _ = step_density(ScalarField.zeros(grid), w, dt, params)
+    a, _ = step_density(s1, trace(w, dt), params)
+    b, _ = step_density(s2, trace(w, dt), params)
+    ab, _ = step_density(ScalarField(grid, s1.values + s2.values),
+                         trace(w, dt), params)
+    z, _ = step_density(ScalarField.zeros(grid), trace(w, dt), params)
     lhs = a.values + b.values - ab.values
     assert np.abs(lhs - z.values).max() < 1e-12
 
@@ -252,8 +303,8 @@ def test_density_band_violation_raises():
     vals[2:5, 2:5] = -3.0  # alpha + sigmaapproaches -2: far below m1/2
     sigma = mean_zero_project(ScalarField(grid, vals))
     with pytest.raises(DensityBandError, match="step_density"):
-        step_density(sigma, VectorField.zeros(grid, dirichlet=True),
-                     1e-3, params)
+        step_density(sigma, trace(VectorField.zeros(grid, dirichlet=True),
+                                  1e-3), params)
 
 
 def test_density_mean_drift_refines_at_first_order():
@@ -268,7 +319,7 @@ def test_density_mean_drift_refines_at_first_order():
         worst = 0.0
         s = sigma
         for _ in range(10):
-            s, rep = step_density(s, w, 5e-3, params)
+            s, rep = step_density(s, trace(w, 5e-3), params)
             worst = max(worst, abs(rep.mean_preproject))
         return worst
 
@@ -289,7 +340,7 @@ def test_stress_still_fluid_relaxes_exponentially():
     tau = tau0
     dt = 1e-2
     for _ in range(100):
-        tau, _ = step_stress(tau, w0, dt, params)
+        tau, _ = step_stress(tau, trace(w0, dt), params)
     ratio = norm(tau, 0) / norm(tau0, 0)
     assert abs(ratio - np.exp(-2.0)) / np.exp(-2.0) < 1e-4
 
@@ -299,7 +350,7 @@ def test_stress_one_step_from_zero_matches_closed_form():
     grid = Grid.unit(32)
     w = VectorField(grid, 0.05 * taylor_vortex(grid).values, dirichlet=True)
     dt = 1e-3
-    tau, _ = step_stress(SymTensorField.zeros(grid), w, dt, params)
+    tau, _ = step_stress(SymTensorField.zeros(grid), trace(w, dt), params)
     D, _ = rate_tensors(w)
     pred = 2.0 * params.omega * dt / (params.We + 0.5 * dt) * D.values
     scale = np.abs(pred).max()
@@ -325,7 +376,7 @@ def test_stress_step_matches_pernode_dense_solve(dim, a):
         nodes = [(3, 4, 2), (4, 4, 4), (6, 5, 1), (1, 7, 3), (7, 2, 6),
                  (0, 3, 5)]
     dt = 5e-3
-    tau, _ = step_stress(tau_prev, w, dt, params)
+    tau, _ = step_stress(tau_prev, trace(w, dt), params)
 
     cm = trace(w, dt)
     m = dim * (dim + 1) // 2
@@ -384,7 +435,7 @@ def test_coupling_matrix_and_min_det_match_dense_reference(dim, a, data):
     w, dt = random_dirichlet_velocity(
         grid, rng, data.draw(st.floats(0.005, 0.05), label="courant"))
     params = FluidParams(We=data.draw(st.floats(0.01, 2.0), label="We"), a=a)
-    _, rep = step_stress(tau, w, dt, params)
+    _, rep = step_stress(tau, trace(w, dt), params)
     gw = grad_tensor(w)
     columns = []
     for k in range(m):
@@ -407,7 +458,7 @@ def test_stress_identity_under_rigid_rotation_only_relaxes():
     tau = SymTensorField.identity(grid)
     dt, nsteps = 1e-3, 10
     for _ in range(nsteps):
-        tau, _ = step_stress(tau, w, dt, params)
+        tau, _ = step_stress(tau, trace(w, dt), params)
     lam = params.We / dt
     per_step = (lam - 0.5) / (lam + 0.5)
     # keep a few cells of buffer: taper-zone values creep inward one
@@ -429,11 +480,11 @@ def test_stress_step_is_affine():
     t2 = random_smooth_field(grid, rng, kind="symtensor")
     w = VectorField(grid, 0.4 * taylor_vortex(grid).values, dirichlet=True)
     dt = 2e-3
-    a, _ = step_stress(t1, w, dt, params)
-    b, _ = step_stress(t2, w, dt, params)
-    ab, _ = step_stress(SymTensorField(grid, t1.values + t2.values), w, dt,
-                        params)
-    z, _ = step_stress(SymTensorField.zeros(grid), w, dt, params)
+    a, _ = step_stress(t1, trace(w, dt), params)
+    b, _ = step_stress(t2, trace(w, dt), params)
+    ab, _ = step_stress(SymTensorField(grid, t1.values + t2.values),
+                        trace(w, dt), params)
+    z, _ = step_stress(SymTensorField.zeros(grid), trace(w, dt), params)
     assert np.abs(a.values + b.values - ab.values - z.values).max() < 1e-12
 
 
@@ -458,7 +509,7 @@ def test_stress_singular_system_raises_with_node(dim):
     w = VectorField(grid, vals, dirichlet=True)
     params = FluidParams(We=We, a=a)
     with pytest.raises(SingularStressSystemError) as err:
-        step_stress(SymTensorField.identity(grid), w, dt, params)
+        step_stress(SymTensorField.identity(grid), trace(w, dt), params)
     assert err.value.node == node
 
 
@@ -474,7 +525,7 @@ def test_stress_exactly_singular_system_raises_without_warnings():
     w = VectorField(grid, vals, dirichlet=True)
     assert grad_tensor(w)[0, 0, 8, 8] == 1.5
     with pytest.raises(SingularStressSystemError) as err:
-        step_stress(SymTensorField.identity(grid), w, 1.0,
+        step_stress(SymTensorField.identity(grid), trace(w, 1.0),
                     FluidParams(We=1.0, a=1.0))
     assert err.value.node == (8, 8)
     assert err.value.det == 0.0
@@ -508,7 +559,7 @@ def still_density_history(grid, nsteps=10, dt=1e-3):
     sigmas, ws = [sigma], [w0]
     s = sigma
     for _ in range(nsteps):
-        s, _ = step_density(s, w0, dt, PARAMS)
+        s, _ = step_density(s, trace(w0, dt), PARAMS)
         sigmas.append(s)
         ws.append(w0)
     return sigmas, ws, dt
@@ -523,8 +574,8 @@ def driven_histories(n, nsteps=10, dt=5e-3, seed=14):
                               kind="symtensor")
     sigmas, taus, ws = [sigma], [tau], [w]
     for _ in range(nsteps):
-        sigma, _ = step_density(sigma, w, dt, params)
-        tau, _ = step_stress(tau, w, dt, params)
+        sigma, _ = step_density(sigma, trace(w, dt), params)
+        tau, _ = step_stress(tau, trace(w, dt), params)
         sigmas.append(sigma)
         taus.append(tau)
         ws.append(w)
@@ -583,7 +634,7 @@ def test_stress_bounds_still_fluid():
     w0 = VectorField.zeros(grid, dirichlet=True)
     taus, ws = [tau], [w0]
     for _ in range(10):
-        tau, _ = step_stress(tau, w0, 1e-3, params)
+        tau, _ = step_stress(tau, trace(w0, 1e-3), params)
         taus.append(tau)
         ws.append(w0)
     sigmas = [ScalarField.zeros(grid)] * len(ws)

@@ -11,7 +11,7 @@ import numpy as np
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
                       VectorField, check_energy_budget, check_membership,
                       fixed_point_residual, iterate, picard_sweep,
-                      rate_tensors)
+                      rate_tensors, trajectory_norms)
 from oldroydb.mms import taylor_vortex
 
 
@@ -29,7 +29,7 @@ def preset(n=32):
 
 def main():
     grid, params, u0, s0, t0 = preset()
-    sol, hist = iterate(u0, s0, t0, None, params, T=0.01, dt=1e-3)
+    sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)
 
     print(f"converged after {hist.iterations} sweeps "
           f"(budgets b1 = {hist.b1:.3g}, b2 = {hist.b2:.3g})")
@@ -39,7 +39,7 @@ def main():
         ratio = "   -  " if i == 1 else f"{r:.3f}"
         print(f"{i:>5}   {d:.3e}   {ratio}   {s:.3f}")
 
-    res = fixed_point_residual(sol, None, params)
+    res = fixed_point_residual(sol, params)
     print(f"\nsystem residual: velocity {res.velocity:.1e}, "
           f"density {res.density:.1e}, stress {res.stress:.1e}")
 
@@ -48,15 +48,16 @@ def main():
           f"density range [{mem.density_min:.6f}, {mem.density_max:.6f}] "
           f"inside [{mem.band_lo}, {mem.band_hi}]")
 
-    out, diag = picard_sweep(sol, None, params)
-    energy = check_energy_budget(out.w, diag.forcings, sol.dt, params)
+    out, diag = picard_sweep(sol, params)
+    table = trajectory_norms(out.w, out.pi, out.psi, out.dt)
+    energy = check_energy_budget(table, out.w, diag.forcings, params)
     print(f"energy budget: lhs {energy.lhs:.5f} <= "
           f"rhs (1 + 10 dt) = {energy.rhs * (1 + 10 * sol.dt):.5f} "
           f"-> {'holds' if energy.satisfied else 'VIOLATED'}")
 
     # the same construction refuses a window that is too long for the data
     try:
-        iterate(u0, s0, t0, None, params, T=0.08, dt=1e-3, max_iter=6)
+        iterate(u0, s0, t0, params, T=0.08, dt=1e-3, max_iter=6)
     except Exception as exc:
         print(f"\neightfold window: {exc}")
 

@@ -16,7 +16,7 @@ preset = import_module("03_fixed_point_run").preset
 
 def main():
     grid, params, u0, s0, t0 = preset()
-    sol, _ = iterate(u0, s0, t0, None, params, T=0.01, dt=1e-3)
+    sol, _ = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)
 
     for components, label in [("wps", "all components"),
                               ("s", "stress only")]:

@@ -33,9 +33,9 @@ def compressive_data(n):
 
 def pair(n):
     grid, params, u0, s0, t0, pert = compressive_data(n)
-    sol, _ = iterate(u0, s0, t0, None, params, T=0.01, dt=1e-3,
+    sol, _ = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
                      max_iter=25)
-    solp, _ = iterate(u0, s0 + pert, t0, None, params, T=0.01, dt=1e-3,
+    solp, _ = iterate(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
                       max_iter=25)
     return params, sol, solp
 

@@ -11,8 +11,9 @@ linearly, and a two-solution energy experiment that fits the growth
 constant of the discrete Gronwall envelope.
 
 Budgets and the Gronwall constant are empirical: the analysis guarantees
-their existence but not their size, so they are fitted on coarse runs and
-held fixed on refined ones.
+their existence but not their size. The budgets are sized from the initial
+data each run; the Gronwall constant is fitted on one run and may be held
+on another.
 """
 
 import math
@@ -150,31 +151,19 @@ def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
     return math.sqrt(worst)
 
 
-def _normalize_forcing(f, grid, dt):
-    if f is None:
-        zero = VectorField.zeros(grid, dirichlet=True)
-        return lambda t: zero
-    if callable(f):
-        return f
-    seq = tuple(f)
-
-    def at(t):
-        k = min(int(round(t / dt)), len(seq) - 1)
-        return seq[k]
-
-    return at
-
-
-def assemble_forcing(w: VectorField, pi: ScalarField, psi: SymTensorField,
-                     f: VectorField, params) -> VectorField:
+def assemble_forcing(w: VectorField, grad_w: np.ndarray, pi: ScalarField,
+                     psi: SymTensorField, params) -> VectorField:
     """Full momentum right-hand side for one frozen guess.
 
     Density-weighted remainder terms from the momentum source, minus the
     guess self-transport, minus the density push, plus the stress divergence.
+    `grad_w` is `grad_tensor(w)`; in a sweep it comes from the step's
+    characteristic map. A w and grad pi are taken here, once each.
     """
-    base = momentum_source(w, pi, f, params)
-    adv = np.einsum("j...,ij...->i...", w.values, grad_tensor(w))
-    vals = (base.values - params.alpha * adv - gradient(pi).values
+    gp = gradient(pi)
+    base = momentum_source(viscous_operator(w), pi, gp, params)
+    adv = np.einsum("j...,ij...->i...", w.values, grad_w)
+    vals = (base.values - params.alpha * adv - gp.values
             + div_tensor(psi).values)
     return VectorField(w.grid, vals)
 
@@ -189,28 +178,26 @@ class SweepDiagnostics:
     stress_reports: tuple
 
 
-def picard_sweep(inp: IterTriple, f, params,
-                 tol_lin: float = 1e-10) -> tuple:
+def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10) -> tuple:
     """One application of the frozen-coefficient map, with diagnostics.
 
     Coefficients for step k are frozen at the arrival node k+1 of the input
-    trajectory; the density and stress updates share one characteristic
-    trace per step. Initial data pass through exactly. Solver failures gain
-    a ``timestep`` attribute before propagating.
+    trajectory. Each step first traces that node's velocity; the forcing
+    takes its gradient from the trace's map, and the density and stress
+    updates share the map. So every frozen velocity is differentiated once,
+    node 0 (forcing only) included. Initial data pass through exactly.
+    Solver failures gain a ``timestep`` attribute before propagating.
     """
-    forcing = _normalize_forcing(f, inp.grid, inp.dt)
     u, sg, tau = inp.w[0], inp.pi[0], inp.psi[0]
     us, sgs, taus = [u], [sg], [tau]
-    Fs = [assemble_forcing(inp.w[0], inp.pi[0], inp.psi[0],
-                           forcing(0.0), params)]
+    Fs = [assemble_forcing(u, grad_tensor(u), sg, tau, params)]
     vreps, dreps, sreps = [], [], []
     for k in range(inp.nsteps):
         wk, pk, qk = inp.w[k + 1], inp.pi[k + 1], inp.psi[k + 1]
         try:
-            Fk = assemble_forcing(wk, pk, qk, forcing((k + 1) * inp.dt),
-                                  params)
-            u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin)
             cm = trace(wk, inp.dt)
+            Fk = assemble_forcing(wk, cm.grad_w, pk, qk, params)
+            u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin)
             sg, dr = step_density(sg, cm, params)
             tau, sr = step_stress(tau, cm, params)
         except (DensityBandError, LinearSolveError, NonDirichletError,
@@ -321,14 +308,14 @@ class ConvergenceHistory:
 
 
 def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
-            f, params, T: float, dt: float, tol_fp: float = 1e-8,
+            params, T: float, dt: float, tol_fp: float = 1e-8,
             max_iter: int = 20, tol_lin: float = 1e-10,
-            initial_guess: IterTriple = None, b1: float = None,
-            b2: float = None) -> tuple:
+            initial_guess: IterTriple = None) -> tuple:
     """Run sweeps until consecutive trajectories agree to tol_fp.
 
     Checks the discrete solvability hypotheses first (zero-trace velocity,
     mean-zero density remainder, total density inside the strict band).
+    Membership is checked against `suggest_budgets` of the initial data.
     Raises NonConvergenceError with the distance history when max_iter
     sweeps do not contract below tolerance.
     """
@@ -351,10 +338,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * T:
         raise ConfigError("window length must be a whole number of steps")
 
-    if b1 is None or b2 is None:
-        auto1, auto2 = suggest_budgets(u0, sigma0, tau0, params)
-        b1 = auto1 if b1 is None else b1
-        b2 = auto2 if b2 is None else b2
+    b1, b2 = suggest_budgets(u0, sigma0, tau0, params)
 
     if initial_guess is None:
         x = IterTriple.constant(u0, sigma0, tau0, nsteps, dt)
@@ -371,7 +355,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     dists, ratios, slacks = [], [], []
     mem = None
     for k in range(1, max_iter + 1):
-        y = picard_sweep(x, f, params, tol_lin=tol_lin)[0]
+        y = picard_sweep(x, params, tol_lin=tol_lin)[0]
         d = trajectory_distance(y, x, params)
         mem = check_membership(y, b1, b2, params)
         ratios.append(d / dists[-1] if dists and dists[-1] > 0.0
@@ -404,10 +388,10 @@ class SystemResidual:
         return max(self.velocity, self.density, self.stress)
 
 
-def fixed_point_residual(sol: IterTriple, f, params,
+def fixed_point_residual(sol: IterTriple, params,
                          tol_lin: float = 1e-10) -> SystemResidual:
     """Plug a converged trajectory back into the coupled system."""
-    out = picard_sweep(sol, f, params, tol_lin=tol_lin)[0]
+    out = picard_sweep(sol, params, tol_lin=tol_lin)[0]
     gv, gp, gs = _component_gaps(out, sol)
     return SystemResidual(velocity=gv, density=gp, stress=gs)
 
@@ -465,7 +449,7 @@ class ProbeReport:
     linear_ok: bool
 
 
-def continuity_probe(base: IterTriple, delta: float, params, f=None,
+def continuity_probe(base: IterTriple, delta: float, params,
                      components: str = "wps",
                      tol_lin: float = 1e-10) -> ProbeReport:
     """Perturb the input trajectory at amplitudes delta, delta/2, delta/4.
@@ -480,12 +464,12 @@ def continuity_probe(base: IterTriple, delta: float, params, f=None,
     if not components or set(components) - set("wps"):
         raise ValueError("components must be a nonempty subset of 'wps'")
     shapes = _probe_shapes(base.grid)
-    ref = picard_sweep(base, f, params, tol_lin=tol_lin)[0]
+    ref = picard_sweep(base, params, tol_lin=tol_lin)[0]
     scales = (delta, delta / 2.0, delta / 4.0) if delta > 0.0 else (0.0,)
     gv, gp, gs, gtot = [], [], [], []
     for s in scales:
-        out = picard_sweep(_perturb(base, s, shapes, components), f,
-                           params, tol_lin=tol_lin)[0]
+        out = picard_sweep(_perturb(base, s, shapes, components), params,
+                           tol_lin=tol_lin)[0]
         a, b, c = _component_gaps(out, ref)
         gv.append(a)
         gp.append(b)

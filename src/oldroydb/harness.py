@@ -32,7 +32,7 @@ __all__ = ["RunConfig", "EnergyLedger", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
            "serialize_config", "build_grid", "build_params",
            "build_initial_data", "VELOCITY_PRESETS", "DENSITY_PRESETS",
-           "STRESS_PRESETS", "FORCING_PRESETS", "run_experiment",
+           "STRESS_PRESETS", "run_experiment",
            "mms_experiment", "uniqueness_pair_experiment",
            "probe_experiment"]
 
@@ -73,7 +73,6 @@ class RunConfig:
     ic_density_amplitude: float = _key("ic.density_amplitude", 0.01)
     ic_stress: str = _key("ic.stress", "proportional-stress")
     ic_stress_amplitude: float = _key("ic.stress_amplitude", 0.02)
-    forcing: str = _key("forcing.preset", "none")
     probe_amplitude: float = _key("probe.amplitude", 1e-3)
     uniqueness_amplitude: float = _key("uniqueness.amplitude", 1e-4)
     out_dir: str = _key("output.dir", "out")
@@ -86,7 +85,6 @@ _KEY_TO_ATTR = {k: (a, c) for k, a, c in _KEYS}
 VELOCITY_PRESETS = ("zero", "vortex", "gradient")
 DENSITY_PRESETS = ("zero", "cosine-density", "bump", "noise")
 STRESS_PRESETS = ("zero", "proportional-stress")
-FORCING_PRESETS = ("none",)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -155,8 +153,7 @@ def validate_config(cfg: RunConfig) -> None:
     for name, value, allowed in [
             ("ic.velocity", cfg.ic_velocity, VELOCITY_PRESETS),
             ("ic.density", cfg.ic_density, DENSITY_PRESETS),
-            ("ic.stress", cfg.ic_stress, STRESS_PRESETS),
-            ("forcing.preset", cfg.forcing, FORCING_PRESETS)]:
+            ("ic.stress", cfg.ic_stress, STRESS_PRESETS)]:
         if value not in allowed:
             raise ConfigError(f"{name} preset {value!r} is not one of "
                               f"{', '.join(allowed)}")
@@ -276,12 +273,6 @@ def build_initial_data(cfg: RunConfig):
     return grid, params, u0, s0, t0
 
 
-def build_forcing(cfg: RunConfig, grid: Grid):
-    if cfg.forcing == "none":
-        return None
-    raise ConfigError(f"unknown forcing preset {cfg.forcing!r}")
-
-
 # --------------------------------------------------------------- ledgers
 
 LEDGER_COLUMNS = ("t", "u_l2", "u_h2", "sigma_h2", "tau_h2",
@@ -354,20 +345,19 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     propagate as exceptions for the caller to translate.
     """
     os.makedirs(out_dir, exist_ok=True)
-    grid, params, u0, s0, t0 = build_initial_data(cfg)
-    f = build_forcing(cfg, grid)
+    _, params, u0, s0, t0 = build_initial_data(cfg)
 
-    sol, hist = iterate(u0, s0, t0, f, params, cfg.T, cfg.dt,
+    sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
                         tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
                         tol_lin=cfg.tol_lin)
     # one extra sweep: its per-step reports describe exactly the linear
     # problems the converged trajectory solves
-    out, diag = picard_sweep(sol, f, params, tol_lin=cfg.tol_lin)
+    out, diag = picard_sweep(sol, params, tol_lin=cfg.tol_lin)
     residual = trajectory_distance(out, sol)
 
     dt, nsteps = cfg.dt, sol.nsteps
     table = trajectory_norms(out.w, out.pi, out.psi, dt)
-    energy = check_energy_budget(out.w, diag.forcings, dt, params)
+    energy = check_energy_budget(table, out.w, diag.forcings, params)
     regularity = check_regularity_budget(table, out.w[0], diag.forcings)
     density_fit = check_density_bounds(table, params)
     stress_fit = check_stress_bounds(table, params)
@@ -492,7 +482,6 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
     """Base run vs. density-perturbed run against the growth envelope."""
     os.makedirs(out_dir, exist_ok=True)
     grid, params, u0, s0, t0 = build_initial_data(cfg)
-    f = build_forcing(cfg, grid)
     cap = delta_threshold(params)
     if not 0.0 < cfg.delta < cap:
         raise ConfigError(
@@ -500,7 +489,7 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
             "positivity threshold of the gap dissipation coefficients")
 
     def solve(sigma):
-        sol, _ = iterate(u0, sigma, t0, f, params, cfg.T, cfg.dt,
+        sol, _ = iterate(u0, sigma, t0, params, cfg.T, cfg.dt,
                          tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
                          tol_lin=cfg.tol_lin)
         return sol
@@ -538,12 +527,11 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
 def probe_experiment(cfg: RunConfig, out_dir) -> dict:
     """Input-perturbation linearity of one sweep around a converged run."""
     os.makedirs(out_dir, exist_ok=True)
-    grid, params, u0, s0, t0 = build_initial_data(cfg)
-    f = build_forcing(cfg, grid)
-    sol, _ = iterate(u0, s0, t0, f, params, cfg.T, cfg.dt,
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
                      tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
                      tol_lin=cfg.tol_lin)
-    rep = continuity_probe(sol, cfg.probe_amplitude, params, f=f,
+    rep = continuity_probe(sol, cfg.probe_amplitude, params,
                            tol_lin=cfg.tol_lin)
     path = os.path.join(out_dir, "probe.csv")
     _write_csv(path,

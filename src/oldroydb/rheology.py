@@ -9,8 +9,9 @@ elastic stress tau.  This module owns everything algebraic at a node:
 * `objective_coupling`  g(grad u, tau) = tau W - W tau - a (D tau + tau D),
   the non-transport part of the frame-objective stress derivative;
 * `momentum_source`     the frozen-coefficient momentum forcing
-  F(w, pi) = alpha f + (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
-           + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi.
+  F(w, pi) = (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
+           + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi,
+  from samples of A w and grad pi taken by the caller.
 
 All evaluations are pointwise and vectorized over the grid.
 """
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DensityBandError
-from .fields import (ScalarField, SymTensorField, VectorField, gradient,
-                     viscous_operator)
+from .fields import ScalarField, SymTensorField, VectorField
 
 __all__ = ["FluidParams", "PressureLaw", "pressure_increment",
            "objective_coupling", "momentum_source", "density_band_check"]
@@ -110,15 +110,16 @@ def density_band_check(sigma: ScalarField, params: FluidParams,
     return rmin, rmax
 
 
-def pressure_increment(sigma: ScalarField, params: FluidParams,
-                       law: PressureLaw = None) -> ScalarField:
-    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha); w(0) = 0 exactly.
+def pressure_increment(sigma: ScalarField,
+                       params: FluidParams) -> ScalarField:
+    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha) under `params.law`;
+    w(0) = 0 exactly.
 
     Evaluation outside the working density band [m1/2, 2 M1] is an
     unphysical state and raises through `density_band_check`, naming the
     worst node.
     """
-    law = params.law if law is None else law
+    law = params.law
     density_band_check(sigma, params, context="pressure_increment")
     if law.kind in ("linear", "isothermal"):
         return ScalarField.zeros(sigma.grid)
@@ -151,25 +152,24 @@ def objective_coupling(grad_w: np.ndarray, tau: SymTensorField,
     return SymTensorField.from_full(grid, m + np.swapaxes(m, 0, 1))
 
 
-def momentum_source(w: VectorField, pi: ScalarField, f: VectorField,
+def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
                     params: FluidParams) -> VectorField:
-    """Frozen-coefficient momentum forcing F(w, pi, f).
+    """Frozen-coefficient momentum forcing F(w, pi) from derivative samples.
 
-    F = alpha f
-      + (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
+    F = (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
       + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi
 
-    The frozen density alpha + eps^2 pi must stay inside the working band
-    [m1/2, 2 M1]; a violation raises with the offending node (this is the
-    membership failure mode of the fixed-point set).
+    `aw` = A w (`viscous_operator`) and `grad_pi` = grad pi (`gradient`)
+    are taken by the caller, so this is pointwise algebra, as
+    `objective_coupling` is on `grad_w`.  The frozen density
+    alpha + eps^2 pi must stay inside the working band [m1/2, 2 M1]; a
+    violation raises with the offending node (this is the membership
+    failure mode of the fixed-point set).
     """
-    grid = w.grid
     density_band_check(pi, params, context="momentum_source")
     rho = params.alpha + params.eps ** 2 * pi.values
-    aw = viscous_operator(w)
     wp = pressure_increment(pi, params)
-    gp = gradient(pi)
     coef_visc = (1.0 - params.omega) * (params.eps ** 2 * pi.values / rho)
     coef_pres = (params.eps ** 2 / rho) * (pi.values - wp.values)
-    vals = params.alpha * f.values + coef_visc * aw.values + coef_pres * gp.values
-    return VectorField(grid, vals)
+    return VectorField(pi.grid, coef_visc * aw.values
+                       + coef_pres * grad_pi.values)

@@ -22,7 +22,8 @@ Two a-posteriori checks instrument a computed trajectory:
         + (1-omega) sup ||D u||^2 + (1-omega) sup ||div u||^2
       <= 4 (1-omega) ||D u0||^2 + int ||F||^2
 
-  up to a (1 + 10 dt) discretization slack;
+  up to a (1 + 10 dt) discretization slack, with the ||u'|| terms read
+  from a `fields.trajectory_norms` table;
 
 * `check_regularity_budget`: the empirical stability ratio
 
@@ -162,16 +163,21 @@ class EnergyBudgetReport:
     rhs_history: np.ndarray = field(repr=False)
 
 
-def check_energy_budget(us, Fs, dt, params) -> EnergyBudgetReport:
+def check_energy_budget(table, us, Fs, params) -> EnergyBudgetReport:
     """Evaluate both sides of the trajectory energy inequality.
 
-    us: fields at t_0 .. t_N; Fs: forcing with Fs[0] = F(0) (unused here
-    beyond index alignment) and Fs[n] the right side applied in step n.
+    table: the `trajectory_norms` table of the trajectory, which supplies dt
+    and the L2 norm of each velocity rate; us: fields at t_0 .. t_N; Fs:
+    forcing with Fs[0] = F(0) (unused here beyond index alignment) and Fs[n]
+    the right side applied in step n.
     """
-    if len(Fs) != len(us):
+    if not len(Fs) == len(us) == len(table.w):
         raise ValueError("need one forcing sample per time node")
     om = params.omega
+    dt = table.dt
     nsteps = len(us) - 1
+    # squared on Python floats to match `norm(...) ** 2` to the bit
+    rate_l2 = table.w_rate[:, 0].tolist()
 
     def strain_pieces(u):
         D, _ = rate_tensors(u)
@@ -189,8 +195,7 @@ def check_energy_budget(us, Fs, dt, params) -> EnergyBudgetReport:
     lhs_hist[0] = (1.0 - om) * (sup_d + sup_c)
     rhs_hist[0] = initial_strain
     for n in range(1, nsteps + 1):
-        rate = VectorField(us[n].grid, (us[n].values - us[n - 1].values) / dt)
-        rate_int += dt * norm(rate, 0) ** 2
+        rate_int += dt * rate_l2[n - 1] ** 2
         visc_int += dt * norm(viscous_operator(us[n]), 0) ** 2
         forcing_int += dt * norm(Fs[n], 0) ** 2
         dn, cn = strain_pieces(us[n])

@@ -69,9 +69,9 @@ def centered_bump_perturbation(grid, amp=1e-4):
 
 def _converged(n):
     grid, params, u0, s0, t0 = small_preset(n)
-    sol, hist = iterate(u0, s0, t0, None, params, T=0.01, dt=1e-3,
+    sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
                         tol_fp=1e-8)
-    out, diag = picard_sweep(sol, None, params)
+    out, diag = picard_sweep(sol, params)
     return SimpleNamespace(grid=grid, params=params, u0=u0, s0=s0, t0=t0,
                            sol=sol, hist=hist, out=out, diag=diag)
 
@@ -89,9 +89,9 @@ def converged64():
 def _gronwall_pair(n):
     grid, params, u0, s0, t0 = compressive_preset(n)
     pert = centered_bump_perturbation(grid)
-    sol, _ = iterate(u0, s0, t0, None, params, T=0.01, dt=1e-3,
+    sol, _ = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
                      tol_fp=1e-8, max_iter=25)
-    solp, _ = iterate(u0, s0 + pert, t0, None, params, T=0.01, dt=1e-3,
+    solp, _ = iterate(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
                       tol_fp=1e-8, max_iter=25)
     return SimpleNamespace(grid=grid, params=params, sol=sol, solp=solp)
 

@@ -139,7 +139,8 @@ def test_criterion_4_energy_inequality(request):
     t0 = time.perf_counter()
     run = request.getfixturevalue("converged32")
     dt = run.sol.dt
-    energy = check_energy_budget(run.out.w, run.diag.forcings, dt,
+    table = trajectory_norms(run.out.w, run.out.pi, run.out.psi, dt)
+    energy = check_energy_budget(table, run.out.w, run.diag.forcings,
                                  run.params)
     diss_ok = True
     for k in range(run.sol.nsteps):
@@ -163,7 +164,7 @@ def test_criterion_5_fixed_point_convergence(request):
     d = hist.distances
     monotone = all(d[i + 1] < d[i] for i in range(len(d) - 1))
     worst_ratio = max(hist.ratios[1:]) if len(d) > 1 else 0.0
-    residual = fixed_point_residual(sol, None, params).worst
+    residual = fixed_point_residual(sol, params).worst
     lo, hi = params.band
     band_ok = (hist.membership.density_min >= lo
                and hist.membership.density_max <= hi)
@@ -195,8 +196,8 @@ def test_criterion_7_uniqueness_envelope(request):
     run = request.getfixturevalue("converged32")
     c = run
     nudge = picard_sweep(
-        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)[0]
-    sol_b, _ = iterate(c.u0, c.s0, c.t0, None, c.params, T=0.01, dt=1e-3,
+        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), c.params)[0]
+    sol_b, _ = iterate(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3,
                        initial_guess=nudge)
     same = uniqueness_experiment(c.sol, sol_b, 1.0, c.params, fp_tol=1e-8)
     identical_ok = same.identical and same.satisfied \

@@ -12,10 +12,12 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
                       SymTensorField, VectorField, assemble_forcing,
                       check_membership, continuity_probe, delta_threshold,
-                      fixed_point_residual, iterate, mean, picard_sweep,
-                      step_density, step_stress, step_velocity,
-                      suggest_budgets, trace, trajectory_distance,
-                      trajectory_norms, uniqueness_experiment)
+                      fixed_point_residual, grad_tensor, iterate, mean,
+                      picard_sweep, step_density, step_stress,
+                      step_velocity, suggest_budgets, trace,
+                      trajectory_distance, trajectory_norms,
+                      uniqueness_experiment)
+from oldroydb import fixed_point, rheology, transport
 from oldroydb.fields import random_smooth_field
 from oldroydb.transport import check_density_bounds, check_stress_bounds
 from oldroydb.velocity import check_regularity_budget, run_velocity
@@ -77,7 +79,7 @@ def test_zero_guess_maps_to_zero():
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
     x = IterTriple.constant(z_w, z_s, z_t, 5, 1e-3)
-    y = picard_sweep(x, None, params)[0]
+    y = picard_sweep(x, params)[0]
     for k in range(6):
         assert not y.w[k].values.any()
         assert not y.pi[k].values.any()
@@ -93,16 +95,17 @@ def test_sweep_matches_manual_composition():
     _, us, _, _ = run_velocity(u0, lambda t: zero_f, nsteps * dt, dt, params)
     x = IterTriple(us, (s0,) * (nsteps + 1), (t0,) * (nsteps + 1), dt)
 
-    out, diag = picard_sweep(x, None, params)
+    out, diag = picard_sweep(x, params)
 
     u, sg, tau = u0, s0, t0
     for k in range(nsteps):
         wk, pk, qk = x.w[k + 1], x.pi[k + 1], x.psi[k + 1]
-        Fk = assemble_forcing(wk, pk, qk, zero_f, params)
-        u, _ = step_velocity(u, Fk, dt, params)
         cm = trace(wk, dt)
+        Fk = assemble_forcing(wk, cm.grad_w, pk, qk, params)
+        u, _ = step_velocity(u, Fk, dt, params)
         sg, _ = step_density(sg, cm, params)
         tau, _ = step_stress(tau, cm, params)
+        assert np.array_equal(diag.forcings[k + 1].values, Fk.values)
         assert np.array_equal(out.w[k + 1].values, u.values)
         assert np.array_equal(out.pi[k + 1].values, sg.values)
         assert np.array_equal(out.psi[k + 1].values, tau.values)
@@ -111,12 +114,37 @@ def test_sweep_matches_manual_composition():
     assert len(diag.velocity_reports) == nsteps
 
 
+def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
+    # N steps freeze N + 1 nodes: the forcing at node 0 takes grad_tensor
+    # itself, every later node reuses the gradient its trace took; each of
+    # the N + 1 forcings takes the density gradient once
+    grid, params, u0, s0, t0 = small_preset(12)
+    nsteps = 4
+    x = IterTriple.constant(u0, s0, t0, nsteps, 1e-3)
+    calls = {"grad_tensor": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (fixed_point, rheology, transport):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    _, diag = picard_sweep(x, params)
+    assert len(diag.forcings) == nsteps + 1
+    assert calls == {"grad_tensor": nsteps + 1, "gradient": nsteps + 1}
+
+
 def test_zero_forcing_assembles_to_zero():
     grid, params, _, _, _ = small_preset(12)
     z_w = VectorField.zeros(grid, dirichlet=True)
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
-    F = assemble_forcing(z_w, z_s, z_t, z_w, params)
+    F = assemble_forcing(z_w, grad_tensor(z_w), z_s, z_t, params)
     assert not F.values.any()
 
 
@@ -127,15 +155,15 @@ def test_sweep_failure_reports_timestep():
     pis[3] = ScalarField(grid, np.full(grid.node_shape, -150.0))
     x = IterTriple((u0,) * 6, pis, (t0,) * 6, dt=1e-3)
     with pytest.raises(DensityBandError) as err:
-        picard_sweep(x, None, params)
+        picard_sweep(x, params)
     assert err.value.timestep == 3
 
 
 def test_one_sweep_already_contracts():
     grid, params, u0, s0, t0 = small_preset(32)
     x0 = IterTriple.constant(u0, s0, t0, 10, 1e-3)
-    y1 = picard_sweep(x0, None, params)[0]
-    y2 = picard_sweep(y1, None, params)[0]
+    y1 = picard_sweep(x0, params)[0]
+    y2 = picard_sweep(y1, params)[0]
     d1 = trajectory_distance(y1, x0, params)
     d2 = trajectory_distance(y2, y1, params)
     assert d2 < 0.5 * d1
@@ -221,7 +249,7 @@ def test_iterate_zero_data_is_immediate():
     z_w = VectorField.zeros(grid, dirichlet=True)
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
-    sol, hist = iterate(z_w, z_s, z_t, None, params, T=5e-3, dt=1e-3)
+    sol, hist = iterate(z_w, z_s, z_t, params, T=5e-3, dt=1e-3)
     assert hist.converged and hist.iterations == 1
     assert hist.distances == (0.0,)
     assert math.isnan(hist.ratios[0])
@@ -257,7 +285,7 @@ def test_solution_preserves_structure(converged32):
 
 
 def test_fixed_point_residual_small(converged32):
-    res = fixed_point_residual(converged32.sol, None, converged32.params)
+    res = fixed_point_residual(converged32.sol, converged32.params)
     assert res.worst < 1e-7  # ten times the sweep tolerance
 
 
@@ -265,30 +293,30 @@ def test_iterate_rejects_bad_data():
     grid, params, u0, s0, t0 = small_preset(16)
     loose = VectorField(grid, u0.values)
     with pytest.raises(ConfigError, match="vanish on the boundary"):
-        iterate(loose, s0, t0, None, params, T=5e-3, dt=1e-3)
+        iterate(loose, s0, t0, params, T=5e-3, dt=1e-3)
     drift = ScalarField(grid, s0.values + 0.5)
     with pytest.raises(ConfigError, match="zero mean"):
-        iterate(u0, drift, t0, None, params, T=5e-3, dt=1e-3)
+        iterate(u0, drift, t0, params, T=5e-3, dt=1e-3)
     x, y = grid.coords
     deep = ScalarField(grid, 120.0 * np.cos(2 * np.pi * x)
                        * np.cos(2 * np.pi * y))
     with pytest.raises(ConfigError, match="strict band"):
-        iterate(u0, deep, t0, None, params, T=5e-3, dt=1e-3)
+        iterate(u0, deep, t0, params, T=5e-3, dt=1e-3)
     with pytest.raises(ConfigError, match="positive"):
-        iterate(u0, s0, t0, None, params, T=0.0, dt=1e-3)
+        iterate(u0, s0, t0, params, T=0.0, dt=1e-3)
     with pytest.raises(ConfigError, match="whole number"):
-        iterate(u0, s0, t0, None, params, T=0.0105, dt=1e-3)
+        iterate(u0, s0, t0, params, T=0.0105, dt=1e-3)
 
 
 def test_iterate_rejects_bad_guess():
     grid, params, u0, s0, t0 = small_preset(16)
     short = IterTriple.constant(u0, s0, t0, 3, 1e-3)
     with pytest.raises(ConfigError, match="ladder"):
-        iterate(u0, s0, t0, None, params, T=5e-3, dt=1e-3,
+        iterate(u0, s0, t0, params, T=5e-3, dt=1e-3,
                 initial_guess=short)
     unpinned = IterTriple.constant(u0 * 0.5, s0, t0, 5, 1e-3)
     with pytest.raises(ConfigError, match="start from the given data"):
-        iterate(u0, s0, t0, None, params, T=5e-3, dt=1e-3,
+        iterate(u0, s0, t0, params, T=5e-3, dt=1e-3,
                 initial_guess=unpinned)
 
 
@@ -297,7 +325,7 @@ def test_iterate_reports_divergence_on_long_window():
     # sweep distances stop shrinking and the history is handed back
     grid, params, u0, s0, t0 = small_preset(32)
     with pytest.raises(NonConvergenceError, match="shorter window") as err:
-        iterate(u0, s0, t0, None, params, T=0.08, dt=1e-3, max_iter=6)
+        iterate(u0, s0, t0, params, T=0.08, dt=1e-3, max_iter=6)
     h = err.value.history
     assert len(h) == 6
     assert h[-1] > h[2]
@@ -372,8 +400,8 @@ def test_identical_data_land_on_same_trajectory(converged32):
     # must agree to within the solver tolerance budget
     c = converged32
     nudge = picard_sweep(
-        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), None, c.params)[0]
-    sol_b, hist_b = iterate(c.u0, c.s0, c.t0, None, c.params, T=0.01,
+        IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), c.params)[0]
+    sol_b, hist_b = iterate(c.u0, c.s0, c.t0, c.params, T=0.01,
                             dt=1e-3, initial_guess=nudge)
     assert hist_b.converged
     rep = uniqueness_experiment(c.sol, sol_b, 1.0, c.params, fp_tol=1e-8)
@@ -387,7 +415,7 @@ def test_dissipative_pair_needs_no_growth_constant(converged32):
     # smallest closing constant is exactly zero and the flat envelope holds
     c = converged32
     pert = centered_bump_perturbation(c.grid)
-    solp, _ = iterate(c.u0, c.s0 + pert, c.t0, None, c.params, T=0.01,
+    solp, _ = iterate(c.u0, c.s0 + pert, c.t0, c.params, T=0.01,
                       dt=1e-3)
     rep = uniqueness_experiment(c.sol, solp, 1.0, c.params)
     assert not rep.identical

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ import oldroydb
 import oldroydb.fixed_point as fixed_point
 from oldroydb import ConfigError, mean
 from oldroydb.cli import main
-from oldroydb.errors import DensityBandError, LinearSolveError
+from oldroydb.errors import (DensityBandError, LinearSolveError,
+                             NonDirichletError)
 from oldroydb.harness import (DENSITY_PRESETS, EnergyLedger, LEDGER_COLUMNS,
                               RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
                               build_initial_data, config_as_dict,
@@ -282,6 +284,7 @@ def test_cli_divergence_exits_3(tmp_path):
 @pytest.mark.parametrize("target, exc, exit_code", [
     ("step_velocity", LinearSolveError("injected stall"), 3),
     ("step_density", DensityBandError((1, 1), 9.0, 0.5, 1.5), 4),
+    ("trace", NonDirichletError("injected departure"), 4),
 ])
 def test_cli_names_failed_timestep(tmp_path, monkeypatch, target, exc,
                                    exit_code):
@@ -462,3 +465,32 @@ def test_demo_runs(script):
     done = subprocess.run([sys.executable, script], cwd=DEMOS, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------- README
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "README.md")
+
+
+def _readme_block(after):
+    """The first fenced block of README.md that follows the line `after`."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(after)
+    match = re.compile(r"^```[a-z]*\n(.*?)^```", re.M | re.S).search(
+        text, start)
+    return match.group(1)
+
+
+def test_readme_quickstart_runs(capsys):
+    code = _readme_block("## Library quickstart")
+    exec(compile(code, README, "exec"), {})
+    assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_readme_lists_exactly_the_config_keys():
+    block = _readme_block("Keys:")
+    listed = [key for line in block.splitlines()
+              for key in line.split("#", 1)[0].split()]
+    assert listed == list(config_as_dict(RunConfig()))

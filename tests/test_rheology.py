@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oldroydb import (DensityBandError, FluidParams, Grid, PressureLaw,
-                      ScalarField, SymTensorField, VectorField, grad_tensor,
+                      ScalarField, SymTensorField, grad_tensor,
                       gradient, momentum_source, norm, objective_coupling,
                       pressure_increment, rate_tensors, sym_components,
                       viscous_operator)
@@ -192,24 +192,17 @@ def test_coupling_not_jointly_additive():
 # momentum source
 
 
+def source(w, pi, params):
+    """momentum_source on the derivative samples a forcing assembly takes."""
+    return momentum_source(viscous_operator(w), pi, gradient(pi), params)
+
+
 def test_source_zero_inputs_zero():
     grid = Grid.unit(8)
     params = make_params()
     w = random_smooth_field(grid, np.random.default_rng(20), kind="vector")
-    out = momentum_source(w, ScalarField.zeros(grid),
-                          VectorField.zeros(grid), params)
+    out = source(w, ScalarField.zeros(grid), params)
     assert np.all(out.values == 0.0)
-
-
-def test_source_body_force_only():
-    grid = Grid.unit(8)
-    params = make_params(alpha=1.3)
-    w = random_smooth_field(grid, np.random.default_rng(21), kind="vector")
-    f = VectorField(grid, np.stack([np.ones(grid.node_shape),
-                                    np.zeros(grid.node_shape)]))
-    out = momentum_source(w, ScalarField.zeros(grid), f, params)
-    assert np.allclose(out.values[0], 1.3, rtol=1e-15, atol=0.0)
-    assert np.all(out.values[1] == 0.0)
 
 
 def test_source_matches_pernode_scalar_oracle():
@@ -220,10 +213,7 @@ def test_source_matches_pernode_scalar_oracle():
                          law=PressureLaw(kind="linear"))
     w = random_smooth_field(grid, np.random.default_rng(22), kind="vector")
     pi = ScalarField(grid, np.ones(grid.node_shape))
-    f = random_smooth_field(grid, np.random.default_rng(23),
-                            kind="scalar_free")
-    fvec = VectorField(grid, np.stack([f.values, -f.values]))
-    out = momentum_source(w, pi, fvec, params)
+    out = source(w, pi, params)
 
     aw = viscous_operator(w)
     gp = gradient(pi)
@@ -233,8 +223,7 @@ def test_source_matches_pernode_scalar_oracle():
             pv = float(pi.values[node])
             rho = al + eps2 * pv
             # linear law: constant dp/drho, so the increment w(pi) is zero
-            expect = (al * float(fvec.values[(i,) + node])
-                      + (1.0 - om) * (eps2 * pv / rho)
+            expect = ((1.0 - om) * (eps2 * pv / rho)
                       * float(aw.values[(i,) + node])
                       + (eps2 / rho) * (pv - 0.0)
                       * float(gp.values[(i,) + node]))
@@ -249,29 +238,24 @@ def test_source_depends_only_on_increments():
     w = random_smooth_field(grid, np.random.default_rng(24), kind="vector")
     pi = ScalarField(grid, 0.3 * np.cos(np.pi * grid.coords[0])
                      * np.cos(np.pi * grid.coords[1]))
-    f = VectorField.zeros(grid)
-    out_lin = momentum_source(w, pi, f, make_params(
-        law=PressureLaw(kind="linear")))
-    out_iso = momentum_source(w, pi, f, make_params(
+    out_lin = source(w, pi, make_params(law=PressureLaw(kind="linear")))
+    out_iso = source(w, pi, make_params(
         law=PressureLaw(kind="isothermal", cs=3.0)))
     assert np.array_equal(out_lin.values, out_iso.values)
 
 
 def test_source_low_mach_limit():
-    # with f fixed, || F - alpha f || scales like eps^2
+    # with w and pi fixed, || F || scales like eps^2
     grid = Grid.unit(16)
     w = random_smooth_field(grid, np.random.default_rng(25), kind="vector")
     pi = ScalarField(grid, 0.5 * np.sin(np.pi * grid.coords[0])
                      * np.sin(np.pi * grid.coords[1]))
-    f = random_smooth_field(grid, np.random.default_rng(26), kind="vector")
 
-    def defect(eps):
+    def size(eps):
         params = make_params(eps=eps, law=PressureLaw(kind="quadratic"))
-        out = momentum_source(w, pi, f, params)
-        diff = VectorField(grid, out.values - params.alpha * f.values)
-        return norm(diff, 0)
+        return norm(source(w, pi, params), 0)
 
-    d1, d2 = defect(0.1), defect(0.01)
+    d1, d2 = size(0.1), size(0.01)
     assert d2 < 1e-2 * d1 * 1.2
     ratio = d1 / d2
     assert 90.0 < ratio < 110.0
@@ -284,7 +268,6 @@ def test_source_band_violation_names_node():
     vals[6, 2] = -0.9  # rho = 0.1 < m1/2 = 0.25
     w = random_smooth_field(grid, np.random.default_rng(27), kind="vector")
     with pytest.raises(DensityBandError) as err:
-        momentum_source(w, ScalarField(grid, vals),
-                        VectorField.zeros(grid), params)
+        source(w, ScalarField(grid, vals), params)
     assert err.value.node == (6, 2)
     assert "momentum_source" in str(err.value)

@@ -20,13 +20,20 @@ def diff_norm(a, b):
     return norm(VectorField(a.grid, a.values - b.values), 0)
 
 
-def regularity(us, Fs, dt):
-    """check_regularity_budget on a velocity trajectory with zero density
-    and stress."""
+def velocity_table(us, dt):
+    """The `trajectory_norms` table of a velocity trajectory with zero
+    density and stress."""
     grid = us[0].grid
-    table = trajectory_norms(us, [ScalarField.zeros(grid)] * len(us),
-                             [SymTensorField.zeros(grid)] * len(us), dt)
-    return check_regularity_budget(table, us[0], Fs)
+    return trajectory_norms(us, [ScalarField.zeros(grid)] * len(us),
+                            [SymTensorField.zeros(grid)] * len(us), dt)
+
+
+def regularity(us, Fs, dt):
+    return check_regularity_budget(velocity_table(us, dt), us[0], Fs)
+
+
+def energy(us, Fs, dt):
+    return check_energy_budget(velocity_table(us, dt), us, Fs, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +141,13 @@ def driven_run(n=16, T=0.05, dt=5e-3, amp=0.3):
 def test_energy_budget_zero_trajectory():
     grid = Grid.unit(8)
     zero = VectorField.zeros(grid, dirichlet=True)
-    rep = check_energy_budget([zero] * 4, [VectorField.zeros(grid)] * 4,
-                              1e-2, PARAMS)
+    rep = energy([zero] * 4, [VectorField.zeros(grid)] * 4, 1e-2)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied
 
 
 def test_energy_budget_driven_run():
     _, us, Fs, _, dt = driven_run()
-    rep = check_energy_budget(us, Fs, dt, PARAMS)
+    rep = energy(us, Fs, dt)
     assert rep.satisfied
     assert rep.lhs <= rep.rhs * (1.0 + 10.0 * dt)
     assert rep.lhs_history.shape == (len(us),)
@@ -151,9 +157,9 @@ def test_energy_budget_driven_run():
 
 def test_energy_budget_forcing_scaling_is_exactly_quartic():
     _, us, Fs, _, dt = driven_run()
-    base = check_energy_budget(us, Fs, dt, PARAMS)
+    base = energy(us, Fs, dt)
     doubled = [VectorField(F.grid, 2.0 * F.values) for F in Fs]
-    scaled = check_energy_budget(us, doubled, dt, PARAMS)
+    scaled = energy(us, doubled, dt)
     assert scaled.forcing_integral == 4.0 * base.forcing_integral
 
 
@@ -204,8 +210,7 @@ def test_budget_checks_validate_lengths():
     grid = Grid.unit(8)
     zero = VectorField.zeros(grid, dirichlet=True)
     with pytest.raises(ValueError):
-        check_energy_budget([zero] * 3, [VectorField.zeros(grid)] * 2,
-                            1e-2, PARAMS)
+        energy([zero] * 3, [VectorField.zeros(grid)] * 2, 1e-2)
     with pytest.raises(ValueError):
         regularity([zero] * 3, [VectorField.zeros(grid)] * 2, 1e-2)
 

@@ -31,7 +31,7 @@ from .fixed_point import (ConvergenceHistory, IterTriple, MembershipReport,
                           UniquenessReport, assemble_forcing,
                           check_membership, continuity_probe,
                           delta_threshold, fixed_point_residual, iterate,
-                          picard_sweep, suggest_budgets,
+                          march, picard_sweep, suggest_budgets,
                           trajectory_distance, uniqueness_experiment)
 from .mms import (StudyResult, all_studies, density_advection_study,
                   density_still_study, stress_relaxation_study,

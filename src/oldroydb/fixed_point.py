@@ -3,12 +3,14 @@
 One sweep freezes the current guess trajectory (velocity, density remainder,
 elastic stress), assembles the full momentum forcing from it, and re-solves
 the three linear subproblems over the window. The sweep is repeated until
-consecutive trajectories agree in the sup-in-time L2 metric. Around that
-loop sit the admissible-set membership check (norm budgets summed from one
-`trajectory_norms` table per sweep, plus the density band), a continuity
-probe that perturbs the input trajectory and watches the output gap shrink
-linearly, and a two-solution energy experiment that fits the growth
-constant of the discrete Gronwall envelope.
+consecutive trajectories agree in the sup-in-time L2 metric. The same fixed
+point can also be reached one step at a time (`march`) and then certified
+by one sweep of that loop. Around the loop sit the admissible-set
+membership check (norm budgets summed from one `trajectory_norms` table
+per sweep, plus the density band), a continuity probe that perturbs the
+input trajectory and watches the output gap shrink linearly, and a
+two-solution energy experiment that fits the growth constant of the
+discrete Gronwall envelope.
 
 Budgets and the Gronwall constant are empirical: the analysis guarantees
 their existence but not their size. The budgets are sized from the initial
@@ -25,8 +27,8 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      NonConvergenceError, NonDirichletError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, VectorField, div_tensor,
-                     grad_tensor, gradient, mean, norm, norms,
-                     rate_tensors, trajectory_norms, viscous_operator)
+                     gradient, mean, norm, norms, rate_tensors,
+                     trajectory_norms, viscous_operator)
 from .rheology import momentum_source
 from .transport import step_density, step_stress, trace
 from .velocity import step_velocity
@@ -45,6 +47,7 @@ __all__ = [
     "delta_threshold",
     "fixed_point_residual",
     "iterate",
+    "march",
     "picard_sweep",
     "suggest_budgets",
     "trajectory_distance",
@@ -137,9 +140,12 @@ def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
 
     Without params the three component gaps are simply maximized. With
     params each time node is collapsed with the gap-energy weights (the
-    combination the two-solution experiment integrates); that balances the
-    velocity-to-density gain against its eps^2-weaker converse, so the
-    sweep-to-sweep contraction shows up monotonically in one number.
+    combination the two-solution experiment integrates), which balances the
+    velocity-to-density gain against its eps^2-weaker converse in one
+    number. That number need not fall at every sweep: a sweep alternates
+    between the velocity and the transport blocks, so the distances of
+    consecutive sweeps can alternate, and on fine grids (n >= 64) a single
+    sweep's ratio can exceed 1 while two sweeps together still contract.
     """
     if a.nsteps != b.nsteps or a.dt != b.dt:
         raise ValueError("trajectories live on different time ladders")
@@ -170,12 +176,18 @@ def assemble_forcing(w: VectorField, grad_w: np.ndarray, pi: ScalarField,
 
 @dataclass(frozen=True)
 class SweepDiagnostics:
-    """Per-step byproducts of one sweep, in ledger order."""
+    """Per-step byproducts of one sweep, in ledger order: entry k belongs
+    to step k+1, so ``forcings`` holds F(t_1) .. F(t_N) without F(0)."""
 
     forcings: tuple
     velocity_reports: tuple
     density_reports: tuple
     stress_reports: tuple
+
+
+# failures of one step of the window map, labelled with that step
+_STEP_FAILURES = (DensityBandError, LinearSolveError, NonDirichletError,
+                  SingularStressSystemError)
 
 
 def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10) -> tuple:
@@ -184,14 +196,14 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10) -> tuple:
     Coefficients for step k are frozen at the arrival node k+1 of the input
     trajectory. Each step first traces that node's velocity; the forcing
     takes its gradient from the trace's map, and the density and stress
-    updates share the map. So every frozen velocity is differentiated once,
-    node 0 (forcing only) included. Initial data pass through exactly.
-    Solver failures gain a ``timestep`` attribute before propagating.
+    updates share the map. So every frozen velocity is differentiated once.
+    No step reads the forcing at node 0, so none is assembled there.
+    Initial data pass through exactly. Solver failures gain a ``timestep``
+    attribute before propagating.
     """
     u, sg, tau = inp.w[0], inp.pi[0], inp.psi[0]
     us, sgs, taus = [u], [sg], [tau]
-    Fs = [assemble_forcing(u, grad_tensor(u), sg, tau, params)]
-    vreps, dreps, sreps = [], [], []
+    Fs, vreps, dreps, sreps = [], [], [], []
     for k in range(inp.nsteps):
         wk, pk, qk = inp.w[k + 1], inp.pi[k + 1], inp.psi[k + 1]
         try:
@@ -200,8 +212,7 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10) -> tuple:
             u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin)
             sg, dr = step_density(sg, cm, params)
             tau, sr = step_stress(tau, cm, params)
-        except (DensityBandError, LinearSolveError, NonDirichletError,
-                SingularStressSystemError) as exc:
+        except _STEP_FAILURES as exc:
             exc.timestep = k + 1
             raise
         us.append(u)
@@ -307,18 +318,11 @@ class ConvergenceHistory:
     membership: MembershipReport
 
 
-def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
-            params, T: float, dt: float, tol_fp: float = 1e-8,
-            max_iter: int = 20, tol_lin: float = 1e-10,
-            initial_guess: IterTriple = None) -> tuple:
-    """Run sweeps until consecutive trajectories agree to tol_fp.
-
-    Checks the discrete solvability hypotheses first (zero-trace velocity,
-    mean-zero density remainder, total density inside the strict band).
-    Membership is checked against `suggest_budgets` of the initial data.
-    Raises NonConvergenceError with the distance history when max_iter
-    sweeps do not contract below tolerance.
-    """
+def _check_hypotheses(u0: VectorField, sigma0: ScalarField, params,
+                      T: float, dt: float) -> int:
+    """The discrete solvability hypotheses on the data and the window:
+    zero-trace velocity, mean-zero density remainder, total density inside
+    the strict band, a whole number of steps. Returns that number."""
     if not u0.dirichlet:
         raise ConfigError("initial velocity must vanish on the boundary")
     scale = max(1.0, norm(sigma0, 0))
@@ -337,6 +341,22 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * T:
         raise ConfigError("window length must be a whole number of steps")
+    return nsteps
+
+
+def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
+            params, T: float, dt: float, tol_fp: float = 1e-8,
+            max_iter: int = 20, tol_lin: float = 1e-10,
+            initial_guess: IterTriple = None) -> tuple:
+    """Run sweeps until consecutive trajectories agree to tol_fp.
+
+    Checks the discrete solvability hypotheses first (zero-trace velocity,
+    mean-zero density remainder, total density inside the strict band).
+    Membership is checked against `suggest_budgets` of the initial data.
+    Raises NonConvergenceError with the distance history when max_iter
+    sweeps do not contract below tolerance.
+    """
+    nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
 
     b1, b2 = suggest_budgets(u0, sigma0, tau0, params)
 
@@ -373,6 +393,52 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
         f"no fixed point after {max_iter} sweeps (last distance "
         f"{dists[-1]:.3e}); try a shorter window T or smaller data",
         history=tuple(dists))
+
+
+def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
+          params, T: float, dt: float, tol_fp: float = 1e-8,
+          max_iter: int = 20, tol_lin: float = 1e-10) -> IterTriple:
+    """Reach the fixed point of the window map one step at a time.
+
+    Step k of the map reads only input node k+1 and output node k. So once
+    nodes 0..k are settled, node k+1 is the fixed point of the one-step
+    window starting at node k: `picard_sweep` is iterated on that window,
+    from the guess "node k held", until its distance falls to 0.1 tol_fp,
+    and its last output becomes node k+1. This is Gauss-Seidel waveform
+    relaxation with a one-step window; the whole-window sweep of `iterate`
+    is its Jacobi form. Pass the result to `iterate` as ``initial_guess``:
+    its first sweep certifies the fixed point and checks membership.
+
+    Checks the same hypotheses as `iterate`. Raises NonConvergenceError
+    with the local distance history when a step takes more than max_iter
+    sweeps; that error and solver failures carry the global ``timestep``.
+    """
+    nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
+    ws, pis, psis = [u0], [sigma0], [tau0]
+    for k in range(nsteps):
+        x = IterTriple.constant(ws[k], pis[k], psis[k], 1, dt)
+        dists = []
+        for _ in range(max_iter):
+            try:
+                y = picard_sweep(x, params, tol_lin=tol_lin)[0]
+            except _STEP_FAILURES as exc:
+                exc.timestep = k + 1
+                raise
+            dists.append(trajectory_distance(y, x, params))
+            x = y
+            if dists[-1] <= 0.1 * tol_fp:
+                break
+        else:
+            exc = NonConvergenceError(
+                f"step {k + 1} found no fixed point after {max_iter} sweeps "
+                f"(last distance {dists[-1]:.3e}); try a smaller dt or "
+                "smaller data", history=tuple(dists))
+            exc.timestep = k + 1
+            raise exc
+        ws.append(x.w[1])
+        pis.append(x.pi[1])
+        psis.append(x.psi[1])
+    return IterTriple(ws, pis, psis, dt)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
-                     mean_zero_project, rate_tensors, save_snapshot,
-                     trajectory_norms)
-from .fixed_point import (continuity_probe, delta_threshold, iterate,
-                          picard_sweep, trajectory_distance,
-                          uniqueness_experiment)
+from .fields import (Grid, ScalarField, SymTensorField, VectorField,
+                     grad_tensor, mean, mean_zero_project, rate_tensors,
+                     save_snapshot, trajectory_norms)
+from .fixed_point import (assemble_forcing, continuity_probe,
+                          delta_threshold, iterate, march, picard_sweep,
+                          trajectory_distance, uniqueness_experiment)
 from .mms import all_studies, taylor_vortex
 from .rheology import FluidParams, PressureLaw
 from .transport import check_density_bounds, check_stress_bounds
@@ -354,11 +354,14 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     # problems the converged trajectory solves
     out, diag = picard_sweep(sol, params, tol_lin=cfg.tol_lin)
     residual = trajectory_distance(out, sol)
+    # the budgets read the forcing at every node; no step reads F(0)
+    Fs = (assemble_forcing(u0, grad_tensor(u0), s0, t0, params),) \
+        + diag.forcings
 
     dt, nsteps = cfg.dt, sol.nsteps
     table = trajectory_norms(out.w, out.pi, out.psi, dt)
-    energy = check_energy_budget(table, out.w, diag.forcings, params)
-    regularity = check_regularity_budget(table, out.w[0], diag.forcings)
+    energy = check_energy_budget(table, out.w, Fs, params)
+    regularity = check_regularity_budget(table, out.w[0], Fs)
     density_fit = check_density_bounds(table, params)
     stress_fit = check_stress_bounds(table, params)
 
@@ -369,7 +372,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         drep = diag.density_reports[k]
         srep = diag.stress_reports[k]
         diss = check_step_dissipation(out.w[k], out.w[k + 1],
-                                      diag.forcings[k + 1], dt, params,
+                                      Fs[k + 1], dt, params,
                                       residual_norm=vrep.residual_norm)
         dissipation_ok = dissipation_ok and diss.satisfied
         ledger.append(
@@ -478,6 +481,17 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     }
 
 
+def _solve(cfg: RunConfig, params, u0, s0, t0):
+    """The fixed point of one window: marched step by step, then certified
+    by `iterate`, whose first sweep measures its distance and membership
+    (and which keeps sweeping if that distance exceeds tol.fp)."""
+    tols = dict(tol_fp=cfg.tol_fp, max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
+    guess = march(u0, s0, t0, params, cfg.T, cfg.dt, **tols)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt, initial_guess=guess,
+                     **tols)
+    return sol
+
+
 def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
     """Base run vs. density-perturbed run against the growth envelope."""
     os.makedirs(out_dir, exist_ok=True)
@@ -488,18 +502,12 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
             f"tol.delta = {cfg.delta:.6g} is outside (0, {cap:.6g}), the "
             "positivity threshold of the gap dissipation coefficients")
 
-    def solve(sigma):
-        sol, _ = iterate(u0, sigma, t0, params, cfg.T, cfg.dt,
-                         tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
-                         tol_lin=cfg.tol_lin)
-        return sol
-
     amp = cfg.uniqueness_amplitude
+    sol1 = _solve(cfg, params, u0, s0, t0)
     if amp == 0.0:
-        sol1 = solve(s0)
         sol2 = sol1
     else:
-        sol1, sol2 = solve(s0), solve(s0 + _bump_density(grid, amp))
+        sol2 = _solve(cfg, params, u0, s0 + _bump_density(grid, amp), t0)
 
     rep = uniqueness_experiment(sol1, sol2, cfg.delta, params,
                                 fp_tol=cfg.tol_fp)
@@ -528,9 +536,7 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
     """Input-perturbation linearity of one sweep around a converged run."""
     os.makedirs(out_dir, exist_ok=True)
     _, params, u0, s0, t0 = build_initial_data(cfg)
-    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
-                     tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
-                     tol_lin=cfg.tol_lin)
+    sol = _solve(cfg, params, u0, s0, t0)
     rep = continuity_probe(sol, cfg.probe_amplitude, params,
                            tol_lin=cfg.tol_lin)
     path = os.path.join(out_dir, "probe.csv")

@@ -110,6 +110,15 @@ def density_band_check(sigma: ScalarField, params: FluidParams,
     return rmin, rmax
 
 
+def _increment(rho: np.ndarray, params: FluidParams) -> np.ndarray:
+    # p'(rho) - p'(alpha) on total-density samples already band-checked
+    law = params.law
+    if law.kind in ("linear", "isothermal"):
+        return np.zeros_like(rho)
+    return law.dpdrho(rho, params) - law.dpdrho(np.asarray(params.alpha),
+                                                params)
+
+
 def pressure_increment(sigma: ScalarField,
                        params: FluidParams) -> ScalarField:
     """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha) under `params.law`;
@@ -119,13 +128,9 @@ def pressure_increment(sigma: ScalarField,
     unphysical state and raises through `density_band_check`, naming the
     worst node.
     """
-    law = params.law
     density_band_check(sigma, params, context="pressure_increment")
-    if law.kind in ("linear", "isothermal"):
-        return ScalarField.zeros(sigma.grid)
     rho = params.alpha + params.eps ** 2 * sigma.values
-    ref = law.dpdrho(np.asarray(params.alpha), params)
-    return ScalarField(sigma.grid, law.dpdrho(rho, params) - ref)
+    return ScalarField(sigma.grid, _increment(rho, params))
 
 
 def objective_coupling(grad_w: np.ndarray, tau: SymTensorField,
@@ -164,12 +169,13 @@ def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
     `objective_coupling` is on `grad_w`.  The frozen density
     alpha + eps^2 pi must stay inside the working band [m1/2, 2 M1]; a
     violation raises with the offending node (this is the membership
-    failure mode of the fixed-point set).
+    failure mode of the fixed-point set). The band is checked once, here;
+    the pressure increment is then taken on the checked samples.
     """
     density_band_check(pi, params, context="momentum_source")
     rho = params.alpha + params.eps ** 2 * pi.values
-    wp = pressure_increment(pi, params)
     coef_visc = (1.0 - params.omega) * (params.eps ** 2 * pi.values / rho)
-    coef_pres = (params.eps ** 2 / rho) * (pi.values - wp.values)
+    coef_pres = (params.eps ** 2 / rho) * (pi.values - _increment(rho,
+                                                                  params))
     return VectorField(pi.grid, coef_visc * aw.values
                        + coef_pres * grad_pi.values)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import strategies as st
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, mean_zero_project, rate_tensors)
+                      VectorField, grad_tensor, mean_zero_project,
+                      rate_tensors)
 from oldroydb.fields import random_smooth_field
-from oldroydb.fixed_point import iterate, picard_sweep
+from oldroydb.fixed_point import assemble_forcing, iterate, picard_sweep
 from oldroydb.mms import taylor_vortex
 
 
@@ -72,8 +73,12 @@ def _converged(n):
     sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
                         tol_fp=1e-8)
     out, diag = picard_sweep(sol, params)
+    # the audit reads the forcing at every node, F(0) included
+    forcings = (assemble_forcing(u0, grad_tensor(u0), s0, t0, params),) \
+        + diag.forcings
     return SimpleNamespace(grid=grid, params=params, u0=u0, s0=s0, t0=t0,
-                           sol=sol, hist=hist, out=out, diag=diag)
+                           sol=sol, hist=hist, out=out, diag=diag,
+                           forcings=forcings)
 
 
 @pytest.fixture(scope="session")

@@ -140,12 +140,12 @@ def test_criterion_4_energy_inequality(request):
     run = request.getfixturevalue("converged32")
     dt = run.sol.dt
     table = trajectory_norms(run.out.w, run.out.pi, run.out.psi, dt)
-    energy = check_energy_budget(table, run.out.w, run.diag.forcings,
+    energy = check_energy_budget(table, run.out.w, run.forcings,
                                  run.params)
     diss_ok = True
     for k in range(run.sol.nsteps):
         rep = check_step_dissipation(
-            run.out.w[k], run.out.w[k + 1], run.diag.forcings[k + 1], dt,
+            run.out.w[k], run.out.w[k + 1], run.forcings[k + 1], dt,
             run.params,
             residual_norm=run.diag.velocity_reports[k].residual_norm)
         diss_ok = diss_ok and rep.satisfied
@@ -225,7 +225,7 @@ def test_criterion_8_constant_stability(request):
         run = request.getfixturevalue(name)
         table = trajectory_norms(run.out.w, run.out.pi, run.out.psi,
                                  run.sol.dt)
-        reg = check_regularity_budget(table, run.out.w[0], run.diag.forcings)
+        reg = check_regularity_budget(table, run.out.w[0], run.forcings)
         dens = check_density_bounds(table, run.params)
         consts[name] = (reg.c1_emp, dens.c_domain)
 

@@ -12,8 +12,8 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
                       SymTensorField, VectorField, assemble_forcing,
                       check_membership, continuity_probe, delta_threshold,
-                      fixed_point_residual, grad_tensor, iterate, mean,
-                      picard_sweep, step_density, step_stress,
+                      fixed_point_residual, grad_tensor, iterate, march,
+                      mean, picard_sweep, step_density, step_stress,
                       step_velocity, suggest_budgets, trace,
                       trajectory_distance, trajectory_norms,
                       uniqueness_experiment)
@@ -105,19 +105,18 @@ def test_sweep_matches_manual_composition():
         u, _ = step_velocity(u, Fk, dt, params)
         sg, _ = step_density(sg, cm, params)
         tau, _ = step_stress(tau, cm, params)
-        assert np.array_equal(diag.forcings[k + 1].values, Fk.values)
+        assert np.array_equal(diag.forcings[k].values, Fk.values)
         assert np.array_equal(out.w[k + 1].values, u.values)
         assert np.array_equal(out.pi[k + 1].values, sg.values)
         assert np.array_equal(out.psi[k + 1].values, tau.values)
     assert out.w[0] is u0 and out.pi[0] is s0 and out.psi[0] is t0
-    assert len(diag.forcings) == nsteps + 1
-    assert len(diag.velocity_reports) == nsteps
+    assert len(diag.forcings) == len(diag.velocity_reports) == nsteps
 
 
 def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
-    # N steps freeze N + 1 nodes: the forcing at node 0 takes grad_tensor
-    # itself, every later node reuses the gradient its trace took; each of
-    # the N + 1 forcings takes the density gradient once
+    # N steps freeze nodes 1..N: each step's forcing reuses the gradient
+    # its trace took and takes the density gradient once; no step reads the
+    # forcing at node 0, so none is assembled there
     grid, params, u0, s0, t0 = small_preset(12)
     nsteps = 4
     x = IterTriple.constant(u0, s0, t0, nsteps, 1e-3)
@@ -135,8 +134,8 @@ def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
     _, diag = picard_sweep(x, params)
-    assert len(diag.forcings) == nsteps + 1
-    assert calls == {"grad_tensor": nsteps + 1, "gradient": nsteps + 1}
+    assert len(diag.forcings) == nsteps
+    assert calls == {"grad_tensor": nsteps, "gradient": nsteps}
 
 
 def test_zero_forcing_assembles_to_zero():
@@ -329,6 +328,60 @@ def test_iterate_reports_divergence_on_long_window():
     h = err.value.history
     assert len(h) == 6
     assert h[-1] > h[2]
+
+
+# ----------------------------------------------------------------- march
+
+def test_march_lands_on_the_sweep_fixed_point(converged32):
+    # one certifying sweep suffices, and the certified trajectory is the
+    # fixed point the whole-window sweeps reach, to the solver tolerance
+    c = converged32
+    guess = march(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3)
+    assert guess.nsteps == 10 and guess.w[0] is c.u0
+    sol, hist = iterate(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3,
+                        max_iter=1, initial_guess=guess)
+    assert hist.converged and hist.iterations == 1
+    assert hist.distances[0] <= 1e-8
+    assert hist.membership.passed
+    assert trajectory_distance(sol, c.sol, c.params) <= 1e-8
+
+
+def test_march_certifies_long_window():
+    # where the whole-window sweeps stop contracting (see the test above),
+    # each one-step window still contracts: the marched trajectory is a
+    # discrete fixed point of the window map, certified by one sweep
+    grid, params, u0, s0, t0 = small_preset(32)
+    guess = march(u0, s0, t0, params, T=0.08, dt=1e-3)
+    sol, hist = iterate(u0, s0, t0, params, T=0.08, dt=1e-3, max_iter=1,
+                        initial_guess=guess)
+    assert hist.converged and hist.iterations == 1
+    assert hist.distances[0] <= 1e-8
+    assert hist.membership.passed
+
+
+def test_march_checks_the_hypotheses_of_iterate():
+    grid, params, u0, s0, t0 = small_preset(16)
+    loose = VectorField(grid, u0.values)
+    with pytest.raises(ConfigError, match="vanish on the boundary"):
+        march(loose, s0, t0, params, T=5e-3, dt=1e-3)
+    drift = ScalarField(grid, s0.values + 0.5)
+    with pytest.raises(ConfigError, match="zero mean"):
+        march(u0, drift, t0, params, T=5e-3, dt=1e-3)
+    x, y = grid.coords
+    deep = ScalarField(grid, 120.0 * np.cos(2 * np.pi * x)
+                       * np.cos(2 * np.pi * y))
+    with pytest.raises(ConfigError, match="strict band"):
+        march(u0, deep, t0, params, T=5e-3, dt=1e-3)
+    with pytest.raises(ConfigError, match="whole number"):
+        march(u0, s0, t0, params, T=0.0105, dt=1e-3)
+
+
+def test_march_names_the_step_that_does_not_settle():
+    grid, params, u0, s0, t0 = small_preset(16)
+    with pytest.raises(NonConvergenceError, match="step 1") as err:
+        march(u0, s0, t0, params, T=5e-3, dt=1e-3, max_iter=2)
+    assert err.value.timestep == 1
+    assert len(err.value.history) == 2
 
 
 # ----------------------------------------------------------------- probe

@@ -270,6 +270,18 @@ def test_cli_band_violation_names_hypothesis(tmp_path):
     assert "strict band" in summary["error"]
 
 
+@pytest.mark.parametrize("command", ["uniqueness", "probe"])
+def test_cli_bad_data_is_config_error(tmp_path, command):
+    # the hypotheses are checked before the march takes its first step
+    cfg = os.path.join(DEMOS, "configs", "band_violation.cfg")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code == 2
+    summary = _strict_summary(out)
+    assert summary["status"] == "config-error"
+    assert "strict band" in summary["error"]
+
+
 def test_cli_divergence_exits_3(tmp_path):
     cfg = _cfg_file(tmp_path, "time.T = 0.08\ntol.max_iter = 4\n")
     out = tmp_path / "out"
@@ -281,26 +293,39 @@ def test_cli_divergence_exits_3(tmp_path):
     assert summary["failed_timestep"] is None  # no single step failed
 
 
-@pytest.mark.parametrize("target, exc, exit_code", [
-    ("step_velocity", LinearSolveError("injected stall"), 3),
-    ("step_density", DensityBandError((1, 1), 9.0, 0.5, 1.5), 4),
-    ("trace", NonDirichletError("injected departure"), 4),
+@pytest.mark.parametrize("command, target, exc, exit_code", [
+    pytest.param("run", "step_velocity", LinearSolveError("injected stall"),
+                 3, id="step_velocity-exc0-3"),
+    pytest.param("run", "step_density",
+                 DensityBandError((1, 1), 9.0, 0.5, 1.5), 4,
+                 id="step_density-exc1-4"),
+    pytest.param("run", "trace", NonDirichletError("injected departure"),
+                 4, id="trace-exc2-4"),
+    pytest.param("uniqueness", "step_velocity",
+                 LinearSolveError("injected stall"), 3,
+                 id="uniqueness-step_velocity-exc3-3"),
 ])
-def test_cli_names_failed_timestep(tmp_path, monkeypatch, target, exc,
-                                   exit_code):
+def test_cli_names_failed_timestep(tmp_path, monkeypatch, command, target,
+                                   exc, exit_code):
+    # fail in the first step that starts from the third distinct state,
+    # which is step 3 both in the first sweep of `run` and in the march of
+    # `uniqueness`, whose one-step windows all report step 1 themselves; a
+    # trace starts from no state, so each of its calls counts
     real = getattr(fixed_point, target)
-    calls = []
+    starts = []
 
     def fail_at_step_3(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:  # third step of the first sweep
+        start = object() if target == "trace" else args[0]
+        if not any(start is s for s in starts):
+            starts.append(start)
+        if len(starts) == 3:
             raise exc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fixed_point, target, fail_at_step_3)
     cfg = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.005\n")
     out = tmp_path / "out"
-    code = main(["run", "--config", cfg, "--out", str(out)])
+    code = main([command, "--config", cfg, "--out", str(out)])
     assert code == exit_code
     summary = _strict_summary(out)
     assert summary["exit_code"] == exit_code

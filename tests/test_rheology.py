@@ -10,6 +10,7 @@ from oldroydb import (DensityBandError, FluidParams, Grid, PressureLaw,
                       gradient, momentum_source, norm, objective_coupling,
                       pressure_increment, rate_tensors, sym_components,
                       viscous_operator)
+from oldroydb import rheology
 from oldroydb.fields import random_smooth_field
 
 
@@ -271,3 +272,23 @@ def test_source_band_violation_names_node():
         source(w, ScalarField(grid, vals), params)
     assert err.value.node == (6, 2)
     assert "momentum_source" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_source_checks_the_band_once(monkeypatch, kind):
+    # one frozen node, one band check: the pressure increment inside the
+    # source reads the samples the source has already checked
+    grid = Grid.unit(8)
+    params = make_params(law=PressureLaw(kind=kind))
+    w = random_smooth_field(grid, np.random.default_rng(28), kind="vector")
+    pi = ScalarField(grid, 0.5 * np.cos(np.pi * grid.coords[0]))
+    real = rheology.density_band_check
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("context"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rheology, "density_band_check", counted)
+    source(w, pi, params)
+    assert calls == ["momentum_source"]

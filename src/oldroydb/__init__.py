@@ -22,17 +22,16 @@ from .transport import (CharacteristicMap, DensityBoundReport,
                         StressStepReport, check_density_bounds,
                         check_stress_bounds, step_density, step_stress,
                         trace)
-from .velocity import (DissipationReport, EnergyBudgetReport,
-                       RegularityReport, VelocityStepReport,
-                       check_energy_budget, check_regularity_budget,
-                       check_step_dissipation, run_velocity, step_velocity)
+from .velocity import (EnergyBudgetReport, RegularityReport,
+                       VelocityStepReport, check_energy_budget,
+                       check_regularity_budget, run_velocity, step_velocity)
 from .fixed_point import (ConvergenceHistory, IterTriple, MembershipReport,
                           ProbeReport, SweepDiagnostics, SystemResidual,
-                          UniquenessReport, assemble_forcing,
-                          check_membership, continuity_probe,
-                          delta_threshold, fixed_point_residual, iterate,
-                          march, picard_sweep, suggest_budgets,
-                          trajectory_distance, uniqueness_experiment)
+                          UniquenessReport, WindowAudit, assemble_forcing,
+                          audit_window, check_membership, continuity_probe,
+                          delta_threshold, iterate, march, picard_sweep,
+                          suggest_budgets, trajectory_distance,
+                          uniqueness_experiment)
 from .mms import (StudyResult, all_studies, density_advection_study,
                   density_still_study, stress_relaxation_study,
                   taylor_vortex, velocity_spatial_study,

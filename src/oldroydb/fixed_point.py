@@ -3,14 +3,14 @@
 One sweep freezes the current guess trajectory (velocity, density remainder,
 elastic stress), assembles the full momentum forcing from it, and re-solves
 the three linear subproblems over the window. The sweep is repeated until
-consecutive trajectories agree in the sup-in-time L2 metric. The same fixed
-point can also be reached one step at a time (`march`) and then certified
-by one sweep of that loop. Around the loop sit the admissible-set
+consecutive trajectories agree in a weighted sup-in-time L2 metric. The
+same fixed point can also be reached one step at a time (`march`) and then
+certified by one sweep of that loop. Around the loop sit the admissible-set
 membership check (norm budgets summed from one `trajectory_norms` table
-per sweep, plus the density band), a continuity probe that perturbs the
-input trajectory and watches the output gap shrink linearly, and a
-two-solution energy experiment that fits the growth constant of the
-discrete Gronwall envelope.
+per sweep, plus the density band), the audit of a converged window by one
+more sweep (`audit_window`), a continuity probe that perturbs the input
+trajectory and watches the output gap shrink linearly, and a two-solution
+energy experiment that fits the growth constant of the Gronwall envelope.
 
 Budgets and the Gronwall constant are empirical: the analysis guarantees
 their existence but not their size. The budgets are sized from the initial
@@ -26,12 +26,17 @@ import numpy as np
 from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      NonConvergenceError, NonDirichletError,
                      SingularStressSystemError)
-from .fields import (ScalarField, SymTensorField, VectorField, div_tensor,
-                     gradient, mean, norm, norms, rate_tensors,
-                     trajectory_norms, viscous_operator)
+from .fields import (ScalarField, SymTensorField, TrajectoryNorms,
+                     VectorField, div_tensor, grad_tensor, gradient, mean,
+                     norm, norms, rate_tensors, trajectory_norms,
+                     viscous_operator)
 from .rheology import momentum_source
-from .transport import step_density, step_stress, trace
-from .velocity import step_velocity
+from .transport import (DensityBoundReport, StressBoundReport,
+                        check_density_bounds, check_stress_bounds,
+                        step_density, step_stress, trace)
+from .velocity import (EnergyBudgetReport, RegularityReport,
+                       check_energy_budget, check_regularity_budget,
+                       step_velocity)
 
 __all__ = [
     "ConvergenceHistory",
@@ -41,11 +46,12 @@ __all__ = [
     "SweepDiagnostics",
     "SystemResidual",
     "UniquenessReport",
+    "WindowAudit",
     "assemble_forcing",
+    "audit_window",
     "check_membership",
     "continuity_probe",
     "delta_threshold",
-    "fixed_point_residual",
     "iterate",
     "march",
     "picard_sweep",
@@ -116,30 +122,31 @@ class IterTriple:
         return cls((u0,) * n, (sigma0,) * n, (tau0,) * n, dt)
 
 
-def _component_gaps(a: IterTriple, b: IterTriple) -> tuple:
-    gv = max(norm(x - y, 0) for x, y in zip(a.w, b.w))
-    gp = max(norm(x - y, 0) for x, y in zip(a.pi, b.pi))
-    gs = max(norm(x - y, 0) for x, y in zip(a.psi, b.psi))
-    return gv, gp, gs
+def _node_gaps(a: IterTriple, b: IterTriple) -> tuple:
+    """L2 gaps of the velocity, density and stress at every node. A sweep
+    passes node 0 through, so a component holding the same node-0 object in
+    both trajectories has gap exactly 0 there and is measured from node 1."""
+    def gaps(xs, ys):
+        start = 1 if xs[0] is ys[0] else 0
+        return [0.0] * start + [norm(x - y, 0)
+                                for x, y in zip(xs[start:], ys[start:])]
+    return gaps(a.w, b.w), gaps(a.pi, b.pi), gaps(a.psi, b.psi)
 
 
-def _gap_energy(a: IterTriple, b: IterTriple, k: int, params) -> float:
-    """Weighted L2 gap at node k: the two-solution energy
+def _gap_energies(a: IterTriple, b: IterTriple, params) -> list:
+    """Weighted L2 gap at every node: the two-solution energy
 
     alpha |du|^2 + (eps^2 / alpha) |dpi|^2 + (We / 2 omega) |dpsi|^2.
     """
-    du = norm(a.w[k] - b.w[k], 0)
-    dp = norm(a.pi[k] - b.pi[k], 0)
-    ds = norm(a.psi[k] - b.psi[k], 0)
-    return (params.alpha * du ** 2 + (params.eps ** 2 / params.alpha) * dp ** 2
-            + (params.We / (2.0 * params.omega)) * ds ** 2)
+    return [params.alpha * du ** 2 + (params.eps ** 2 / params.alpha) * dp ** 2
+            + (params.We / (2.0 * params.omega)) * ds ** 2
+            for du, dp, ds in zip(*_node_gaps(a, b))]
 
 
-def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
-    """Sup-in-time L2 distance between trajectories.
+def trajectory_distance(a: IterTriple, b: IterTriple, params) -> float:
+    """Sup-in-time weighted L2 distance between trajectories.
 
-    Without params the three component gaps are simply maximized. With
-    params each time node is collapsed with the gap-energy weights (the
+    Each time node is collapsed with the gap-energy weights (the
     combination the two-solution experiment integrates), which balances the
     velocity-to-density gain against its eps^2-weaker converse in one
     number. That number need not fall at every sweep: a sweep alternates
@@ -149,12 +156,7 @@ def trajectory_distance(a: IterTriple, b: IterTriple, params=None) -> float:
     """
     if a.nsteps != b.nsteps or a.dt != b.dt:
         raise ValueError("trajectories live on different time ladders")
-    if params is None:
-        return max(_component_gaps(a, b))
-    worst = 0.0
-    for k in range(len(a.w)):
-        worst = max(worst, _gap_energy(a, b, k, params))
-    return math.sqrt(worst)
+    return math.sqrt(max(0.0, *_gap_energies(a, b, params)))
 
 
 def assemble_forcing(w: VectorField, grad_w: np.ndarray, pi: ScalarField,
@@ -454,12 +456,45 @@ class SystemResidual:
         return max(self.velocity, self.density, self.stress)
 
 
-def fixed_point_residual(sol: IterTriple, params,
-                         tol_lin: float = 1e-10) -> SystemResidual:
-    """Plug a converged trajectory back into the coupled system."""
-    out = picard_sweep(sol, params, tol_lin=tol_lin)[0]
-    gv, gp, gs = _component_gaps(out, sol)
-    return SystemResidual(velocity=gv, density=gp, stress=gs)
+@dataclass(frozen=True)
+class WindowAudit:
+    """Every post-run estimate of a converged window: ``out`` and ``diag``
+    come from one more sweep, ``forcings`` holds F(0) .. F(t_N), and every
+    report reads ``table``, the norm table of ``out``."""
+
+    out: IterTriple
+    diag: SweepDiagnostics
+    forcings: tuple
+    table: TrajectoryNorms
+    residual: SystemResidual
+    energy: EnergyBudgetReport
+    regularity: RegularityReport
+    density: DensityBoundReport
+    stress: StressBoundReport
+
+
+def audit_window(sol: IterTriple, params,
+                 tol_lin: float = 1e-10) -> WindowAudit:
+    """Plug a converged trajectory into one more sweep and check that
+    sweep against the energy, dissipation, regularity and transport
+    estimates. Its gap to ``sol`` is the residual; its per-step reports
+    describe exactly the linear problems ``sol`` solves. F(0), which no
+    step reads, is assembled here from the initial data.
+    """
+    out, diag = picard_sweep(sol, params, tol_lin=tol_lin)
+    u0 = sol.w[0]
+    forcings = (assemble_forcing(u0, grad_tensor(u0), sol.pi[0], sol.psi[0],
+                                 params),) + diag.forcings
+    table = trajectory_norms(out.w, out.pi, out.psi, out.dt)
+    residual_norms = [r.residual_norm for r in diag.velocity_reports]
+    return WindowAudit(
+        out=out, diag=diag, forcings=forcings, table=table,
+        residual=SystemResidual(*map(max, _node_gaps(out, sol))),
+        energy=check_energy_budget(table, out.w, forcings, params,
+                                   residual_norms),
+        regularity=check_regularity_budget(table, u0, forcings),
+        density=check_density_bounds(table, params),
+        stress=check_stress_bounds(table, params))
 
 
 def _probe_shapes(grid):
@@ -536,7 +571,7 @@ def continuity_probe(base: IterTriple, delta: float, params,
     for s in scales:
         out = picard_sweep(_perturb(base, s, shapes, components), params,
                            tol_lin=tol_lin)[0]
-        a, b, c = _component_gaps(out, ref)
+        a, b, c = map(max, _node_gaps(out, ref))
         gv.append(a)
         gp.append(b)
         gs.append(c)
@@ -598,11 +633,10 @@ def uniqueness_experiment(sol1: IterTriple, sol2: IterTriple, delta: float,
             f"{cap:.6g}) to keep the gap dissipation coefficients positive")
 
     npts = sol1.nsteps + 1
-    e = np.empty(npts)
     lin = np.empty(npts)  # coefficient of c12 in the rate
     quad = np.empty(npts)  # coefficient of c12**2
+    e = np.array(_gap_energies(sol1, sol2, params))
     for k in range(npts):
-        e[k] = _gap_energy(sol1, sol2, k, params)
         u1_l2, _, u1_h2, u1_h3 = norms(sol1.w[k], 3)
         lin[k] = u1_l2 + norm(sol2.w[k], 0) + u1_h3
         quad[k] = (u1_h2 ** 3 + norm(sol1.pi[k], 2) ** 2

@@ -16,17 +16,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (Grid, ScalarField, SymTensorField, VectorField,
-                     grad_tensor, mean, mean_zero_project, rate_tensors,
-                     save_snapshot, trajectory_norms)
-from .fixed_point import (assemble_forcing, continuity_probe,
-                          delta_threshold, iterate, march, picard_sweep,
-                          trajectory_distance, uniqueness_experiment)
+from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
+                     mean_zero_project, rate_tensors, save_snapshot)
+from .fixed_point import (audit_window, continuity_probe, delta_threshold,
+                          iterate, march, uniqueness_experiment)
 from .mms import all_studies, taylor_vortex
 from .rheology import FluidParams, PressureLaw
-from .transport import check_density_bounds, check_stress_bounds
-from .velocity import (check_energy_budget, check_regularity_budget,
-                       check_step_dissipation)
 
 __all__ = ["RunConfig", "EnergyLedger", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
@@ -350,31 +345,16 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
                         tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
                         tol_lin=cfg.tol_lin)
-    # one extra sweep: its per-step reports describe exactly the linear
-    # problems the converged trajectory solves
-    out, diag = picard_sweep(sol, params, tol_lin=cfg.tol_lin)
-    residual = trajectory_distance(out, sol)
-    # the budgets read the forcing at every node; no step reads F(0)
-    Fs = (assemble_forcing(u0, grad_tensor(u0), s0, t0, params),) \
-        + diag.forcings
+    audit = audit_window(sol, params, tol_lin=cfg.tol_lin)
+    out, diag, table, energy = audit.out, audit.diag, audit.table, audit.energy
+    residual = audit.residual.worst
 
-    dt, nsteps = cfg.dt, sol.nsteps
-    table = trajectory_norms(out.w, out.pi, out.psi, dt)
-    energy = check_energy_budget(table, out.w, Fs, params)
-    regularity = check_regularity_budget(table, out.w[0], Fs)
-    density_fit = check_density_bounds(table, params)
-    stress_fit = check_stress_bounds(table, params)
-
+    dt = cfg.dt
     ledger = EnergyLedger()
-    dissipation_ok = True
-    for k in range(nsteps):
+    for k in range(sol.nsteps):
         vrep = diag.velocity_reports[k]
         drep = diag.density_reports[k]
         srep = diag.stress_reports[k]
-        diss = check_step_dissipation(out.w[k], out.w[k + 1],
-                                      Fs[k + 1], dt, params,
-                                      residual_norm=vrep.residual_norm)
-        dissipation_ok = dissipation_ok and diss.satisfied
         ledger.append(
             t=(k + 1) * dt, u_l2=table.w[k + 1, 0], u_h2=table.w[k + 1, 2],
             sigma_h2=table.pi[k + 1, 2], tau_h2=table.psi[k + 1, 2],
@@ -382,7 +362,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
             energy_rhs=float(energy.rhs_history[k + 1]),
             energy_slack=(float(energy.rhs_history[k + 1]) * (1.0 + 10.0 * dt)
                           - float(energy.lhs_history[k + 1])),
-            dissipation_slack=diss.slack,
+            dissipation_slack=energy.dissipation_slack[k],
             lin_iters=vrep.iterations, lin_residual=vrep.residual,
             mean_sigma_preproject=drep.mean_preproject,
             density_min=drep.density_min, density_max=drep.density_max,
@@ -397,7 +377,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         "membership": membership.passed,
         "system_residual": residual < 10.0 * cfg.tol_fp,
         "energy_budget": energy.satisfied,
-        "step_dissipation": dissipation_ok,
+        "step_dissipation": energy.dissipation_satisfied,
         "density_mean_zero": mean_sigma_max <= 1e-12 * sigma_scale,
     }
     failed = sorted(name for name, ok in checks.items() if not ok)
@@ -437,12 +417,12 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         },
         "energy": {"lhs": energy.lhs, "rhs": energy.rhs,
                    "slack": energy.slack, "satisfied": energy.satisfied},
-        "constants": {"c1_emp": None if regularity.vacuous
-                      else regularity.c1_emp,
-                      "c1_vacuous": regularity.vacuous,
-                      "c_domain_density": density_fit.c_domain,
-                      "c_domain_stress": stress_fit.c_domain,
-                      "c_relax_stress": stress_fit.c_relax},
+        "constants": {"c1_emp": None if audit.regularity.vacuous
+                      else audit.regularity.c1_emp,
+                      "c1_vacuous": audit.regularity.vacuous,
+                      "c_domain_density": audit.density.c_domain,
+                      "c_domain_stress": audit.stress.c_domain,
+                      "c_relax_stress": audit.stress.c_relax},
         "mean_sigma_max": mean_sigma_max,
         "artifacts": {"ledger": ledger_path, "convergence": conv_path,
                       **snaps},

@@ -370,7 +370,6 @@ class DensityBoundReport:
 
     sup_h2: float
     base_h2: float          # ||sigma0||_H2 + alpha eps^-2
-    base_l2: float          # ||sigma0||_L2 + alpha eps^-2, reported alongside
     c_domain_sup: float     # smallest constant closing the sup bound
     sup_vacuous: bool       # sup bound already holds with constant 0
     sup_rate_h1: float
@@ -390,7 +389,6 @@ def check_density_bounds(table, params) -> DensityBoundReport:
     lift = params.alpha / params.eps ** 2
     sup_h2 = float(table.pi[:, 2].max())
     base_h2 = float(table.pi[0, 2]) + lift
-    base_l2 = float(table.pi[0, 0]) + lift
     l1h3, suph2 = table.w_l1h3, table.w_suph2
 
     if l1h3 > 0.0 and sup_h2 > base_h2:
@@ -402,7 +400,7 @@ def check_density_bounds(table, params) -> DensityBoundReport:
     c_fit = _rate_constant(target, l1h3)
     margin = base_h2 * np.exp(c_fit * l1h3) - sup_h2
     return DensityBoundReport(
-        sup_h2=sup_h2, base_h2=base_h2, base_l2=base_l2, c_domain_sup=c_sup,
+        sup_h2=sup_h2, base_h2=base_h2, c_domain_sup=c_sup,
         sup_vacuous=bool(sup_h2 <= base_h2), sup_rate_h1=rate,
         c_domain=c_fit, sup_bound_margin=margin)
 

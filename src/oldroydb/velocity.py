@@ -22,8 +22,13 @@ Two a-posteriori checks instrument a computed trajectory:
         + (1-omega) sup ||D u||^2 + (1-omega) sup ||div u||^2
       <= 4 (1-omega) ||D u0||^2 + int ||F||^2
 
-  up to a (1 + 10 dt) discretization slack, with the ||u'|| terms read
-  from a `fields.trajectory_norms` table;
+  up to a (1 + 10 dt) discretization slack, with the ||u|| and ||u'||
+  terms read from a `fields.trajectory_norms` table, and from the same
+  A u_n the dissipation inequality each backward-Euler step enforces up to
+  its weighted linear residual r_n,
+
+      alpha (||u_n||^2 - ||u_{n-1}||^2) / (2 dt) + (1-omega) <A u_n, u_n>
+      <= <F_n, u_n> + r_n ||u_n|| / dt;
 
 * `check_regularity_budget`: the empirical stability ratio
 
@@ -46,13 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LinearSolveError
-from .fields import (VectorField, conjugate_gradient, divergence, inner, norm,
-                     norm_hminus1, rate_tensors, viscous_operator,
-                     viscous_preconditioner)
+from .fields import (ScalarField, SymTensorField, VectorField,
+                     conjugate_gradient, grad_tensor, inner, norm,
+                     norm_hminus1, viscous_operator, viscous_preconditioner)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
-           "DissipationReport", "check_step_dissipation",
            "RegularityReport", "check_regularity_budget"]
 
 
@@ -146,105 +150,85 @@ def run_velocity(u0: VectorField, forcing, T: float, dt: float, params,
 
 @dataclass
 class EnergyBudgetReport:
-    """Discrete energy inequality for a velocity trajectory."""
+    """Discrete energy inequality for a velocity trajectory, with the
+    one-step dissipation inequality of each of its steps."""
 
     lhs: float
     rhs: float
-    dt: float
     slack: float                 # rhs (1 + 10 dt) - lhs, >= 0 when satisfied
     satisfied: bool
-    rate_integral: float         # (alpha/2) sum dt ||u'||^2
-    viscous_integral: float      # ((1-omega)^2/2) sum dt ||A u||^2
-    sup_strain: float            # (1-omega) sup_t ||D u||^2
-    sup_compress: float          # (1-omega) sup_t ||div u||^2
-    initial_strain: float        # 4 (1-omega) ||D u0||^2
     forcing_integral: float      # sum dt ||F||^2
+    dissipation_slack: tuple     # per step, rhs - lhs of its inequality
+    dissipation_satisfied: bool  # every step's inequality holds
     lhs_history: np.ndarray = field(repr=False)
     rhs_history: np.ndarray = field(repr=False)
 
 
-def check_energy_budget(table, us, Fs, params) -> EnergyBudgetReport:
-    """Evaluate both sides of the trajectory energy inequality.
+def check_energy_budget(table, us, Fs, params,
+                        residual_norms) -> EnergyBudgetReport:
+    """Evaluate both sides of the trajectory energy inequality and the
+    dissipation inequality of every step, taking each node's gradient and
+    A u once.
 
     table: the `trajectory_norms` table of the trajectory, which supplies dt
-    and the L2 norm of each velocity rate; us: fields at t_0 .. t_N; Fs:
-    forcing with Fs[0] = F(0) (unused here beyond index alignment) and Fs[n]
-    the right side applied in step n.
+    and the L2 norms of each velocity node and rate; us: fields at t_0 ..
+    t_N; Fs: forcing with Fs[0] = F(0) (unused here beyond index alignment)
+    and Fs[n] the right side applied in step n; residual_norms[n-1]: the
+    weighted linear residual of step n.
     """
     if not len(Fs) == len(us) == len(table.w):
         raise ValueError("need one forcing sample per time node")
+    if len(residual_norms) != len(us) - 1:
+        raise ValueError("need one residual norm per step")
     om = params.omega
     dt = table.dt
-    nsteps = len(us) - 1
     # squared on Python floats to match `norm(...) ** 2` to the bit
+    u_l2 = table.w[:, 0].tolist()
     rate_l2 = table.w_rate[:, 0].tolist()
 
     def strain_pieces(u):
-        D, _ = rate_tensors(u)
-        return norm(D, 0) ** 2, norm(divergence(u), 0) ** 2
+        g = grad_tensor(u)
+        D = SymTensorField.from_full(u.grid, g, symmetrize=True)
+        div = g[0, 0]  # the diagonal summed in `divergence`'s order
+        for ax in range(1, u.grid.dim):
+            div = div + g[ax, ax]
+        return norm(D, 0) ** 2, norm(ScalarField(u.grid, div), 0) ** 2
 
-    d0, c0 = strain_pieces(us[0])
-    initial_strain = 4.0 * (1.0 - om) * d0
-
-    rate_int = 0.0
-    visc_int = 0.0
-    forcing_int = 0.0
-    sup_d, sup_c = d0, c0
-    lhs_hist = np.empty(nsteps + 1)
-    rhs_hist = np.empty(nsteps + 1)
-    lhs_hist[0] = (1.0 - om) * (sup_d + sup_c)
-    rhs_hist[0] = initial_strain
-    for n in range(1, nsteps + 1):
+    sup_d, sup_c = strain_pieces(us[0])
+    initial_strain = 4.0 * (1.0 - om) * sup_d
+    rate_int = visc_int = forcing_int = 0.0
+    lhs_hist = [(1.0 - om) * (sup_d + sup_c)]
+    rhs_hist = [initial_strain]
+    diss_slack = []
+    diss_ok = True
+    for n in range(1, len(us)):
+        Au = viscous_operator(us[n])
         rate_int += dt * rate_l2[n - 1] ** 2
-        visc_int += dt * norm(viscous_operator(us[n]), 0) ** 2
+        visc_int += dt * norm(Au, 0) ** 2
         forcing_int += dt * norm(Fs[n], 0) ** 2
         dn, cn = strain_pieces(us[n])
         sup_d, sup_c = max(sup_d, dn), max(sup_c, cn)
-        lhs_hist[n] = (0.5 * params.alpha * rate_int
-                       + 0.5 * (1.0 - om) ** 2 * visc_int
-                       + (1.0 - om) * (sup_d + sup_c))
-        rhs_hist[n] = initial_strain + forcing_int
+        lhs_hist.append(0.5 * params.alpha * rate_int
+                        + 0.5 * (1.0 - om) ** 2 * visc_int
+                        + (1.0 - om) * (sup_d + sup_c))
+        rhs_hist.append(initial_strain + forcing_int)
 
-    lhs = float(lhs_hist[-1])
-    rhs = float(rhs_hist[-1])
-    slack = rhs * (1.0 + 10.0 * dt) - lhs
+        u1sq = u_l2[n] ** 2
+        step_lhs = (params.alpha * (u1sq - u_l2[n - 1] ** 2) / (2.0 * dt)
+                    + (1.0 - om) * inner(Au, us[n]))
+        step_rhs = (inner(Fs[n], us[n])
+                    + residual_norms[n - 1] * np.sqrt(u1sq) / dt)
+        diss_slack.append(step_rhs - step_lhs)
+        scale = max(1.0, abs(step_lhs), abs(step_rhs))
+        diss_ok = diss_ok and bool(step_lhs <= step_rhs + 1e-11 * scale)
+
+    lhs, rhs = lhs_hist[-1], rhs_hist[-1]
     return EnergyBudgetReport(
-        lhs=lhs, rhs=rhs, dt=dt, slack=slack,
+        lhs=lhs, rhs=rhs, slack=rhs * (1.0 + 10.0 * dt) - lhs,
         satisfied=bool(lhs <= rhs * (1.0 + 10.0 * dt) + 1e-14 * (1.0 + rhs)),
-        rate_integral=0.5 * params.alpha * rate_int,
-        viscous_integral=0.5 * (1.0 - om) ** 2 * visc_int,
-        sup_strain=(1.0 - om) * sup_d, sup_compress=(1.0 - om) * sup_c,
-        initial_strain=initial_strain, forcing_integral=forcing_int,
-        lhs_history=lhs_hist, rhs_history=rhs_hist)
-
-
-@dataclass
-class DissipationReport:
-    """One-step backward-Euler dissipation inequality."""
-
-    lhs: float     # alpha (||u1||^2 - ||u0||^2)/(2 dt) + (1-omega) <A u1, u1>
-    rhs: float     # <F, u1> plus the solver-residual slack
-    slack: float
-    satisfied: bool
-
-
-def check_step_dissipation(u_prev, u_new, F_rhs, dt, params,
-                           residual_norm=0.0) -> DissipationReport:
-    """Verify the per-step energy inequality the implicit step enforces.
-
-    The slack term residual_norm ||u_new|| / dt accounts for the inexact
-    linear solve (Cauchy-Schwarz on the residual pairing); with an exact
-    solve the inequality holds to round-off.
-    """
-    om = params.omega
-    u1sq = norm(u_new, 0) ** 2
-    lhs = (params.alpha * (u1sq - norm(u_prev, 0) ** 2) / (2.0 * dt)
-           + (1.0 - om) * inner(viscous_operator(u_new), u_new))
-    rhs = inner(F_rhs, u_new) + residual_norm * np.sqrt(u1sq) / dt
-    slack = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return DissipationReport(lhs=lhs, rhs=rhs, slack=slack,
-                             satisfied=bool(lhs <= rhs + 1e-11 * scale))
+        forcing_integral=forcing_int, dissipation_slack=tuple(diss_slack),
+        dissipation_satisfied=diss_ok, lhs_history=np.array(lhs_hist),
+        rhs_history=np.array(rhs_hist))
 
 
 @dataclass
@@ -255,10 +239,8 @@ class RegularityReport:
     bracket: float
     c1_emp: float
     vacuous: bool
-    f0_norm: float
     f_l2h1: float
     fprime_l2hm1: float
-    visc0_norm: float
 
 
 def check_regularity_budget(table, u0, Fs) -> RegularityReport:
@@ -283,5 +265,5 @@ def check_regularity_budget(table, u0, Fs) -> RegularityReport:
     vacuous = bracket == 0.0
     c1 = float("nan") if vacuous else lhs / bracket
     return RegularityReport(
-        lhs=lhs, bracket=bracket, c1_emp=c1, vacuous=vacuous, f0_norm=f0,
-        f_l2h1=f_l2h1, fprime_l2hm1=fprime, visc0_norm=visc0)
+        lhs=lhs, bracket=bracket, c1_emp=c1, vacuous=vacuous,
+        f_l2h1=f_l2h1, fprime_l2hm1=fprime)

@@ -11,15 +11,11 @@ import numpy as np
 import pytest
 
 from oldroydb import (FluidParams, Grid, IterTriple, ScalarField,
-                      SymTensorField, VectorField, check_density_bounds,
-                      check_energy_budget, check_regularity_budget,
-                      check_step_dissipation, continuity_probe, div_tensor,
-                      divergence, fixed_point_residual, grad_tensor,
-                      gradient, inner,
+                      SymTensorField, VectorField, continuity_probe,
+                      div_tensor, divergence, grad_tensor, gradient, inner,
                       iterate, laplacian, mean, norm, picard_sweep,
                       rate_tensors, step_density, step_stress, trace,
-                      trajectory_norms, uniqueness_experiment,
-                      viscous_operator)
+                      uniqueness_experiment, viscous_operator)
 from oldroydb.mms import taylor_vortex
 
 
@@ -139,16 +135,9 @@ def test_criterion_4_energy_inequality(request):
     t0 = time.perf_counter()
     run = request.getfixturevalue("converged32")
     dt = run.sol.dt
-    table = trajectory_norms(run.out.w, run.out.pi, run.out.psi, dt)
-    energy = check_energy_budget(table, run.out.w, run.forcings,
-                                 run.params)
-    diss_ok = True
-    for k in range(run.sol.nsteps):
-        rep = check_step_dissipation(
-            run.out.w[k], run.out.w[k + 1], run.forcings[k + 1], dt,
-            run.params,
-            residual_norm=run.diag.velocity_reports[k].residual_norm)
-        diss_ok = diss_ok and rep.satisfied
+    energy = run.audit.energy
+    diss_ok = energy.dissipation_satisfied \
+        and len(energy.dissipation_slack) == run.sol.nsteps
     ok = energy.satisfied and energy.lhs <= energy.rhs * (1 + 10 * dt) \
         and diss_ok
     _report(4, ok,
@@ -164,7 +153,7 @@ def test_criterion_5_fixed_point_convergence(request):
     d = hist.distances
     monotone = all(d[i + 1] < d[i] for i in range(len(d) - 1))
     worst_ratio = max(hist.ratios[1:]) if len(d) > 1 else 0.0
-    residual = fixed_point_residual(sol, params).worst
+    residual = run.audit.residual.worst
     lo, hi = params.band
     band_ok = (hist.membership.density_min >= lo
                and hist.membership.density_max <= hi)
@@ -222,12 +211,8 @@ def test_criterion_8_constant_stability(request):
     t0 = time.perf_counter()
     consts = {}
     for name in ("converged32", "converged64"):
-        run = request.getfixturevalue(name)
-        table = trajectory_norms(run.out.w, run.out.pi, run.out.psi,
-                                 run.sol.dt)
-        reg = check_regularity_budget(table, run.out.w[0], run.forcings)
-        dens = check_density_bounds(table, run.params)
-        consts[name] = (reg.c1_emp, dens.c_domain)
+        audit = request.getfixturevalue(name).audit
+        consts[name] = (audit.regularity.c1_emp, audit.density.c_domain)
 
     (c1a, cda), (c1b, cdb) = consts["converged32"], consts["converged64"]
     var_c1 = abs(c1a - c1b) / max(abs(c1a), abs(c1b))

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
                       SymTensorField, VectorField, assemble_forcing,
-                      check_membership, continuity_probe, delta_threshold,
-                      fixed_point_residual, grad_tensor, iterate, march,
+                      audit_window, check_membership, continuity_probe,
+                      delta_threshold, grad_tensor, iterate, march,
                       mean, picard_sweep, step_density, step_stress,
                       step_velocity, suggest_budgets, trace,
                       trajectory_distance, trajectory_norms,
                       uniqueness_experiment)
-from oldroydb import fixed_point, rheology, transport
+from oldroydb import fixed_point, rheology, transport, velocity
 from oldroydb.fields import random_smooth_field
 from oldroydb.transport import check_density_bounds, check_stress_bounds
 from oldroydb.velocity import check_regularity_budget, run_velocity
@@ -63,12 +63,45 @@ def test_distance_weighted_and_raw():
     ones = ScalarField(grid, np.ones(grid.node_shape))
     a = IterTriple.constant(z_w, z_s, z_t, 2, 0.1)
     b = IterTriple.constant(z_w, ones, z_t, 2, 0.1)
-    # unit-mass scalar gap: raw metric sees 1, weighted sees eps/sqrt(alpha)
-    assert trajectory_distance(a, b) == pytest.approx(1.0)
+    # unit-mass scalar gap, weighted by eps/sqrt(alpha)
     assert trajectory_distance(a, b, params) == pytest.approx(0.1)
     short = IterTriple.constant(z_w, z_s, z_t, 3, 0.1)
     with pytest.raises(ValueError, match="time ladders"):
-        trajectory_distance(a, short)
+        trajectory_distance(a, short, params)
+
+
+def counting(monkeypatch, modules, names):
+    """Wrap each named function in each module; returns the call counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return calls
+
+
+def test_distance_skips_the_shared_node_0(monkeypatch):
+    # a sweep passes node 0 through, so its gap there is exactly zero and
+    # is not measured; a copy of node 0 is measured and gives the same
+    # distance
+    grid, params, u0, s0, t0 = small_preset(12)
+    x = IterTriple.constant(u0, s0, t0, 1, 1e-3)
+    y = picard_sweep(x, params)[0]
+    copied = IterTriple((u0.copy(), y.w[1]), (s0.copy(), y.pi[1]),
+                        (t0.copy(), y.psi[1]), y.dt)
+    calls = counting(monkeypatch, [fixed_point], ["norm"])
+    shared = trajectory_distance(y, x, params)
+    assert calls["norm"] == 3
+    assert trajectory_distance(copied, x, params) == shared
+    assert calls["norm"] == 3 + 6
 
 
 # ------------------------------------------------------------- the sweep
@@ -120,19 +153,8 @@ def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
     grid, params, u0, s0, t0 = small_preset(12)
     nsteps = 4
     x = IterTriple.constant(u0, s0, t0, nsteps, 1e-3)
-    calls = {"grad_tensor": 0, "gradient": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module in (fixed_point, rheology, transport):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
+    calls = counting(monkeypatch, (fixed_point, rheology, transport),
+                     ["grad_tensor", "gradient"])
     _, diag = picard_sweep(x, params)
     assert len(diag.forcings) == nsteps
     assert calls == {"grad_tensor": nsteps, "gradient": nsteps}
@@ -284,8 +306,26 @@ def test_solution_preserves_structure(converged32):
 
 
 def test_fixed_point_residual_small(converged32):
-    res = fixed_point_residual(converged32.sol, converged32.params)
+    res = converged32.audit.residual
     assert res.worst < 1e-7  # ten times the sweep tolerance
+
+
+def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
+    # the extra sweep applies A once per frozen node and F(0) once more; the
+    # energy check once per swept node, with each step's dissipation read
+    # from it; the regularity ratio once at node 0; strain and divergence
+    # come from one gradient per node, not from separate derivatives
+    c = converged32
+    nsteps = c.sol.nsteps
+    calls = counting(monkeypatch, (fixed_point, rheology, transport, velocity),
+                     ["viscous_operator", "divergence", "rate_tensors"])
+    audit = audit_window(c.sol, c.params)
+    assert calls["viscous_operator"] <= 2 * nsteps + 2
+    assert calls["divergence"] == calls["rate_tensors"] == 0
+    assert len(audit.forcings) == nsteps + 1
+    assert audit.out.w[0] is c.sol.w[0]
+    assert audit.residual == c.audit.residual
+    assert audit.energy.dissipation_slack == c.audit.energy.dissipation_slack
 
 
 def test_iterate_rejects_bad_data():

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oldroydb import (FluidParams, Grid, LinearSolveError, NonDirichletError,
-                      ScalarField, SymTensorField, VectorField, norm,
-                      trajectory_norms, viscous_operator)
+                      ScalarField, SymTensorField, VectorField, divergence,
+                      inner, norm, rate_tensors, trajectory_norms,
+                      viscous_operator)
 from oldroydb.fields import random_smooth_field
 from oldroydb.mms import (taylor_vortex, velocity_spatial_study,
                           velocity_temporal_study)
 from oldroydb.velocity import (check_energy_budget, check_regularity_budget,
-                               check_step_dissipation, run_velocity,
-                               step_velocity)
+                               run_velocity, step_velocity)
+
+from conftest import draw_trajectory
 
 PARAMS = FluidParams()
 
@@ -32,8 +36,9 @@ def regularity(us, Fs, dt):
     return check_regularity_budget(velocity_table(us, dt), us[0], Fs)
 
 
-def energy(us, Fs, dt):
-    return check_energy_budget(velocity_table(us, dt), us, Fs, PARAMS)
+def energy(us, Fs, dt, residual_norms):
+    return check_energy_budget(velocity_table(us, dt), us, Fs, PARAMS,
+                               residual_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +146,14 @@ def driven_run(n=16, T=0.05, dt=5e-3, amp=0.3):
 def test_energy_budget_zero_trajectory():
     grid = Grid.unit(8)
     zero = VectorField.zeros(grid, dirichlet=True)
-    rep = energy([zero] * 4, [VectorField.zeros(grid)] * 4, 1e-2)
+    rep = energy([zero] * 4, [VectorField.zeros(grid)] * 4, 1e-2, [0.0] * 3)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied
+    assert rep.dissipation_slack == (0.0,) * 3 and rep.dissipation_satisfied
 
 
 def test_energy_budget_driven_run():
-    _, us, Fs, _, dt = driven_run()
-    rep = energy(us, Fs, dt)
+    _, us, Fs, reports, dt = driven_run()
+    rep = energy(us, Fs, dt, [r.residual_norm for r in reports])
     assert rep.satisfied
     assert rep.lhs <= rep.rhs * (1.0 + 10.0 * dt)
     assert rep.lhs_history.shape == (len(us),)
@@ -156,19 +162,80 @@ def test_energy_budget_driven_run():
 
 
 def test_energy_budget_forcing_scaling_is_exactly_quartic():
-    _, us, Fs, _, dt = driven_run()
-    base = energy(us, Fs, dt)
+    _, us, Fs, reports, dt = driven_run()
+    res = [r.residual_norm for r in reports]
+    base = energy(us, Fs, dt, res)
     doubled = [VectorField(F.grid, 2.0 * F.values) for F in Fs]
-    scaled = energy(us, doubled, dt)
+    scaled = energy(us, doubled, dt, res)
     assert scaled.forcing_integral == 4.0 * base.forcing_integral
 
 
 def test_dissipation_inequality_every_step():
     _, us, Fs, reports, dt = driven_run()
-    for n, rep in enumerate(reports):
-        d = check_step_dissipation(us[n], us[n + 1], Fs[n + 1], dt, PARAMS,
-                                   residual_norm=rep.residual_norm)
-        assert d.satisfied, f"step {n}: lhs={d.lhs}, rhs={d.rhs}"
+    rep = energy(us, Fs, dt, [r.residual_norm for r in reports])
+    assert len(rep.dissipation_slack) == len(reports)
+    assert rep.dissipation_satisfied, rep.dissipation_slack
+
+
+def separate_energy_checks(us, Fs, dt, residual_norms):
+    """The energy inequality and each step's dissipation inequality, every
+    norm, operator, strain and divergence taken by its own call per node:
+    returns (lhs_history, rhs_history, forcing_integral, dissipation slacks,
+    dissipation satisfied)."""
+    om, alpha = PARAMS.omega, PARAMS.alpha
+
+    def strain_pieces(u):
+        return norm(rate_tensors(u)[0], 0) ** 2, norm(divergence(u), 0) ** 2
+
+    sup_d, sup_c = strain_pieces(us[0])
+    initial = 4.0 * (1.0 - om) * sup_d
+    lhs, rhs = [(1.0 - om) * (sup_d + sup_c)], [initial]
+    rate_int = visc_int = forcing_int = 0.0
+    slacks, ok = [], True
+    for n in range(1, len(us)):
+        rate = VectorField(us[n].grid, (us[n].values - us[n - 1].values) / dt)
+        rate_int += dt * norm(rate, 0) ** 2
+        visc_int += dt * norm(viscous_operator(us[n]), 0) ** 2
+        forcing_int += dt * norm(Fs[n], 0) ** 2
+        dn, cn = strain_pieces(us[n])
+        sup_d, sup_c = max(sup_d, dn), max(sup_c, cn)
+        lhs.append(0.5 * alpha * rate_int + 0.5 * (1.0 - om) ** 2 * visc_int
+                   + (1.0 - om) * (sup_d + sup_c))
+        rhs.append(initial + forcing_int)
+
+        u1sq = norm(us[n], 0) ** 2
+        step_lhs = (alpha * (u1sq - norm(us[n - 1], 0) ** 2) / (2.0 * dt)
+                    + (1.0 - om) * inner(viscous_operator(us[n]), us[n]))
+        step_rhs = (inner(Fs[n], us[n])
+                    + residual_norms[n - 1] * np.sqrt(u1sq) / dt)
+        slacks.append(step_rhs - step_lhs)
+        scale = max(1.0, abs(step_lhs), abs(step_rhs))
+        ok = ok and bool(step_lhs <= step_rhs + 1e-11 * scale)
+    return lhs, rhs, forcing_int, tuple(slacks), ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_energy_check_matches_separate_checks(dim, data):
+    # one gradient and one A u per node give, bit for bit, what separate
+    # norm, operator, strain, divergence and inner-product calls give
+    us, _, _, dt = draw_trajectory(data, dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="forcing seed"))
+    Fs = [random_smooth_field(us[0].grid, rng) for _ in us]
+    residual_norms = data.draw(
+        st.lists(st.floats(0.0, 1e-3), min_size=len(us) - 1,
+                 max_size=len(us) - 1), label="residual norms")
+    rep = energy(us, Fs, dt, residual_norms)
+    lhs, rhs, forcing_int, slacks, ok = separate_energy_checks(
+        us, Fs, dt, residual_norms)
+    assert rep.lhs_history.tolist() == lhs
+    assert rep.rhs_history.tolist() == rhs
+    assert rep.lhs == lhs[-1] and rep.rhs == rhs[-1]
+    assert rep.slack == rhs[-1] * (1.0 + 10.0 * dt) - lhs[-1]
+    assert rep.forcing_integral == forcing_int
+    assert rep.dissipation_slack == slacks
+    assert rep.dissipation_satisfied == ok
 
 
 def test_regularity_zero_data_is_vacuous():
@@ -209,8 +276,10 @@ def test_regularity_ratio_stable_under_refinement():
 def test_budget_checks_validate_lengths():
     grid = Grid.unit(8)
     zero = VectorField.zeros(grid, dirichlet=True)
-    with pytest.raises(ValueError):
-        energy([zero] * 3, [VectorField.zeros(grid)] * 2, 1e-2)
+    with pytest.raises(ValueError, match="forcing sample"):
+        energy([zero] * 3, [VectorField.zeros(grid)] * 2, 1e-2, [0.0] * 2)
+    with pytest.raises(ValueError, match="residual norm"):
+        energy([zero] * 3, [VectorField.zeros(grid)] * 3, 1e-2, [0.0])
     with pytest.raises(ValueError):
         regularity([zero] * 3, [VectorField.zeros(grid)] * 2, 1e-2)
 

@@ -30,7 +30,8 @@ def main():
     sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)
 
     print(f"converged after {hist.iterations} sweeps "
-          f"(budgets b1 = {hist.b1:.3g}, b2 = {hist.b2:.3g})")
+          f"(budgets b1 = {hist.membership.b1:.3g}, "
+          f"b2 = {hist.membership.b2:.3g})")
     print("sweep   distance     ratio    slack_min")
     for i, (d, r, s) in enumerate(zip(hist.distances, hist.ratios,
                                       hist.slack_mins), start=1):

@@ -9,6 +9,7 @@ Exit codes: 0 all checks pass, 2 configuration problem, 3 solver failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -71,16 +72,19 @@ def _write_summary(out_dir, payload) -> str:
     return path
 
 
+def _print_membership(mem, label="membership") -> None:
+    print(f"{label}: {'pass' if mem['passed'] else 'FAIL'} "
+          f"(slack_min {mem['slack_min']:.3f}, density range "
+          f"[{mem['density_min']:.6g}, {mem['density_max']:.6g}])")
+
+
 def _print_run(payload) -> None:
     print(f"converged in {payload['iterations']} sweeps; system residual "
           f"{payload['system_residual']:.3e}")
     ratios = [r for r in payload["contraction_ratios"] if r is not None]
     if ratios:
         print(f"contraction ratio: worst {max(ratios):.3f}")
-    mem = payload["membership"]
-    print(f"membership: {'pass' if mem['passed'] else 'FAIL'} "
-          f"(slack_min {mem['slack_min']:.3f}, density range "
-          f"[{mem['density_min']:.6g}, {mem['density_max']:.6g}])")
+    _print_membership(payload["membership"])
     en = payload["energy"]
     print(f"energy budget: {'pass' if en['satisfied'] else 'FAIL'} "
           f"(lhs {en['lhs']:.6g} vs rhs {en['rhs']:.6g})")
@@ -115,6 +119,8 @@ def _print_uniqueness(payload) -> None:
     print(f"envelope {'satisfied' if payload['satisfied'] else 'VIOLATED'} "
           f"with delta = {payload['delta']:.6g} "
           f"(threshold {payload['delta_cap']:.6g})")
+    for solve, mem in payload["membership"].items():
+        _print_membership(mem, f"membership of the {solve} solve")
 
 
 def _print_probe(payload) -> None:
@@ -126,6 +132,7 @@ def _print_probe(payload) -> None:
         print(f"gap shrink ratios per halving: {ratios}")
     print("linear response: "
           + ("yes" if payload["linear_ok"] else "NO"))
+    _print_membership(payload["membership"])
 
 
 def main(argv=None) -> int:
@@ -162,7 +169,8 @@ def main(argv=None) -> int:
         payload["exit_code"] = EXIT_SOLVER
         history = getattr(exc, "history", None)
         if history:
-            payload["distance_history"] = list(history)
+            payload["distance_history"] = [d if math.isfinite(d) else None
+                                           for d in history]
         payload["failed_timestep"] = getattr(exc, "timestep", None)
     except (DensityBandError, InvariantViolation) as exc:
         payload["status"] = "invariant-violation"

@@ -36,7 +36,7 @@ H^{-1} is realized through the discrete Dirichlet-Laplacian solve of every
 component, done exactly in the sine basis: transform, divide by
 sum_a lam_a, transform back.  `trajectory_norms` takes each norm a
 trajectory's budgets read, once per node and rate, into one table whose
-columns the membership check and the post-run audit reduce.
+columns the membership check, the post-run audit and the gap energy read.
 
 The velocity step solves alpha I + c A_h by `conjugate_gradient`, the
 package's port of scipy's preconditioned CG, with `viscous_preconditioner`:
@@ -574,15 +574,14 @@ def norm(f, k: int = 0) -> float:
 class TrajectoryNorms:
     """Per-node Sobolev norms of one trajectory on a uniform time ladder.
 
-    Row k of `w`, `pi` and `psi` is H^0..H^2 of node k; `w_h3[k-1]` is H^3
-    of velocity node k >= 1; row k-1 of each `*_rate` is L^2 and H^1 of the
+    Row k of `w` is H^0..H^3 of velocity node k and row k of `pi` and `psi`
+    H^0..H^2 of node k; row k-1 of each `*_rate` is L^2 and H^1 of the
     backward difference (node_k - node_{k-1}) / dt.  Sups are column maxima
     over the rows; `integral` is the right-endpoint rule over nodes 1..N.
     """
 
     dt: float
     w: np.ndarray
-    w_h3: np.ndarray
     w_rate: np.ndarray
     pi: np.ndarray
     pi_rate: np.ndarray
@@ -595,7 +594,7 @@ class TrajectoryNorms:
 
     @property
     def w_l1h3(self):
-        return self.integral(self.w_h3.tolist())
+        return self.integral(self.w[1:, 3].tolist())
 
     @property
     def w_suph2(self):
@@ -607,7 +606,8 @@ class TrajectoryNorms:
         squared on Python floats to match `norm(...) ** 2` to the bit."""
         def squares(column):
             return [x ** 2 for x in column.tolist()]
-        return (self.integral(squares(self.w_h3)) + max(squares(self.w[:, 2]))
+        return (self.integral(squares(self.w[1:, 3]))
+                + max(squares(self.w[:, 2]))
                 + self.integral(squares(self.w_rate[:, 1]))
                 + max(squares(self.w_rate[:, 0])))
 
@@ -623,10 +623,8 @@ def trajectory_norms(ws, pis, psis, dt) -> TrajectoryNorms:
                                          (cur.values - prev.values) / dt), 1)
                          for prev, cur in zip(nodes[:-1], nodes[1:])])
 
-    w = [norms(ws[0], 2)] + [norms(v, 3) for v in ws[1:]]
     return TrajectoryNorms(
-        dt=dt, w=np.array([h[:3] for h in w]),
-        w_h3=np.array([h[3] for h in w[1:]]), w_rate=rates(ws),
+        dt=dt, w=np.array([norms(v, 3) for v in ws]), w_rate=rates(ws),
         pi=np.array([norms(p, 2) for p in pis]), pi_rate=rates(pis),
         psi=np.array([norms(s, 2) for s in psis]), psi_rate=rates(psis))
 

@@ -19,7 +19,7 @@ on another.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, TrajectoryNorms,
                      VectorField, div_tensor, grad_tensor, gradient, mean,
-                     norm, norms, rate_tensors, trajectory_norms,
-                     viscous_operator)
+                     norm, rate_tensors, trajectory_norms, viscous_operator)
 from .rheology import momentum_source
 from .transport import (DensityBoundReport, StressBoundReport,
                         check_density_bounds, check_stress_bounds,
@@ -149,27 +148,28 @@ def trajectory_distance(a: IterTriple, b: IterTriple, params) -> float:
     Each time node is collapsed with the gap-energy weights (the
     combination the two-solution experiment integrates), which balances the
     velocity-to-density gain against its eps^2-weaker converse in one
-    number. That number need not fall at every sweep: a sweep alternates
-    between the velocity and the transport blocks, so the distances of
-    consecutive sweeps can alternate, and on fine grids (n >= 64) a single
-    sweep's ratio can exceed 1 while two sweeps together still contract.
+    number, NaN if a node is NaN. A sweep alternates between the velocity
+    and the transport blocks, so the distances of consecutive sweeps can
+    alternate, and on fine grids (n >= 64) a single sweep's ratio can
+    exceed 1 while two sweeps together still contract.
     """
     if a.nsteps != b.nsteps or a.dt != b.dt:
         raise ValueError("trajectories live on different time ladders")
-    return math.sqrt(max(0.0, *_gap_energies(a, b, params)))
+    return math.sqrt(np.max(_gap_energies(a, b, params)))
 
 
-def assemble_forcing(w: VectorField, grad_w: np.ndarray, pi: ScalarField,
-                     psi: SymTensorField, params) -> VectorField:
+def assemble_forcing(w: VectorField, grad_w: np.ndarray, Aw: VectorField,
+                     pi: ScalarField, psi: SymTensorField,
+                     params) -> VectorField:
     """Full momentum right-hand side for one frozen guess.
 
     Density-weighted remainder terms from the momentum source, minus the
     guess self-transport, minus the density push, plus the stress divergence.
-    `grad_w` is `grad_tensor(w)`; in a sweep it comes from the step's
-    characteristic map. A w and grad pi are taken here, once each.
+    `grad_w` is `grad_tensor(w)`, in a sweep from the step's characteristic
+    map, and `Aw` is `viscous_operator(w)`; grad pi is taken here.
     """
     gp = gradient(pi)
-    base = momentum_source(viscous_operator(w), pi, gp, params)
+    base = momentum_source(Aw, pi, gp, params)
     adv = np.einsum("j...,ij...->i...", w.values, grad_w)
     vals = (base.values - params.alpha * adv - gp.values
             + div_tensor(psi).values)
@@ -210,7 +210,8 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10) -> tuple:
         wk, pk, qk = inp.w[k + 1], inp.pi[k + 1], inp.psi[k + 1]
         try:
             cm = trace(wk, inp.dt)
-            Fk = assemble_forcing(wk, cm.grad_w, pk, qk, params)
+            Fk = assemble_forcing(wk, cm.grad_w, viscous_operator(wk), pk,
+                                  qk, params)
             u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin)
             sg, dr = step_density(sg, cm, params)
             tau, sr = step_stress(tau, cm, params)
@@ -246,15 +247,16 @@ class MembershipReport:
     violations: tuple
     slack_min: float
     passed: bool
+    table: TrajectoryNorms = field(repr=False, compare=False)
 
 
 def check_membership(candidate: IterTriple, b1: float, b2: float,
                      params) -> MembershipReport:
     """Evaluate the norm-budget and band inequalities; never raises.
 
-    Every term comes from one `trajectory_norms` table: velocity usage is
-    its `velocity_budget`, data usage is sup-t H2 of density plus stress,
-    rate usage is sup-t H1 of their backward-difference rates.
+    Every term comes from one `trajectory_norms` table, kept as `table`:
+    velocity usage is its `velocity_budget`, data usage is sup-t H2 of
+    density plus stress, rate usage is sup-t H1 of their rates.
     """
     if b1 <= 0.0 or b2 <= 0.0:
         raise ValueError("budgets must be positive")
@@ -283,7 +285,7 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
         b1=b1, b2=b2, velocity_budget=w_used, data_budget=data_used,
         rate_budget=rate_used, density_min=rho_min, density_max=rho_max,
         band_lo=lo, band_hi=hi, violations=tuple(violations),
-        slack_min=min(slacks), passed=not violations)
+        slack_min=min(slacks), passed=not violations, table=table)
 
 
 def suggest_budgets(u0: VectorField, sigma0: ScalarField,
@@ -313,8 +315,6 @@ class ConvergenceHistory:
     distances: tuple
     ratios: tuple
     slack_mins: tuple
-    b1: float
-    b2: float
     iterations: int
     converged: bool
     membership: MembershipReport
@@ -354,9 +354,10 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
 
     Checks the discrete solvability hypotheses first (zero-trace velocity,
     mean-zero density remainder, total density inside the strict band).
-    Membership is checked against `suggest_budgets` of the initial data.
+    Membership is checked against `suggest_budgets` of the initial data,
+    and ``hist.membership.table`` holds the returned solution's norms.
     Raises NonConvergenceError with the distance history when max_iter
-    sweeps do not contract below tolerance.
+    sweeps do not contract below tolerance or a distance is not finite.
     """
     nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
 
@@ -375,7 +376,6 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
             raise ConfigError("initial guess must start from the given data")
 
     dists, ratios, slacks = [], [], []
-    mem = None
     for k in range(1, max_iter + 1):
         y = picard_sweep(x, params, tol_lin=tol_lin)[0]
         d = trajectory_distance(y, x, params)
@@ -385,22 +385,23 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
         dists.append(d)
         slacks.append(mem.slack_min)
         if d <= tol_fp:
-            history = ConvergenceHistory(
+            return y, ConvergenceHistory(
                 distances=tuple(dists), ratios=tuple(ratios),
-                slack_mins=tuple(slacks), b1=b1, b2=b2, iterations=k,
-                converged=True, membership=mem)
-            return y, history
+                slack_mins=tuple(slacks), iterations=k, converged=True,
+                membership=mem)
+        if not math.isfinite(d):
+            break
         x = y
     raise NonConvergenceError(
-        f"no fixed point after {max_iter} sweeps (last distance "
+        f"no fixed point after {len(dists)} sweeps (last distance "
         f"{dists[-1]:.3e}); try a shorter window T or smaller data",
         history=tuple(dists))
 
 
 def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
           params, T: float, dt: float, tol_fp: float = 1e-8,
-          max_iter: int = 20, tol_lin: float = 1e-10) -> IterTriple:
-    """Reach the fixed point of the window map one step at a time.
+          max_iter: int = 20, tol_lin: float = 1e-10) -> tuple:
+    """Reach the window's fixed point step by step; return (sol, hist).
 
     Step k of the map reads only input node k+1 and output node k. So once
     nodes 0..k are settled, node k+1 is the fixed point of the one-step
@@ -408,17 +409,18 @@ def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     from the guess "node k held", until its distance falls to 0.1 tol_fp,
     and its last output becomes node k+1. This is Gauss-Seidel waveform
     relaxation with a one-step window; the whole-window sweep of `iterate`
-    is its Jacobi form. Pass the result to `iterate` as ``initial_guess``:
-    its first sweep certifies the fixed point and checks membership.
+    is its Jacobi form. `iterate`, started from the marched trajectory,
+    certifies it: its first sweep measures the distance and membership.
 
     Checks the same hypotheses as `iterate`. Raises NonConvergenceError
     with the local distance history when a step takes more than max_iter
-    sweeps; that error and solver failures carry the global ``timestep``.
+    sweeps or a distance is not finite; that error and solver failures
+    carry the global ``timestep``.
     """
     nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
-    ws, pis, psis = [u0], [sigma0], [tau0]
+    nodes = [(u0, sigma0, tau0)]  # settled (w, pi, psi) at each node
     for k in range(nsteps):
-        x = IterTriple.constant(ws[k], pis[k], psis[k], 1, dt)
+        x = IterTriple.constant(*nodes[k], 1, dt)
         dists = []
         for _ in range(max_iter):
             try:
@@ -428,19 +430,19 @@ def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
                 raise
             dists.append(trajectory_distance(y, x, params))
             x = y
-            if dists[-1] <= 0.1 * tol_fp:
+            if dists[-1] <= 0.1 * tol_fp or not math.isfinite(dists[-1]):
                 break
-        else:
+        if not dists[-1] <= 0.1 * tol_fp:
             exc = NonConvergenceError(
-                f"step {k + 1} found no fixed point after {max_iter} sweeps "
-                f"(last distance {dists[-1]:.3e}); try a smaller dt or "
-                "smaller data", history=tuple(dists))
+                f"step {k + 1} found no fixed point after {len(dists)} "
+                f"sweeps (last distance {dists[-1]:.3e}); try a smaller dt "
+                "or smaller data", history=tuple(dists))
             exc.timestep = k + 1
             raise exc
-        ws.append(x.w[1])
-        pis.append(x.pi[1])
-        psis.append(x.psi[1])
-    return IterTriple(ws, pis, psis, dt)
+        nodes.append((x.w[1], x.pi[1], x.psi[1]))
+    return iterate(u0, sigma0, tau0, params, T, dt, tol_fp=tol_fp,
+                   max_iter=max_iter, tol_lin=tol_lin,
+                   initial_guess=IterTriple(*zip(*nodes), dt))
 
 
 @dataclass(frozen=True)
@@ -453,7 +455,7 @@ class SystemResidual:
 
     @property
     def worst(self):
-        return max(self.velocity, self.density, self.stress)
+        return np.max((self.velocity, self.density, self.stress))
 
 
 @dataclass(frozen=True)
@@ -479,20 +481,20 @@ def audit_window(sol: IterTriple, params,
     sweep against the energy, dissipation, regularity and transport
     estimates. Its gap to ``sol`` is the residual; its per-step reports
     describe exactly the linear problems ``sol`` solves. F(0), which no
-    step reads, is assembled here from the initial data.
+    step reads, and the regularity bracket share one A u0.
     """
     out, diag = picard_sweep(sol, params, tol_lin=tol_lin)
-    u0 = sol.w[0]
-    forcings = (assemble_forcing(u0, grad_tensor(u0), sol.pi[0], sol.psi[0],
-                                 params),) + diag.forcings
+    u0, Au0 = sol.w[0], viscous_operator(sol.w[0])
+    forcings = (assemble_forcing(u0, grad_tensor(u0), Au0, sol.pi[0],
+                                 sol.psi[0], params),) + diag.forcings
     table = trajectory_norms(out.w, out.pi, out.psi, out.dt)
     residual_norms = [r.residual_norm for r in diag.velocity_reports]
     return WindowAudit(
         out=out, diag=diag, forcings=forcings, table=table,
-        residual=SystemResidual(*map(max, _node_gaps(out, sol))),
+        residual=SystemResidual(*map(np.max, _node_gaps(out, sol))),
         energy=check_energy_budget(table, out.w, forcings, params,
                                    residual_norms),
-        regularity=check_regularity_budget(table, u0, forcings),
+        regularity=check_regularity_budget(table, Au0, forcings),
         density=check_density_bounds(table, params),
         stress=check_stress_bounds(table, params))
 
@@ -567,22 +569,19 @@ def continuity_probe(base: IterTriple, delta: float, params,
     shapes = _probe_shapes(base.grid)
     ref = picard_sweep(base, params, tol_lin=tol_lin)[0]
     scales = (delta, delta / 2.0, delta / 4.0) if delta > 0.0 else (0.0,)
-    gv, gp, gs, gtot = [], [], [], []
+    rows = []  # sup-in-time gap of each component, then of all three
     for s in scales:
         out = picard_sweep(_perturb(base, s, shapes, components), params,
                            tol_lin=tol_lin)[0]
-        a, b, c = map(max, _node_gaps(out, ref))
-        gv.append(a)
-        gp.append(b)
-        gs.append(c)
-        gtot.append(max(a, b, c))
+        sups = [np.max(g) for g in _node_gaps(out, ref)]
+        rows.append(sups + [np.max(sups)])
+    gv, gp, gs, gtot = zip(*rows)
     shrink = tuple(gtot[i] / gtot[i + 1] if gtot[i + 1] > 0.0
                    else float("inf") for i in range(len(gtot) - 1))
     linear_ok = all(2.0 / 1.5 <= r <= 2.0 * 1.5 for r in shrink)
     return ProbeReport(
-        delta=delta, deltas=scales, velocity_gaps=tuple(gv),
-        density_gaps=tuple(gp), stress_gaps=tuple(gs), gaps=tuple(gtot),
-        shrink_ratios=shrink, linear_ok=linear_ok)
+        delta=delta, deltas=scales, velocity_gaps=gv, density_gaps=gp,
+        stress_gaps=gs, gaps=gtot, shrink_ratios=shrink, linear_ok=linear_ok)
 
 
 def delta_threshold(params) -> float:
@@ -611,20 +610,25 @@ class UniquenessReport:
     satisfied: bool
 
 
-def uniqueness_experiment(sol1: IterTriple, sol2: IterTriple, delta: float,
-                          params, c12: float = None, fp_tol: float = 1e-8,
+def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
+                          sol2: IterTriple, table2: TrajectoryNorms,
+                          delta: float, params, c12: float = None,
+                          fp_tol: float = 1e-8,
                           slack: float = 0.0) -> UniquenessReport:
     """Weighted L2 gap energy of two trajectories vs. exp(2 int rate).
 
     The growth rate combines low-order norms of both solutions linearly in
     the constant and quadratic high-order norms weighted by 1/(2 delta).
+    Those norms are read from ``table1`` and ``table2``, the solutions'
+    `trajectory_norms` tables; only the gaps are measured here.
     With c12=None the smallest constant closing the envelope at every step
     is fitted in closed form; pass a fitted value (plus slack) to hold it on
     another run. Identical initial data switch the check to a flat
     solver-tolerance budget, since the envelope degenerates to zero.
     """
-    if sol1.nsteps != sol2.nsteps or sol1.dt != sol2.dt \
-            or sol1.grid != sol2.grid:
+    npts = sol1.nsteps + 1
+    if not len(sol2.w) == len(table1.w) == len(table2.w) == npts \
+            or sol1.dt != sol2.dt or sol1.grid != sol2.grid:
         raise ValueError("solution trajectories are not comparable")
     cap = delta_threshold(params)
     if not 0.0 < delta < cap:
@@ -632,16 +636,15 @@ def uniqueness_experiment(sol1: IterTriple, sol2: IterTriple, delta: float,
             f"splitting weight delta={delta:.6g} must lie in (0, "
             f"{cap:.6g}) to keep the gap dissipation coefficients positive")
 
-    npts = sol1.nsteps + 1
     lin = np.empty(npts)  # coefficient of c12 in the rate
     quad = np.empty(npts)  # coefficient of c12**2
     e = np.array(_gap_energies(sol1, sol2, params))
+    w1, w2 = table1.w.tolist(), table2.w.tolist()
+    s1, s2, t1 = table1.pi.tolist(), table2.pi.tolist(), table1.psi.tolist()
     for k in range(npts):
-        u1_l2, _, u1_h2, u1_h3 = norms(sol1.w[k], 3)
-        lin[k] = u1_l2 + norm(sol2.w[k], 0) + u1_h3
-        quad[k] = (u1_h2 ** 3 + norm(sol1.pi[k], 2) ** 2
-                   + 2.0 * norm(sol2.pi[k], 2) ** 2
-                   + norm(sol1.psi[k], 2) ** 2) / (2.0 * delta)
+        lin[k] = w1[k][0] + w2[k][0] + w1[k][3]
+        quad[k] = (w1[k][2] ** 3 + s1[k][2] ** 2 + 2.0 * s2[k][2] ** 2
+                   + t1[k][2] ** 2) / (2.0 * delta)
 
     dt = sol1.dt
     cum_lin = np.concatenate([[0.0], np.cumsum(dt * lin[1:])])

@@ -370,11 +370,10 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
 
     sigma_scale = max(1.0, float(table.pi[:, 0].max()))
     mean_sigma_max = max(abs(mean(p)) for p in out.pi)
-    membership = hist.membership
 
     checks = {
         "fixed_point_converged": hist.converged,
-        "membership": membership.passed,
+        "membership": hist.membership.passed,
         "system_residual": residual < 10.0 * cfg.tol_fp,
         "energy_budget": energy.satisfied,
         "step_dissipation": energy.dissipation_satisfied,
@@ -407,14 +406,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         "contraction_ratios": [None if math.isnan(r) else r
                                for r in hist.ratios],
         "system_residual": residual,
-        "membership": {
-            "passed": membership.passed,
-            "violations": list(membership.violations),
-            "slack_min": membership.slack_min,
-            "b1": membership.b1, "b2": membership.b2,
-            "density_min": membership.density_min,
-            "density_max": membership.density_max,
-        },
+        "membership": _membership_summary(hist.membership),
         "energy": {"lhs": energy.lhs, "rhs": energy.rhs,
                    "slack": energy.slack, "satisfied": energy.satisfied},
         "constants": {"c1_emp": None if audit.regularity.vacuous
@@ -427,6 +419,12 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         "artifacts": {"ledger": ledger_path, "convergence": conv_path,
                       **snaps},
     }
+
+
+def _membership_summary(mem) -> dict:
+    return {"passed": mem.passed, "violations": list(mem.violations),
+            "slack_min": mem.slack_min, "b1": mem.b1, "b2": mem.b2,
+            "density_min": mem.density_min, "density_max": mem.density_max}
 
 
 def mms_experiment(cfg: RunConfig, out_dir) -> dict:
@@ -461,17 +459,6 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     }
 
 
-def _solve(cfg: RunConfig, params, u0, s0, t0):
-    """The fixed point of one window: marched step by step, then certified
-    by `iterate`, whose first sweep measures its distance and membership
-    (and which keeps sweeping if that distance exceeds tol.fp)."""
-    tols = dict(tol_fp=cfg.tol_fp, max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
-    guess = march(u0, s0, t0, params, cfg.T, cfg.dt, **tols)
-    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt, initial_guess=guess,
-                     **tols)
-    return sol
-
-
 def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
     """Base run vs. density-perturbed run against the growth envelope."""
     os.makedirs(out_dir, exist_ok=True)
@@ -483,13 +470,13 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
             "positivity threshold of the gap dissipation coefficients")
 
     amp = cfg.uniqueness_amplitude
-    sol1 = _solve(cfg, params, u0, s0, t0)
-    if amp == 0.0:
-        sol2 = sol1
-    else:
-        sol2 = _solve(cfg, params, u0, s0 + _bump_density(grid, amp), t0)
+    tols = dict(tol_fp=cfg.tol_fp, max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
+    data = [s0] if amp == 0.0 else [s0, s0 + _bump_density(grid, amp)]
+    solves = [march(u0, s, t0, params, cfg.T, cfg.dt, **tols) for s in data]
+    (sol1, hist1), (sol2, hist2) = solves[0], solves[-1]
 
-    rep = uniqueness_experiment(sol1, sol2, cfg.delta, params,
+    rep = uniqueness_experiment(sol1, hist1.membership.table, sol2,
+                                hist2.membership.table, cfg.delta, params,
                                 fp_tol=cfg.tol_fp)
     path = os.path.join(out_dir, "gronwall.csv")
     _write_csv(path, ("t", "gap_energy", "envelope", "growth_rate"),
@@ -508,6 +495,8 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
         "max_ratio": rep.max_ratio,
         "satisfied": rep.satisfied,
         "gap_energy_final": rep.gap_energy[-1],
+        "membership": {"base": _membership_summary(hist1.membership),
+                       "perturbed": _membership_summary(hist2.membership)},
         "artifacts": {"gronwall": path},
     }
 
@@ -516,7 +505,8 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
     """Input-perturbation linearity of one sweep around a converged run."""
     os.makedirs(out_dir, exist_ok=True)
     _, params, u0, s0, t0 = build_initial_data(cfg)
-    sol = _solve(cfg, params, u0, s0, t0)
+    sol, hist = march(u0, s0, t0, params, cfg.T, cfg.dt, tol_fp=cfg.tol_fp,
+                      max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
     rep = continuity_probe(sol, cfg.probe_amplitude, params,
                            tol_lin=cfg.tol_lin)
     path = os.path.join(out_dir, "probe.csv")
@@ -534,5 +524,6 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
         "gaps": list(rep.gaps),
         "shrink_ratios": list(rep.shrink_ratios),
         "linear_ok": rep.linear_ok,
+        "membership": _membership_summary(hist.membership),
         "artifacts": {"probe": path},
     }

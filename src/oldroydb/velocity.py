@@ -243,11 +243,11 @@ class RegularityReport:
     fprime_l2hm1: float
 
 
-def check_regularity_budget(table, u0, Fs) -> RegularityReport:
+def check_regularity_budget(table, Au0, Fs) -> RegularityReport:
     """Ratio of trajectory regularity norms to the data bracket.
 
-    The numerator is the `trajectory_norms` table's velocity budget.  Fs[0]
-    must be the right side assembled from the initial data u0; the forcing
+    The numerator is the `trajectory_norms` table's velocity budget.  Au0 is
+    A u0 and Fs[0] the right side assembled from the initial data; the forcing
     rate F' is its per-step finite difference measured in the discrete dual
     norm (one Dirichlet-Laplacian solve per sample).
     """
@@ -258,7 +258,7 @@ def check_regularity_budget(table, u0, Fs) -> RegularityReport:
     fprime = table.integral(
         norm_hminus1(VectorField(F.grid, (F.values - prev.values) / dt)) ** 2
         for prev, F in zip(Fs[:-1], Fs[1:]))
-    visc0 = norm(viscous_operator(u0), 0)
+    visc0 = norm(Au0, 0)
     f0 = norm(Fs[0], 0)
     lhs = table.velocity_budget
     bracket = visc0 ** 2 + f0 ** 2 + f_l2h1 + fprime

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
                       VectorField, mean_zero_project, rate_tensors)
 from oldroydb.fields import random_smooth_field
-from oldroydb.fixed_point import audit_window, iterate
+from oldroydb.fixed_point import audit_window, iterate, march
 from oldroydb.mms import taylor_vortex
 
 
@@ -87,13 +87,16 @@ def converged64():
 
 
 def _gronwall_pair(n):
+    """Two marched and certified solutions, each with its norm table."""
     grid, params, u0, s0, t0 = compressive_preset(n)
     pert = centered_bump_perturbation(grid)
-    sol, _ = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
-                     tol_fp=1e-8, max_iter=25)
-    solp, _ = iterate(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
+    sol, hist = march(u0, s0, t0, params, T=0.01, dt=1e-3,
                       tol_fp=1e-8, max_iter=25)
-    return SimpleNamespace(grid=grid, params=params, sol=sol, solp=solp)
+    solp, histp = march(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
+                        tol_fp=1e-8, max_iter=25)
+    return SimpleNamespace(grid=grid, params=params, sol=sol, solp=solp,
+                           table=hist.membership.table,
+                           tablep=histp.membership.table)
 
 
 @pytest.fixture(scope="session")

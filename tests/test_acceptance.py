@@ -186,19 +186,22 @@ def test_criterion_7_uniqueness_envelope(request):
     c = run
     nudge = picard_sweep(
         IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), c.params)[0]
-    sol_b, _ = iterate(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3,
-                       initial_guess=nudge)
-    same = uniqueness_experiment(c.sol, sol_b, 1.0, c.params, fp_tol=1e-8)
+    sol_b, hist_b = iterate(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3,
+                            initial_guess=nudge)
+    same = uniqueness_experiment(c.sol, c.hist.membership.table, sol_b,
+                                 hist_b.membership.table, 1.0, c.params,
+                                 fp_tol=1e-8)
     identical_ok = same.identical and same.satisfied \
         and max(same.gap_energy) <= (10.0 * 1e-8) ** 2
 
     g32 = request.getfixturevalue("gronwall32")
     g64 = request.getfixturevalue("gronwall64")
-    fit = uniqueness_experiment(g32.sol, g32.solp, 1.0, g32.params)
-    held32 = uniqueness_experiment(g32.sol, g32.solp, 1.0, g32.params,
-                                   c12=fit.c12, slack=0.05)
-    held64 = uniqueness_experiment(g64.sol, g64.solp, 1.0, g64.params,
-                                   c12=fit.c12, slack=0.05)
+    fit = uniqueness_experiment(g32.sol, g32.table, g32.solp, g32.tablep,
+                                1.0, g32.params)
+    held32 = uniqueness_experiment(g32.sol, g32.table, g32.solp, g32.tablep,
+                                   1.0, g32.params, c12=fit.c12, slack=0.05)
+    held64 = uniqueness_experiment(g64.sol, g64.table, g64.solp, g64.tablep,
+                                   1.0, g64.params, c12=fit.c12, slack=0.05)
     ok = identical_ok and fit.c12_fitted and fit.c12 > 0.0 \
         and held32.satisfied and held64.satisfied
     _report(7, ok,

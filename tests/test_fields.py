@@ -150,20 +150,31 @@ def test_trajectory_norms_are_norms_of_each_node_and_rate(dim, data):
         return type(cur)(cur.grid, (cur.values - prev.values) / dt)
 
     for k in range(len(ws)):
-        hw = norms(ws[k], 2 if k == 0 else 3)
-        assert tuple(table.w[k]) == hw[:3]
+        assert tuple(table.w[k]) == norms(ws[k], 3)
         assert tuple(table.pi[k]) == norms(pis[k], 2)
         assert tuple(table.psi[k]) == norms(psis[k], 2)
         if k == 0:
             continue
-        assert table.w_h3[k - 1] == hw[3]
         assert tuple(table.w_rate[k - 1]) == norms(rate(ws[k - 1], ws[k]), 1)
         assert tuple(table.pi_rate[k - 1]) == norms(rate(pis[k - 1], pis[k]),
                                                     1)
         assert tuple(table.psi_rate[k - 1]) == norms(
             rate(psis[k - 1], psis[k]), 1)
-    assert table.w_h3.shape == (len(ws) - 1,)
+    assert table.w[0, 3] == norms(ws[0], 3)[3]
+    assert table.w.shape == (len(ws), 4)
+    assert table.pi.shape == table.psi.shape == (len(ws), 3)
     assert table.w_rate.shape == table.pi_rate.shape == (len(ws) - 1, 2)
+
+    # the velocity budget and int H^3 keep their node-by-node formulas,
+    # squared on Python floats: node 0's H^3 row enters neither
+    h3 = [norms(v, 3)[3] for v in ws[1:]]
+    h2 = [norms(v, 2)[2] for v in ws]
+    w_rates = [norms(rate(a, b), 1) for a, b in zip(ws[:-1], ws[1:])]
+    assert table.w_l1h3 == sum(dt * x for x in h3)
+    assert table.velocity_budget == (
+        sum(dt * x ** 2 for x in h3) + max(x ** 2 for x in h2)
+        + sum(dt * r[1] ** 2 for r in w_rates)
+        + max(r[0] ** 2 for r in w_rates))
 
 
 def test_trajectory_norms_validates_lengths():

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
-                      SymTensorField, VectorField, assemble_forcing,
-                      audit_window, check_membership, continuity_probe,
-                      delta_threshold, grad_tensor, iterate, march,
-                      mean, picard_sweep, step_density, step_stress,
-                      step_velocity, suggest_budgets, trace,
+                      SymTensorField, SystemResidual, VectorField,
+                      assemble_forcing, audit_window, check_membership,
+                      continuity_probe, delta_threshold, grad_tensor,
+                      iterate, march, mean, picard_sweep, step_density,
+                      step_stress, step_velocity, suggest_budgets, trace,
                       trajectory_distance, trajectory_norms,
-                      uniqueness_experiment)
-from oldroydb import fixed_point, rheology, transport, velocity
+                      uniqueness_experiment, viscous_operator)
+from oldroydb import fields, fixed_point, rheology, transport, velocity
 from oldroydb.fields import random_smooth_field
 from oldroydb.transport import check_density_bounds, check_stress_bounds
 from oldroydb.velocity import check_regularity_budget, run_velocity
@@ -68,6 +68,33 @@ def test_distance_weighted_and_raw():
     short = IterTriple.constant(z_w, z_s, z_t, 3, 0.1)
     with pytest.raises(ValueError, match="time ladders"):
         trajectory_distance(a, short, params)
+
+
+def test_a_nan_node_is_not_a_zero_distance():
+    # Python's max skips a NaN that does not come first: an all-NaN density
+    # node must make the distance and the residual NaN, not 0
+    grid = Grid.unit(8)
+    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
+    zero = IterTriple.constant(VectorField.zeros(grid, dirichlet=True),
+                               ScalarField.zeros(grid),
+                               SymTensorField.zeros(grid), 2, 0.1)
+    nan = ScalarField(grid, np.full(grid.node_shape, np.nan))
+    bad = IterTriple(zero.w, (zero.pi[0], nan, zero.pi[2]), zero.psi, 0.1)
+    assert math.isnan(trajectory_distance(bad, zero, params))
+    assert math.isnan(SystemResidual(0.0, math.nan, 0.0).worst)
+
+
+def test_iterate_and_march_stop_at_a_non_finite_distance(monkeypatch):
+    grid, params, u0, s0, t0 = small_preset(8)
+    monkeypatch.setattr(fixed_point, "trajectory_distance",
+                        lambda a, b, p: math.nan)
+    with pytest.raises(NonConvergenceError, match="after 1 sweeps") as err:
+        iterate(u0, s0, t0, params, T=3e-3, dt=1e-3)
+    assert len(err.value.history) == 1 and math.isnan(err.value.history[0])
+    with pytest.raises(NonConvergenceError, match="step 1 .* 1 sweeps") \
+            as err:
+        march(u0, s0, t0, params, T=3e-3, dt=1e-3)
+    assert err.value.timestep == 1 and len(err.value.history) == 1
 
 
 def counting(monkeypatch, modules, names):
@@ -134,7 +161,8 @@ def test_sweep_matches_manual_composition():
     for k in range(nsteps):
         wk, pk, qk = x.w[k + 1], x.pi[k + 1], x.psi[k + 1]
         cm = trace(wk, dt)
-        Fk = assemble_forcing(wk, cm.grad_w, pk, qk, params)
+        Fk = assemble_forcing(wk, cm.grad_w, viscous_operator(wk), pk, qk,
+                              params)
         u, _ = step_velocity(u, Fk, dt, params)
         sg, _ = step_density(sg, cm, params)
         tau, _ = step_stress(tau, cm, params)
@@ -165,7 +193,8 @@ def test_zero_forcing_assembles_to_zero():
     z_w = VectorField.zeros(grid, dirichlet=True)
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
-    F = assemble_forcing(z_w, grad_tensor(z_w), z_s, z_t, params)
+    F = assemble_forcing(z_w, grad_tensor(z_w), viscous_operator(z_w), z_s,
+                         z_t, params)
     assert not F.values.any()
 
 
@@ -241,7 +270,7 @@ def test_membership_budgets_are_the_audit_sums(dim, data):
     Fs = [random_smooth_field(ws[0].grid, rng) for _ in ws]
     mem = check_membership(IterTriple(ws, pis, psis, dt), 1.0, 1.0, params)
     table = trajectory_norms(ws, pis, psis, dt)
-    reg = check_regularity_budget(table, ws[0], Fs)
+    reg = check_regularity_budget(table, viscous_operator(ws[0]), Fs)
     dens = check_density_bounds(table, params)
     stress = check_stress_bounds(table, params)
     assert mem.velocity_budget == pytest.approx(reg.lhs, rel=1e-14, abs=0.0)
@@ -311,16 +340,17 @@ def test_fixed_point_residual_small(converged32):
 
 
 def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
-    # the extra sweep applies A once per frozen node and F(0) once more; the
-    # energy check once per swept node, with each step's dissipation read
-    # from it; the regularity ratio once at node 0; strain and divergence
-    # come from one gradient per node, not from separate derivatives
+    # the extra sweep applies A once per frozen node and once more at node 0,
+    # where F(0) and the regularity bracket share it; the energy check once
+    # per swept node, with each step's dissipation read from it; strain and
+    # divergence come from one gradient per node, not from separate
+    # derivatives
     c = converged32
     nsteps = c.sol.nsteps
     calls = counting(monkeypatch, (fixed_point, rheology, transport, velocity),
                      ["viscous_operator", "divergence", "rate_tensors"])
     audit = audit_window(c.sol, c.params)
-    assert calls["viscous_operator"] <= 2 * nsteps + 2
+    assert calls["viscous_operator"] == 2 * nsteps + 1
     assert calls["divergence"] == calls["rate_tensors"] == 0
     assert len(audit.forcings) == nsteps + 1
     assert audit.out.w[0] is c.sol.w[0]
@@ -374,16 +404,19 @@ def test_iterate_reports_divergence_on_long_window():
 
 def test_march_lands_on_the_sweep_fixed_point(converged32):
     # one certifying sweep suffices, and the certified trajectory is the
-    # fixed point the whole-window sweeps reach, to the solver tolerance
+    # fixed point the whole-window sweeps reach, to the solver tolerance;
+    # its history carries the norm table of exactly that trajectory
     c = converged32
-    guess = march(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3)
-    assert guess.nsteps == 10 and guess.w[0] is c.u0
-    sol, hist = iterate(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3,
-                        max_iter=1, initial_guess=guess)
+    sol, hist = march(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3)
+    assert sol.nsteps == 10 and sol.w[0] is c.u0
     assert hist.converged and hist.iterations == 1
     assert hist.distances[0] <= 1e-8
     assert hist.membership.passed
     assert trajectory_distance(sol, c.sol, c.params) <= 1e-8
+    table = trajectory_norms(sol.w, sol.pi, sol.psi, sol.dt)
+    for name in ("w", "w_rate", "pi", "pi_rate", "psi", "psi_rate"):
+        assert np.array_equal(getattr(hist.membership.table, name),
+                              getattr(table, name))
 
 
 def test_march_certifies_long_window():
@@ -391,9 +424,7 @@ def test_march_certifies_long_window():
     # each one-step window still contracts: the marched trajectory is a
     # discrete fixed point of the window map, certified by one sweep
     grid, params, u0, s0, t0 = small_preset(32)
-    guess = march(u0, s0, t0, params, T=0.08, dt=1e-3)
-    sol, hist = iterate(u0, s0, t0, params, T=0.08, dt=1e-3, max_iter=1,
-                        initial_guess=guess)
+    sol, hist = march(u0, s0, t0, params, T=0.08, dt=1e-3)
     assert hist.converged and hist.iterations == 1
     assert hist.distances[0] <= 1e-8
     assert hist.membership.passed
@@ -474,18 +505,38 @@ def test_delta_threshold_value():
 
 def test_gap_experiment_rejects_bad_delta(converged32):
     sol, params = converged32.sol, converged32.params
+    table = converged32.hist.membership.table
     cap = delta_threshold(params)
     with pytest.raises(ConfigError, match="must lie in"):
-        uniqueness_experiment(sol, sol, cap * 1.01, params)
+        uniqueness_experiment(sol, table, sol, table, cap * 1.01, params)
     with pytest.raises(ConfigError, match="must lie in"):
-        uniqueness_experiment(sol, sol, 0.0, params)
+        uniqueness_experiment(sol, table, sol, table, 0.0, params)
 
 
 def test_gap_experiment_rejects_mismatched_runs(converged32):
     grid, params, u0, s0, t0 = small_preset(32)
     short = IterTriple.constant(u0, s0, t0, 3, 1e-3)
+    table = converged32.hist.membership.table
+    short_table = trajectory_norms(short.w, short.pi, short.psi, short.dt)
     with pytest.raises(ValueError, match="not comparable"):
-        uniqueness_experiment(converged32.sol, short, 1.0, params)
+        uniqueness_experiment(converged32.sol, table, short, short_table,
+                              1.0, params)
+    with pytest.raises(ValueError, match="not comparable"):
+        uniqueness_experiment(converged32.sol, short_table, converged32.sol,
+                              table, 1.0, params)
+
+
+def test_gap_experiment_reads_every_solution_norm_from_the_tables(
+        gronwall32, monkeypatch):
+    # the growth rate's norms come from the two certified solutions' tables:
+    # the experiment takes no norm beyond the L2 gaps of the gap energy
+    g = gronwall32
+    calls = counting(monkeypatch, (fields, fixed_point), ["norm", "norms"])
+    fixed_point._gap_energies(g.sol, g.solp, g.params)
+    gap_calls = dict(calls)
+    assert gap_calls["norm"] > 0
+    uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0, g.params)
+    assert {k: calls[k] - gap_calls[k] for k in calls} == gap_calls
 
 
 def test_identical_data_land_on_same_trajectory(converged32):
@@ -497,7 +548,9 @@ def test_identical_data_land_on_same_trajectory(converged32):
     sol_b, hist_b = iterate(c.u0, c.s0, c.t0, c.params, T=0.01,
                             dt=1e-3, initial_guess=nudge)
     assert hist_b.converged
-    rep = uniqueness_experiment(c.sol, sol_b, 1.0, c.params, fp_tol=1e-8)
+    rep = uniqueness_experiment(c.sol, c.hist.membership.table, sol_b,
+                                hist_b.membership.table, 1.0, c.params,
+                                fp_tol=1e-8)
     assert rep.identical
     assert rep.satisfied
     assert max(rep.gap_energy) <= (10.0 * 1e-8) ** 2
@@ -508,9 +561,10 @@ def test_dissipative_pair_needs_no_growth_constant(converged32):
     # smallest closing constant is exactly zero and the flat envelope holds
     c = converged32
     pert = centered_bump_perturbation(c.grid)
-    solp, _ = iterate(c.u0, c.s0 + pert, c.t0, c.params, T=0.01,
-                      dt=1e-3)
-    rep = uniqueness_experiment(c.sol, solp, 1.0, c.params)
+    solp, histp = iterate(c.u0, c.s0 + pert, c.t0, c.params, T=0.01,
+                          dt=1e-3)
+    rep = uniqueness_experiment(c.sol, c.hist.membership.table, solp,
+                                histp.membership.table, 1.0, c.params)
     assert not rep.identical
     assert rep.c12_fitted
     assert rep.c12 == 0.0
@@ -520,7 +574,8 @@ def test_dissipative_pair_needs_no_growth_constant(converged32):
 
 def test_compressive_pair_fits_positive_constant(gronwall32):
     g = gronwall32
-    rep = uniqueness_experiment(g.sol, g.solp, 1.0, g.params)
+    rep = uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0,
+                                g.params)
     assert not rep.identical
     assert rep.c12_fitted
     assert 1e-4 < rep.c12 < 1e-1
@@ -528,7 +583,7 @@ def test_compressive_pair_fits_positive_constant(gronwall32):
     assert rep.satisfied
     assert rep.max_ratio <= 1.0 + 1e-12
 
-    held = uniqueness_experiment(g.sol, g.solp, 1.0, g.params,
-                                 c12=rep.c12, slack=0.05)
+    held = uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0,
+                                 g.params, c12=rep.c12, slack=0.05)
     assert not held.c12_fitted
     assert held.satisfied

@@ -17,12 +17,13 @@ from oldroydb import ConfigError, mean
 from oldroydb.cli import main
 from oldroydb.errors import (DensityBandError, LinearSolveError,
                              NonDirichletError)
+from oldroydb.fixed_point import check_membership, march, suggest_budgets
 from oldroydb.harness import (DENSITY_PRESETS, EnergyLedger, LEDGER_COLUMNS,
                               RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
-                              build_initial_data, config_as_dict,
-                              initial_density, initial_stress,
-                              initial_velocity, parse_config,
-                              serialize_config)
+                              _bump_density, build_initial_data,
+                              config_as_dict, initial_density,
+                              initial_stress, initial_velocity, load_config,
+                              parse_config, serialize_config)
 from oldroydb.fields import Grid, divergence, norm, rate_tensors
 
 
@@ -291,6 +292,68 @@ def test_cli_divergence_exits_3(tmp_path):
     assert summary["status"] == "solver-failure"
     assert len(summary["distance_history"]) == 4
     assert summary["failed_timestep"] is None  # no single step failed
+
+
+def test_cli_nan_distance_exits_3_with_strict_history(tmp_path, monkeypatch):
+    # a NaN distance stops the sweeps at once and is written as null
+    monkeypatch.setattr(fixed_point, "trajectory_distance",
+                        lambda a, b, p: float("nan"))
+    cfg = _cfg_file(tmp_path, "grid.n = 8\ntime.T = 0.002\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    summary = _strict_summary(out)
+    assert summary["status"] == "solver-failure"
+    assert summary["distance_history"] == [None]
+
+
+def _certified_membership(cfg, sigma0):
+    """The membership block of the marched and certified solution of
+    ``cfg`` with density remainder ``sigma0``, from `check_membership`."""
+    _, params, u0, _, t0 = build_initial_data(cfg)
+    sol, hist = march(u0, sigma0, t0, params, cfg.T, cfg.dt,
+                      tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
+                      tol_lin=cfg.tol_lin)
+    mem = check_membership(sol, *suggest_budgets(u0, sigma0, t0, params),
+                           params)
+    return hist, {"passed": mem.passed, "violations": list(mem.violations),
+                  "slack_min": mem.slack_min, "b1": mem.b1, "b2": mem.b2,
+                  "density_min": mem.density_min,
+                  "density_max": mem.density_max}
+
+
+def test_cli_uniqueness_reports_membership_without_gating(tmp_path, capsys):
+    # both certified solutions of this compressive window overrun the rate
+    # budget; each solve's membership is reported as `run` reports its
+    # own, and the status still reads only the envelope
+    path = _cfg_file(tmp_path, "grid.n = 16\nic.velocity = gradient\n"
+                               "ic.velocity_amplitude = 0.5\n"
+                               "time.T = 0.005\ntol.max_iter = 25\n")
+    out = tmp_path / "out"
+    assert main(["uniqueness", "--config", path, "--out", str(out)]) == 0
+    summary = _strict_summary(out)
+    assert summary["status"] == "ok"
+    cfg = load_config(path)
+    grid, _, _, s0, _ = build_initial_data(cfg)
+    bump = _bump_density(grid, cfg.uniqueness_amplitude)
+    for solve, sigma0 in (("base", s0), ("perturbed", s0 + bump)):
+        _, block = _certified_membership(cfg, sigma0)
+        assert summary["membership"][solve] == block
+        assert block["violations"] == ["rate budget"]
+    printed = capsys.readouterr().out
+    assert "membership of the base solve: FAIL" in printed
+    assert "membership of the perturbed solve: FAIL" in printed
+
+
+def test_cli_probe_reports_membership_of_one_certifying_sweep(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "configs", "smalldata2d.cfg")
+    out = tmp_path / "out"
+    assert main(["probe", "--config", path, "--out", str(out)]) == 0
+    cfg = load_config(path)
+    hist, block = _certified_membership(cfg, build_initial_data(cfg)[3])
+    assert hist.converged and hist.iterations == 1
+    assert _strict_summary(out)["membership"] == block
+    assert block["passed"]
 
 
 @pytest.mark.parametrize("command, target, exc, exit_code", [

@@ -33,7 +33,8 @@ def velocity_table(us, dt):
 
 
 def regularity(us, Fs, dt):
-    return check_regularity_budget(velocity_table(us, dt), us[0], Fs)
+    return check_regularity_budget(velocity_table(us, dt),
+                                   viscous_operator(us[0]), Fs)
 
 
 def energy(us, Fs, dt, residual_norms):

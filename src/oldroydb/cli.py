@@ -13,9 +13,8 @@ import math
 import os
 import sys
 
-from .errors import (ConfigError, DensityBandError, InvariantViolation,
-                     LinearSolveError, NonConvergenceError,
-                     SingularStressSystemError)
+from .errors import (ConfigError, InvariantViolation, LinearSolveError,
+                     NonConvergenceError, SingularStressSystemError)
 from .harness import (RunConfig, config_as_dict, load_config,
                       mms_experiment, probe_experiment, run_experiment,
                       uniqueness_pair_experiment)
@@ -29,19 +28,13 @@ _SOLVER_FAILURES = (NonConvergenceError, LinearSolveError,
                     SingularStressSystemError)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(commands) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oldroydb",
         description="Fixed-point solver and estimate checks for a weakly "
                     "compressible viscoelastic flow")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("run", "converge one window and check every estimate"),
-        ("mms", "manufactured-solution refinement studies"),
-        ("uniqueness", "two-run gap energy against its growth envelope"),
-        ("probe", "input-perturbation linearity of one sweep"),
-    ]
-    for name, help_text in commands:
+    for name, (help_text, _, _) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
                        help="flat 'section.key = value' file; "
@@ -135,8 +128,30 @@ def _print_probe(payload) -> None:
     _print_membership(payload["membership"])
 
 
+def _commands() -> dict:
+    """Command name -> (help text, driver, printer).
+
+    Built at call time from the module globals, so a rebinding of a driver
+    or printer (a tracer, a test) takes effect.  A driver takes
+    ``(cfg, out_dir)`` and returns its payload, with the sorted names of
+    the failed checks under ``failed_checks``; a printer takes the payload.
+    """
+    return {
+        "run": ("converge one window and check every estimate",
+                run_experiment, _print_run),
+        "mms": ("manufactured-solution refinement studies",
+                mms_experiment, _print_mms),
+        "uniqueness": ("two-run gap energy against its growth envelope",
+                       uniqueness_pair_experiment, _print_uniqueness),
+        "probe": ("input-perturbation linearity of one sweep",
+                  probe_experiment, _print_probe),
+    }
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    commands = _commands()
+    args = _parser(commands).parse_args(argv)
+    _, driver, printer = commands[args.command]
     out_dir = args.out or "out"
     payload = {"command": args.command, "status": "config-error",
                "exit_code": EXIT_CONFIG, "error": None}
@@ -146,19 +161,11 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         out_dir = cfg.out_dir
         payload["config"] = config_as_dict(cfg)
-
-        if args.command == "run":
-            result = run_experiment(cfg, out_dir)
-        elif args.command == "mms":
-            result = mms_experiment(cfg, out_dir)
-        elif args.command == "uniqueness":
-            result = uniqueness_pair_experiment(cfg, out_dir)
-        else:
-            result = probe_experiment(cfg, out_dir)
-        payload.update(result)
-        payload["error"] = None
-        payload["exit_code"] = (EXIT_OK if payload["status"] == "ok"
-                                else EXIT_INVARIANT)
+        os.makedirs(out_dir, exist_ok=True)
+        payload.update(driver(cfg, out_dir))
+        failed = payload["failed_checks"]
+        payload["status"] = "invariant-violation" if failed else "ok"
+        payload["exit_code"] = EXIT_INVARIANT if failed else EXIT_OK
     except ConfigError as exc:
         payload["status"] = "config-error"
         payload["error"] = str(exc)
@@ -172,7 +179,7 @@ def main(argv=None) -> int:
             payload["distance_history"] = [d if math.isfinite(d) else None
                                            for d in history]
         payload["failed_timestep"] = getattr(exc, "timestep", None)
-    except (DensityBandError, InvariantViolation) as exc:
+    except InvariantViolation as exc:
         payload["status"] = "invariant-violation"
         payload["error"] = str(exc)
         payload["exit_code"] = EXIT_INVARIANT
@@ -182,14 +189,8 @@ def main(argv=None) -> int:
 
     if payload["error"] is not None:
         print(f"{payload['status']}: {payload['error']}", file=sys.stderr)
-    elif args.command == "run":
-        _print_run(payload)
-    elif args.command == "mms":
-        _print_mms(payload)
-    elif args.command == "uniqueness":
-        _print_uniqueness(payload)
     else:
-        _print_probe(payload)
+        printer(payload)
     print(f"summary: {summary_path}")
     return payload["exit_code"]
 

@@ -256,7 +256,9 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
 
     Every term comes from one `trajectory_norms` table, kept as `table`:
     velocity usage is its `velocity_budget`, data usage is sup-t H2 of
-    density plus stress, rate usage is sup-t H1 of their rates.
+    density plus stress, rate usage is sup-t H1 of their rates.  The
+    checks fail closed: a NaN usage violates its budget, and a NaN density
+    node makes the density range, the band check and `slack_min` NaN.
     """
     if b1 <= 0.0 or b2 <= 0.0:
         raise ValueError("budgets must be positive")
@@ -267,25 +269,23 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
     rate_used = float(table.pi_rate[:, 1].max() + table.psi_rate[:, 1].max())
 
     lo, hi = params.band
-    rho_min = min(float((params.alpha + params.eps ** 2 * p.values).min())
-                  for p in candidate.pi)
-    rho_max = max(float((params.alpha + params.eps ** 2 * p.values).max())
-                  for p in candidate.pi)
+    rhos = [params.alpha + params.eps ** 2 * p.values for p in candidate.pi]
+    rho_min = float(np.min([r.min() for r in rhos]))
+    rho_max = float(np.max([r.max() for r in rhos]))
 
     items = [("velocity budget", w_used, b1),
              ("data budget", data_used, b1),
              ("rate budget", rate_used, b2)]
-    violations = [name for name, used, cap in items if used > cap]
+    violations = [name for name, used, cap in items if not used <= cap]
     slacks = [1.0 - used / cap for name, used, cap in items]
-    band_slack = min(rho_min - lo, hi - rho_max) / (hi - lo)
-    slacks.append(band_slack)
-    if rho_min < lo or rho_max > hi:
+    slacks.append(np.min([rho_min - lo, hi - rho_max]) / (hi - lo))
+    if not (lo <= rho_min and rho_max <= hi):  # NaN fails too
         violations.append("density band")
     return MembershipReport(
         b1=b1, b2=b2, velocity_budget=w_used, data_budget=data_used,
         rate_budget=rate_used, density_min=rho_min, density_max=rho_max,
         band_lo=lo, band_hi=hi, violations=tuple(violations),
-        slack_min=min(slacks), passed=not violations, table=table)
+        slack_min=float(np.min(slacks)), passed=not violations, table=table)
 
 
 def suggest_budgets(u0: VectorField, sigma0: ScalarField,

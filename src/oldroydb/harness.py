@@ -1,11 +1,15 @@
 """Experiment plumbing: config files, initial-data presets, CSV artifacts.
 
 A run is described by a flat text config (``section.key = value`` lines).
-The drivers here construct the data, run the requested experiment and
-return a JSON-ready summary payload plus CSV artifacts: a per-timestep
-energy ledger, the sweep convergence history, and per-command reports.
-Every numeric file is written with 17 significant digits so repeated runs
-of one config are byte-identical.
+Each driver takes a config and an existing output directory, constructs
+the data, runs its experiment, writes its CSV tables there and returns a
+JSON-ready payload whose ``failed_checks`` lists, sorted, the names of
+the checks that failed; the CLI turns that list into a status and an exit
+code.  Every table goes through `_write_csv`: the per-timestep energy
+ledger (one dict per step, keyed by `LEDGER_COLUMNS`), the sweep
+convergence history and the per-command reports.  Every numeric cell is
+written with 17 significant digits so repeated runs of one config are
+byte-identical.
 """
 
 import csv
@@ -23,7 +27,7 @@ from .fixed_point import (audit_window, continuity_probe, delta_threshold,
 from .mms import all_studies, taylor_vortex
 from .rheology import FluidParams, PressureLaw
 
-__all__ = ["RunConfig", "EnergyLedger", "LEDGER_COLUMNS",
+__all__ = ["RunConfig", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
            "serialize_config", "build_grid", "build_params",
            "build_initial_data", "VELOCITY_PRESETS", "DENSITY_PRESETS",
@@ -55,7 +59,6 @@ class RunConfig:
     M1: float = _key("params.M1", 2.0)
     pressure: str = _key("params.pressure", "linear")
     pressure_kappa: float = _key("params.pressure_kappa", 1.0)
-    pressure_cs: float = _key("params.pressure_cs", 1.0)
     T: float = _key("time.T", 0.01)
     dt: float = _key("time.dt", 1e-3)
     tol_lin: float = _key("tol.lin", 1e-10)
@@ -170,8 +173,7 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 def build_params(cfg: RunConfig) -> FluidParams:
     try:
-        law = PressureLaw(kind=cfg.pressure, kappa=cfg.pressure_kappa,
-                          cs=cfg.pressure_cs)
+        law = PressureLaw(kind=cfg.pressure, kappa=cfg.pressure_kappa)
         return FluidParams(eps=cfg.eps, omega=cfg.omega, We=cfg.we,
                            alpha=cfg.alpha, a=cfg.slip, m1=cfg.m1,
                            M1=cfg.M1, law=law)
@@ -287,41 +289,6 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-class EnergyLedger:
-    """Per-timestep monitored quantities, one CSV row per step."""
-
-    columns = LEDGER_COLUMNS
-
-    def __init__(self):
-        self.rows = []
-
-    def append(self, **row):
-        extra = set(row) - set(self.columns)
-        missing = set(self.columns) - set(row)
-        if extra or missing:
-            raise ValueError(f"ledger row mismatch: extra {sorted(extra)}, "
-                             f"missing {sorted(missing)}")
-        if self.rows and row["t"] <= self.rows[-1]["t"]:
-            raise ValueError("ledger time column must increase")
-        self.rows.append(dict(row))
-
-    def write(self, path) -> None:
-        _write_csv(path, self.columns,
-                   ([row[c] for c in self.columns] for row in self.rows))
-
-    @classmethod
-    def read(cls, path) -> "EnergyLedger":
-        led = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != cls.columns:
-                raise ValueError(f"unexpected ledger header {header}")
-            for rec in reader:
-                led.append(**{c: float(v) for c, v in zip(cls.columns, rec)})
-        return led
-
-
 def _write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -335,11 +302,10 @@ def _write_csv(path, columns, rows) -> None:
 def run_experiment(cfg: RunConfig, out_dir) -> dict:
     """Converge the coupled system, check every estimate, write artifacts.
 
-    Returns the summary payload; ``status`` is 'ok' only when all checks
-    pass, 'invariant-violation' otherwise. Config and solver failures
-    propagate as exceptions for the caller to translate.
+    Returns the summary payload, whose ``failed_checks`` names every check
+    that failed. Config and solver failures propagate as exceptions for
+    the caller to translate.
     """
-    os.makedirs(out_dir, exist_ok=True)
     _, params, u0, s0, t0 = build_initial_data(cfg)
 
     sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
@@ -350,23 +316,24 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     residual = audit.residual.worst
 
     dt = cfg.dt
-    ledger = EnergyLedger()
+    ledger = []
     for k in range(sol.nsteps):
         vrep = diag.velocity_reports[k]
         drep = diag.density_reports[k]
         srep = diag.stress_reports[k]
-        ledger.append(
-            t=(k + 1) * dt, u_l2=table.w[k + 1, 0], u_h2=table.w[k + 1, 2],
-            sigma_h2=table.pi[k + 1, 2], tau_h2=table.psi[k + 1, 2],
-            energy_lhs=float(energy.lhs_history[k + 1]),
-            energy_rhs=float(energy.rhs_history[k + 1]),
-            energy_slack=(float(energy.rhs_history[k + 1]) * (1.0 + 10.0 * dt)
-                          - float(energy.lhs_history[k + 1])),
-            dissipation_slack=energy.dissipation_slack[k],
-            lin_iters=vrep.iterations, lin_residual=vrep.residual,
-            mean_sigma_preproject=drep.mean_preproject,
-            density_min=drep.density_min, density_max=drep.density_max,
-            stress_min_det=srep.min_det_scale)
+        lhs = float(energy.lhs_history[k + 1])
+        rhs = float(energy.rhs_history[k + 1])
+        ledger.append({
+            "t": (k + 1) * dt, "u_l2": table.w[k + 1, 0],
+            "u_h2": table.w[k + 1, 2], "sigma_h2": table.pi[k + 1, 2],
+            "tau_h2": table.psi[k + 1, 2], "energy_lhs": lhs,
+            "energy_rhs": rhs, "energy_slack": rhs * (1.0 + 10.0 * dt) - lhs,
+            "dissipation_slack": energy.dissipation_slack[k],
+            "lin_iters": vrep.iterations, "lin_residual": vrep.residual,
+            "mean_sigma_preproject": drep.mean_preproject,
+            "density_min": drep.density_min,
+            "density_max": drep.density_max,
+            "stress_min_det": srep.min_det_scale})
 
     sigma_scale = max(1.0, float(table.pi[:, 0].max()))
     mean_sigma_max = max(abs(mean(p)) for p in out.pi)
@@ -382,7 +349,8 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     failed = sorted(name for name, ok in checks.items() if not ok)
 
     ledger_path = os.path.join(out_dir, "ledger.csv")
-    ledger.write(ledger_path)
+    _write_csv(ledger_path, LEDGER_COLUMNS,
+               ([row[c] for c in LEDGER_COLUMNS] for row in ledger))
     conv_path = os.path.join(out_dir, "convergence.csv")
     _write_csv(conv_path, CONVERGENCE_COLUMNS,
                [(i + 1, d, r, s) for i, (d, r, s) in
@@ -396,8 +364,6 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         snaps[name] = path
 
     return {
-        "command": "run",
-        "status": "ok" if not failed else "invariant-violation",
         "failed_checks": failed,
         "checks": checks,
         "iterations": hist.iterations,
@@ -429,7 +395,6 @@ def _membership_summary(mem) -> dict:
 
 def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     """Refinement studies for each linear solver, in a fixed order."""
-    os.makedirs(out_dir, exist_ok=True)
     studies = all_studies(build_params(cfg))
 
     rows = []
@@ -449,11 +414,9 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     path = os.path.join(out_dir, "mms.csv")
     _write_csv(path, ("study", "label", "error", "order"), rows)
 
-    failed = sorted(st["name"] for st in report if not st["passed"])
     return {
-        "command": "mms",
-        "status": "ok" if not failed else "invariant-violation",
-        "failed_checks": failed,
+        "failed_checks": sorted(st["name"] for st in report
+                                if not st["passed"]),
         "studies": report,
         "artifacts": {"mms": path},
     }
@@ -461,7 +424,6 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
 
 def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
     """Base run vs. density-perturbed run against the growth envelope."""
-    os.makedirs(out_dir, exist_ok=True)
     grid, params, u0, s0, t0 = build_initial_data(cfg)
     cap = delta_threshold(params)
     if not 0.0 < cfg.delta < cap:
@@ -483,8 +445,6 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
                zip(rep.times, rep.gap_energy, rep.envelope,
                    rep.growth_rate))
     return {
-        "command": "uniqueness",
-        "status": "ok" if rep.satisfied else "invariant-violation",
         "failed_checks": [] if rep.satisfied else ["gronwall_envelope"],
         "amplitude": amp,
         "delta": rep.delta,
@@ -503,7 +463,6 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
 
 def probe_experiment(cfg: RunConfig, out_dir) -> dict:
     """Input-perturbation linearity of one sweep around a converged run."""
-    os.makedirs(out_dir, exist_ok=True)
     _, params, u0, s0, t0 = build_initial_data(cfg)
     sol, hist = march(u0, s0, t0, params, cfg.T, cfg.dt, tol_fp=cfg.tol_fp,
                       max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
@@ -516,8 +475,6 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
                zip(rep.deltas, rep.velocity_gaps, rep.density_gaps,
                    rep.stress_gaps, rep.gaps))
     return {
-        "command": "probe",
-        "status": "ok" if rep.linear_ok else "invariant-violation",
         "failed_checks": [] if rep.linear_ok else ["probe_linearity"],
         "delta": rep.delta,
         "deltas": list(rep.deltas),

@@ -5,7 +5,8 @@ velocity u, density remainder sigma (total density alpha + eps^2 sigma) and
 elastic stress tau.  This module owns everything algebraic at a node:
 
 * `pressure_increment`  w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha),
-  the deviation of the squared sound speed from its reference value;
+  the deviation of the squared sound speed from its reference value:
+  zero under the 'linear' law, kappa eps^2 sigma under the 'quadratic';
 * `objective_coupling`  g(grad u, tau) = tau W - W tau - a (D tau + tau D),
   the non-transport part of the frame-objective stress derivative;
 * `momentum_source`     the frozen-coefficient momentum forcing
@@ -33,26 +34,17 @@ __all__ = ["FluidParams", "PressureLaw", "pressure_increment",
 class PressureLaw:
     """Barotropic pressure law, consumed through its derivative p'(rho).
 
-    kinds: 'linear' (p = eps^-2 (rho - alpha)), 'isothermal' (p = cs^2 rho)
-    and 'quadratic' (p = kappa rho^2 / 2).  The two linear-in-rho laws have
-    constant p', so their pressure increment vanishes identically.
+    kinds: 'linear' (p = eps^-2 (rho - alpha)), whose p' is constant, so
+    its pressure increment vanishes identically, and 'quadratic'
+    (p = kappa rho^2 / 2, p' = kappa rho).
     """
 
     kind: str = "linear"
     kappa: float = 1.0
-    cs: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "isothermal", "quadratic"):
+        if self.kind not in ("linear", "quadratic"):
             raise ValueError(f"unknown pressure law {self.kind!r}")
-
-    def dpdrho(self, rho, params):
-        rho = np.asarray(rho, dtype=float)
-        if self.kind == "linear":
-            return np.full_like(rho, params.eps ** -2)
-        if self.kind == "isothermal":
-            return np.full_like(rho, self.cs ** 2)
-        return self.kappa * rho
 
 
 @dataclass
@@ -113,10 +105,9 @@ def density_band_check(sigma: ScalarField, params: FluidParams,
 def _increment(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     # p'(rho) - p'(alpha) on total-density samples already band-checked
     law = params.law
-    if law.kind in ("linear", "isothermal"):
+    if law.kind == "linear":
         return np.zeros_like(rho)
-    return law.dpdrho(rho, params) - law.dpdrho(np.asarray(params.alpha),
-                                                params)
+    return law.kappa * rho - law.kappa * params.alpha
 
 
 def pressure_increment(sigma: ScalarField,

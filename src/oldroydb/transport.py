@@ -194,7 +194,6 @@ class DensityStepReport:
     mean_preproject: float
     density_min: float
     density_max: float
-    clipped: int
 
 
 def step_density(sigma_prev: ScalarField, cm: CharacteristicMap,
@@ -220,7 +219,7 @@ def step_density(sigma_prev: ScalarField, cm: CharacteristicMap,
     rmin, rmax = density_band_check(out, params, tol=1e-8,
                                     context="step_density")
     report = DensityStepReport(mean_preproject=drift, density_min=rmin,
-                               density_max=rmax, clipped=cm.clipped)
+                               density_max=rmax)
     return out, report
 
 
@@ -233,7 +232,6 @@ class StressStepReport:
     """Per-step stress diagnostics."""
 
     min_det_scale: float   # smallest per-node system determinant, normalized
-    clipped: int
 
 
 def _coupling_table(dim):
@@ -336,8 +334,7 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
         node = np.unravel_index(worst, grid.node_shape)
         raise SingularStressSystemError(node, float(dets[worst] * scale))
 
-    report = StressStepReport(min_det_scale=float(abs(dets[worst])),
-                              clipped=cm.clipped)
+    report = StressStepReport(min_det_scale=float(abs(dets[worst])))
     return SymTensorField(grid, sol.reshape((m,) + grid.node_shape)), report
 
 

@@ -67,7 +67,6 @@ class VelocityStepReport:
     iterations: int
     residual: float        # relative linear residual ||b - M u|| / ||b||
     residual_norm: float   # weighted absolute residual, for the dissipation slack
-    dt: float
 
 
 def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
@@ -120,7 +119,7 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
     cell = float(np.prod(grid.h))
     res_weighted = 0.0 if b_norm == 0.0 else rel_res * b_norm * np.sqrt(cell)
     report = VelocityStepReport(
-        iterations=iters, residual=rel_res, residual_norm=res_weighted, dt=dt)
+        iterations=iters, residual=rel_res, residual_norm=res_weighted)
     return u, report
 
 

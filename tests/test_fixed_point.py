@@ -261,6 +261,25 @@ def test_membership_flags_budget_overrun():
     assert "rate budget" not in rep.violations
 
 
+def test_membership_fails_closed_on_a_nan_node():
+    # a NaN usage is not within its budget, and Python's min/max would skip
+    # a NaN density node that does not come first
+    grid = Grid.unit(8)
+    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
+    zero = IterTriple.constant(VectorField.zeros(grid, dirichlet=True),
+                               ScalarField.zeros(grid),
+                               SymTensorField.zeros(grid), 2, 0.1)
+    nan = ScalarField(grid, np.full(grid.node_shape, np.nan))
+    bad = IterTriple(zero.w, (zero.pi[0], nan, zero.pi[2]), zero.psi, 0.1)
+    rep = check_membership(bad, 1.0, 1.0, params)
+    assert not rep.passed
+    assert rep.violations == ("data budget", "rate budget", "density band")
+    assert math.isnan(rep.density_min) and math.isnan(rep.density_max)
+    assert math.isnan(rep.slack_min)
+    assert all(type(v) is float
+               for v in (rep.density_min, rep.density_max, rep.slack_min))
+
+
 @settings(max_examples=20, deadline=None)
 @given(dim=st.sampled_from([2, 3]), data=st.data())
 def test_membership_budgets_are_the_audit_sums(dim, data):

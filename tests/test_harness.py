@@ -1,5 +1,6 @@
 """Config round-trip, preset registry, CSV ledgers and the CLI drivers."""
 
+import csv
 import json
 import os
 import re
@@ -17,9 +18,9 @@ from oldroydb import ConfigError, mean
 from oldroydb.cli import main
 from oldroydb.errors import (DensityBandError, LinearSolveError,
                              NonDirichletError)
-from oldroydb.fixed_point import check_membership, march, suggest_budgets
-from oldroydb.harness import (DENSITY_PRESETS, EnergyLedger, LEDGER_COLUMNS,
-                              RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
+from oldroydb.fixed_point import (audit_window, check_membership, iterate,
+                                  march, suggest_budgets)
+from oldroydb.harness import (DENSITY_PRESETS, LEDGER_COLUMNS, RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
                               _bump_density, build_initial_data,
                               config_as_dict, initial_density,
                               initial_stress, initial_velocity, load_config,
@@ -52,9 +53,8 @@ def valid_configs(draw):
         omega=real(0.0, 1.0, exclude_min=True, exclude_max=True),
         we=real(1e-3, 10.0), alpha=alpha, slip=real(-1.0, 1.0),
         m1=real(0.0, alpha, exclude_min=True), M1=real(alpha, 100.0),
-        pressure=draw(st.sampled_from(("linear", "isothermal",
-                                       "quadratic"))),
-        pressure_kappa=real(-10.0, 10.0), pressure_cs=real(-10.0, 10.0),
+        pressure=draw(st.sampled_from(("linear", "quadratic"))),
+        pressure_kappa=real(-10.0, 10.0),
         T=T, dt=real(0.0, T, exclude_min=True),
         tol_lin=real(1e-16, 1.0), tol_fp=real(1e-16, 1.0),
         max_iter=draw(st.integers(1, 1000)), delta=real(-10.0, 10.0),
@@ -172,32 +172,6 @@ def test_noise_preset_follows_seed(monkeypatch):
     assert np.abs(a.values).max() <= 0.1 + 1e-12
 
 
-# --------------------------------------------------------------- ledgers
-
-def test_ledger_rows_roundtrip(tmp_path):
-    led = EnergyLedger()
-    row = {c: 0.0 for c in LEDGER_COLUMNS}
-    led.append(**{**row, "t": 1e-3, "u_l2": 0.25, "lin_iters": 7})
-    led.append(**{**row, "t": 2e-3, "u_l2": 1.0 / 3.0})
-    path = tmp_path / "ledger.csv"
-    led.write(path)
-    back = EnergyLedger.read(path)
-    assert len(back.rows) == 2
-    assert back.rows[0]["u_l2"] == 0.25
-    assert back.rows[1]["u_l2"] == 1.0 / 3.0  # 17 digits round-trip floats
-    assert back.rows[0]["lin_iters"] == 7.0
-
-
-def test_ledger_rejects_bad_rows():
-    led = EnergyLedger()
-    row = {c: 0.0 for c in LEDGER_COLUMNS}
-    led.append(**{**row, "t": 1e-3})
-    with pytest.raises(ValueError, match="must increase"):
-        led.append(**{**row, "t": 1e-3})
-    with pytest.raises(ValueError, match="mismatch"):
-        led.append(t=2e-3)
-
-
 # ------------------------------------------------------------------ cli
 
 def _cfg_file(tmp_path, text, name="case.cfg"):
@@ -216,6 +190,53 @@ def _strict_summary(out):
                       parse_constant=_refuse_constant)
 
 
+def _ledger_rows(out):
+    """The rows of ``ledger.csv`` as dicts of floats, header checked."""
+    with open(out / "ledger.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == LEDGER_COLUMNS
+        return [{c: float(v) for c, v in row.items()} for row in reader]
+
+
+def test_ledger_columns_match_their_sources(tmp_path):
+    # every column, bit for bit, against the quantity it names, recomputed
+    # in process; 17 significant digits round-trip every float
+    path = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.005\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    cfg = load_config(path)
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt, tol_fp=cfg.tol_fp,
+                     max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
+    audit = audit_window(sol, params, tol_lin=cfg.tol_lin)
+    table, energy, diag = audit.table, audit.energy, audit.diag
+    rows = _ledger_rows(out)
+    assert len(rows) == sol.nsteps == 5
+    for k, row in enumerate(rows):
+        vrep = diag.velocity_reports[k]
+        drep = diag.density_reports[k]
+        srep = diag.stress_reports[k]
+        lhs = energy.lhs_history[k + 1]
+        rhs = energy.rhs_history[k + 1]
+        expect = {
+            "t": (k + 1) * cfg.dt,
+            "u_l2": table.w[k + 1, 0], "u_h2": table.w[k + 1, 2],
+            "sigma_h2": table.pi[k + 1, 2], "tau_h2": table.psi[k + 1, 2],
+            "energy_lhs": lhs, "energy_rhs": rhs,
+            "energy_slack": rhs * (1.0 + 10.0 * cfg.dt) - lhs,
+            "dissipation_slack": energy.dissipation_slack[k],
+            "lin_iters": vrep.iterations, "lin_residual": vrep.residual,
+            "mean_sigma_preproject": drep.mean_preproject,
+            "density_min": drep.density_min,
+            "density_max": drep.density_max,
+            "stress_min_det": srep.min_det_scale,
+        }
+        assert set(expect) == set(LEDGER_COLUMNS)
+        for column, value in expect.items():
+            assert row[column] == float(value), (k, column)
+    assert rows[0]["lin_iters"] > 0
+
+
 def test_cli_zero_run(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "ic.velocity = zero\n"
                               "ic.density = zero\n"
@@ -230,9 +251,9 @@ def test_cli_zero_run(tmp_path, capsys):
     assert summary["constants"]["c1_vacuous"] is True
     assert summary["constants"]["c1_emp"] is None
     assert "c1_emp vacuous" in capsys.readouterr().out
-    led = EnergyLedger.read(tmp_path / "out" / "ledger.csv")
-    assert len(led.rows) == 2
-    for row in led.rows:
+    rows = _ledger_rows(tmp_path / "out")
+    assert len(rows) == 2
+    for row in rows:
         assert row["u_l2"] == 0.0
         assert row["sigma_h2"] == 0.0
         assert row["tau_h2"] == 0.0
@@ -252,9 +273,9 @@ def test_cli_run_writes_full_artifacts(tmp_path):
     assert summary["membership"]["passed"]
     assert summary["constants"]["c1_emp"] > 0.0
     assert summary["constants"]["c1_vacuous"] is False
-    led = EnergyLedger.read(out / "ledger.csv")
-    assert len(led.rows) == 5
-    ts = [r["t"] for r in led.rows]
+    rows = _ledger_rows(out)
+    assert len(rows) == 5
+    ts = [r["t"] for r in rows]
     assert ts == sorted(ts) and len(set(ts)) == 5
     conv = (out / "convergence.csv").read_text().strip().split("\n")
     assert conv[0] == "iteration,distance,ratio,slack_min"
@@ -281,6 +302,17 @@ def test_cli_bad_data_is_config_error(tmp_path, command):
     summary = _strict_summary(out)
     assert summary["status"] == "config-error"
     assert "strict band" in summary["error"]
+
+
+@pytest.mark.parametrize("line", ["params.pressure_cs = 2",
+                                  "params.pressure = isothermal"])
+def test_cli_removed_pressure_options_are_config_errors(tmp_path, line):
+    cfg = _cfg_file(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    summary = _strict_summary(out)
+    assert summary["status"] == "config-error"
+    assert summary["exit_code"] == 2
 
 
 def test_cli_divergence_exits_3(tmp_path):
@@ -404,9 +436,9 @@ def test_cli_run_3d_smoke(tmp_path):
     assert summary["status"] == "ok"
     assert summary["checks"] and all(summary["checks"].values())
     assert summary["constants"]["c1_vacuous"] is False
-    led = EnergyLedger.read(out / "ledger.csv")
-    assert len(led.rows) == 3
-    assert all(row["lin_iters"] > 0 for row in led.rows)
+    rows = _ledger_rows(out)
+    assert len(rows) == 3
+    assert all(row["lin_iters"] > 0 for row in rows)
 
 
 def test_cli_unreadable_config(tmp_path):
@@ -433,14 +465,24 @@ def test_cli_import_loads_only_numpy_and_scipy_sparse():
     assert done.stdout.split() == [], f"imported: {done.stdout.strip()}"
 
 
-def test_cli_determinism(tmp_path):
+@pytest.mark.parametrize("command", ["run", "mms", "uniqueness", "probe"])
+def test_cli_determinism(tmp_path, monkeypatch, command):
+    # two runs of one config write the same bytes in every file, the
+    # summary included: each runs from its own directory into the same
+    # relative --out, so even the recorded paths agree
     cfg = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.004\n")
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(b)]) == 0
-    assert (a / "ledger.csv").read_bytes() == (b / "ledger.csv").read_bytes()
-    assert (a / "convergence.csv").read_bytes() == \
-        (b / "convergence.csv").read_bytes()
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([command, "--config", cfg, "--out", "out"]) == 0
+        outs.append(tmp_path / name / "out")
+    files = sorted(os.listdir(outs[0]))
+    assert files == sorted(os.listdir(outs[1]))
+    assert "summary.json" in files
+    assert any(f.endswith(".csv") for f in files)
+    for f in files:
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
 def test_cli_mms_smoke(tmp_path, capsys):

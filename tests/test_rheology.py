@@ -43,7 +43,7 @@ def test_params_band():
 
 
 def test_pressure_law_validation():
-    for kind in ("cubic", "table"):
+    for kind in ("cubic", "table", "isothermal"):
         with pytest.raises(ValueError, match="unknown pressure law"):
             PressureLaw(kind=kind)
 
@@ -56,15 +56,6 @@ def test_linear_law_increment_is_zero_field():
     grid = Grid.unit(8)
     params = make_params(law=PressureLaw(kind="linear"))
     rng = np.random.default_rng(7)
-    sigma = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.node_shape))
-    w = pressure_increment(sigma, params)
-    assert np.all(w.values == 0.0)
-
-
-def test_isothermal_law_increment_is_zero_field():
-    grid = Grid.unit(8)
-    params = make_params(law=PressureLaw(kind="isothermal", cs=2.5))
-    rng = np.random.default_rng(8)
     sigma = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.node_shape))
     w = pressure_increment(sigma, params)
     assert np.all(w.values == 0.0)
@@ -233,16 +224,17 @@ def test_source_matches_pernode_scalar_oracle():
 
 
 def test_source_depends_only_on_increments():
-    # linear (dp/drho = eps^-2) and isothermal (dp/drho = cs^2) laws have
-    # different absolute dp/drho but identical increments, hence identical F
+    # the linear law (dp/drho = eps^-2) and the quadratic law with kappa = 0
+    # (dp/drho = 0) have different absolute dp/drho but identical (zero)
+    # increments, hence identical F
     grid = Grid.unit(8)
     w = random_smooth_field(grid, np.random.default_rng(24), kind="vector")
     pi = ScalarField(grid, 0.3 * np.cos(np.pi * grid.coords[0])
                      * np.cos(np.pi * grid.coords[1]))
     out_lin = source(w, pi, make_params(law=PressureLaw(kind="linear")))
-    out_iso = source(w, pi, make_params(
-        law=PressureLaw(kind="isothermal", cs=3.0)))
-    assert np.array_equal(out_lin.values, out_iso.values)
+    out_quad = source(w, pi, make_params(
+        law=PressureLaw(kind="quadratic", kappa=0.0)))
+    assert np.array_equal(out_lin.values, out_quad.values)
 
 
 def test_source_low_mach_limit():

@@ -10,11 +10,17 @@ and the discrete mean of a projected field vanishes to round-off.
 
 Differences: first and second derivatives are second-order centered in the
 interior with second-order one-sided closures at the boundary; every
-operator is exact on affine fields.  Each grid also assembles, once, two
-CSR matrices on its interior nodes from Kronecker products of the 1-D
-compact second and centered first differences: `dirichlet_laplacian` (-lap)
-and `viscous_matrix`, the elliptic block A_h = -(lap + grad div) that
-`viscous_operator` applies at interior nodes and the velocity step solves.
+operator is exact on affine fields.  `grad_tensor`, `div_tensor` and
+`laplacian` difference all components at once, one call per axis on the
+component stack, with the arithmetic of differencing each component alone.
+div w is always the diagonal of the gradient added in axis order
+(`diagonal_sum`), wherever the diagonal comes from.
+
+Each grid also assembles, once, two CSR matrices on its interior nodes
+from Kronecker products of the 1-D compact second and centered first
+differences: `dirichlet_laplacian` (-lap) and `viscous_matrix`, the elliptic
+block A_h = -(lap + grad div) that `viscous_operator` applies at interior
+nodes and the velocity step solves.
 
 Sine eigenpairs: on an m-cell axis the 1-D Dirichlet -d^2/dx^2 is
 S diag(lam) S with lam_k = (4/h^2) sin^2(k pi/2m) and the symmetric,
@@ -59,9 +65,9 @@ from .errors import NonDirichletError
 
 __all__ = [
     "Grid", "ScalarField", "VectorField", "SymTensorField",
-    "gradient", "grad_tensor", "divergence", "div_tensor", "laplacian",
-    "viscous_operator", "rate_tensors", "norm", "norms", "inner", "mean",
-    "mean_zero_project", "norm_hminus1", "sym_components",
+    "gradient", "grad_tensor", "diagonal_sum", "divergence", "div_tensor",
+    "laplacian", "viscous_operator", "rate_tensors", "norm", "norms", "inner",
+    "mean", "mean_zero_project", "norm_hminus1", "sym_components",
     "save_snapshot", "load_snapshot", "random_smooth_field",
     "conjugate_gradient", "viscous_preconditioner", "TrajectoryNorms",
     "trajectory_norms",
@@ -406,50 +412,44 @@ def grad_tensor(v: VectorField) -> np.ndarray:
     d = v.grid.dim
     h = v.grid.h
     out = np.empty((d, d) + v.grid.node_shape)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = _diff1(v.values[i], h[j], j)
+    for j in range(d):
+        out[:, j] = _diff1(v.values, h[j], j + 1)
     return out
+
+
+def diagonal_sum(diagonal) -> np.ndarray:
+    """div w from the diagonal d_i w_i of its gradient, added in axis order.
+
+    `divergence` and every reader of a stored `grad_tensor` take div w
+    through this one sum, so all of them agree to the last bit.
+    """
+    return reduce(np.add, diagonal)
 
 
 def divergence(v: VectorField) -> ScalarField:
     h = v.grid.h
-    acc = _diff1(v.values[0], h[0], 0)
-    for ax in range(1, v.grid.dim):
-        acc = acc + _diff1(v.values[ax], h[ax], ax)
-    return ScalarField(v.grid, acc)
+    return ScalarField(v.grid, diagonal_sum(
+        _diff1(v.values[ax], h[ax], ax) for ax in range(v.grid.dim)))
 
 
 def div_tensor(t: SymTensorField) -> VectorField:
     """Row-wise divergence of a symmetric tensor: (div T)_i = sum_j dT_ij/dx_j."""
-    d = t.grid.dim
     h = t.grid.h
     full = t.full()
-    vals = np.empty((d,) + t.grid.node_shape)
-    for i in range(d):
-        acc = _diff1(full[i, 0], h[0], 0)
-        for j in range(1, d):
-            acc = acc + _diff1(full[i, j], h[j], j)
-        vals[i] = acc
-    return VectorField(t.grid, vals)
+    acc = _diff1(full[:, 0], h[0], 1)
+    for j in range(1, t.grid.dim):
+        acc = acc + _diff1(full[:, j], h[j], j + 1)
+    return VectorField(t.grid, acc)
 
 
 def laplacian(v) -> "VectorField | ScalarField":
     """Componentwise Laplacian of a scalar or vector field."""
     h = v.grid.h
-    if isinstance(v, ScalarField):
-        acc = _diff2(v.values, h[0], 0)
-        for ax in range(1, v.grid.dim):
-            acc = acc + _diff2(v.values, h[ax], ax)
-        return ScalarField(v.grid, acc)
-    d = v.grid.dim
-    vals = np.empty((d,) + v.grid.node_shape)
-    for i in range(d):
-        acc = _diff2(v.values[i], h[0], 0)
-        for ax in range(1, d):
-            acc = acc + _diff2(v.values[i], h[ax], ax)
-        vals[i] = acc
-    return VectorField(v.grid, vals)
+    stack, _ = _components(v)
+    acc = _diff2(stack, h[0], 1)
+    for ax in range(1, v.grid.dim):
+        acc = acc + _diff2(stack, h[ax], ax + 1)
+    return type(v)(v.grid, acc.reshape(v.values.shape))
 
 
 def viscous_operator(v: VectorField) -> VectorField:

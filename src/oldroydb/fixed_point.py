@@ -269,7 +269,7 @@ def check_membership(candidate: IterTriple, b1: float, b2: float,
     rate_used = float(table.pi_rate[:, 1].max() + table.psi_rate[:, 1].max())
 
     lo, hi = params.band
-    rhos = [params.alpha + params.eps ** 2 * p.values for p in candidate.pi]
+    rhos = [params.total_density(p.values) for p in candidate.pi]
     rho_min = float(np.min([r.min() for r in rhos]))
     rho_max = float(np.max([r.max() for r in rhos]))
 
@@ -332,7 +332,7 @@ def _check_hypotheses(u0: VectorField, sigma0: ScalarField, params,
     if drift > 1e-11 * scale:
         raise ConfigError("initial density remainder must have zero mean; "
                           f"its mean is {drift:.3e}")
-    rho0 = params.alpha + params.eps ** 2 * sigma0.values
+    rho0 = params.total_density(sigma0.values)
     if rho0.min() < params.m1 or rho0.max() > params.M1:
         raise ConfigError(
             f"initial total density range [{rho0.min():.6g}, "

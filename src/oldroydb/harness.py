@@ -30,8 +30,7 @@ from .rheology import FluidParams, PressureLaw
 __all__ = ["RunConfig", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
            "serialize_config", "build_grid", "build_params",
-           "build_initial_data", "VELOCITY_PRESETS", "DENSITY_PRESETS",
-           "STRESS_PRESETS", "run_experiment",
+           "build_initial_data", "PRESETS", "run_experiment",
            "mms_experiment", "uniqueness_pair_experiment",
            "probe_experiment"]
 
@@ -79,10 +78,6 @@ class RunConfig:
 # config key <-> attribute <-> type, in file order
 _KEYS = [(f.metadata["key"], f.name, f.type) for f in fields(RunConfig)]
 _KEY_TO_ATTR = {k: (a, c) for k, a, c in _KEYS}
-
-VELOCITY_PRESETS = ("zero", "vortex", "gradient")
-DENSITY_PRESETS = ("zero", "cosine-density", "bump", "noise")
-STRESS_PRESETS = ("zero", "proportional-stress")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -132,12 +127,7 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, attr)
         if conv is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    if cfg.grid_dim not in (2, 3):
-        raise ConfigError(f"grid.dim must be 2 or 3, got {cfg.grid_dim}")
-    if cfg.grid_n < 8:
-        raise ConfigError(f"grid.n must be at least 8, got {cfg.grid_n}")
-    if cfg.grid_extent <= 0.0:
-        raise ConfigError("grid.extent must be positive")
+    build_grid(cfg)  # after the finite check: a Grid accepts extent = inf
     if cfg.dt <= 0.0 or cfg.T <= 0.0:
         raise ConfigError("time.T and time.dt must be positive")
     if cfg.dt > cfg.T:
@@ -148,13 +138,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("tol.lin and tol.fp must be positive")
     if cfg.probe_amplitude < 0.0:
         raise ConfigError("probe.amplitude must be nonnegative")
-    for name, value, allowed in [
-            ("ic.velocity", cfg.ic_velocity, VELOCITY_PRESETS),
-            ("ic.density", cfg.ic_density, DENSITY_PRESETS),
-            ("ic.stress", cfg.ic_stress, STRESS_PRESETS)]:
-        if value not in allowed:
-            raise ConfigError(f"{name} preset {value!r} is not one of "
-                              f"{', '.join(allowed)}")
+    for key, builders in PRESETS.items():
+        value = getattr(cfg, _KEY_TO_ATTR[key][0])
+        if value not in builders:
+            raise ConfigError(f"{key} preset {value!r} is not one of "
+                              f"{', '.join(builders)}")
     build_params(cfg)  # surfaces parameter-range problems at parse time
 
 
@@ -211,8 +199,12 @@ def _bump_density(grid: Grid, amp: float) -> ScalarField:
 
 def _noise_density(grid: Grid, amp: float) -> ScalarField:
     # low-frequency cosine cocktail; OLDROYD_SEED pins the coefficients
-    seed = int(os.environ.get("OLDROYD_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    seed = os.environ.get("OLDROYD_SEED", "0")
+    try:
+        rng = np.random.default_rng(int(seed))
+    except ValueError:
+        raise ConfigError(f"OLDROYD_SEED must be a nonnegative integer, "
+                          f"got {seed!r}") from None
     vals = np.zeros(grid.node_shape)
     for ks in np.ndindex(*(3,) * grid.dim):
         coef = rng.standard_normal()
@@ -227,46 +219,37 @@ def _noise_density(grid: Grid, amp: float) -> ScalarField:
     return mean_zero_project(ScalarField(grid, vals))
 
 
-def initial_velocity(grid: Grid, preset: str, amp: float) -> VectorField:
-    if preset == "zero":
-        return VectorField.zeros(grid, dirichlet=True)
-    if preset == "vortex":
-        base = taylor_vortex(grid)
-        return VectorField(grid, amp * base.values, dirichlet=True)
-    if preset == "gradient":
-        return _gradient_flow(grid, amp)
-    raise ConfigError(f"unknown velocity preset {preset!r}")
-
-
-def initial_density(grid: Grid, preset: str, amp: float) -> ScalarField:
-    if preset == "zero":
-        return ScalarField(grid, np.zeros(grid.node_shape))
-    if preset == "cosine-density":
-        return _cosine_density(grid, amp)
-    if preset == "bump":
-        return _bump_density(grid, amp)
-    if preset == "noise":
-        return _noise_density(grid, amp)
-    raise ConfigError(f"unknown density preset {preset!r}")
-
-
-def initial_stress(grid: Grid, preset: str, amp: float,
-                   u0: VectorField) -> SymTensorField:
-    if preset == "zero":
-        return SymTensorField.zeros(grid)
-    if preset == "proportional-stress":
-        strain = rate_tensors(u0)[0]
-        return SymTensorField(grid, amp * strain.values)
-    raise ConfigError(f"unknown stress preset {preset!r}")
+# ic.* key -> preset name -> builder.  Velocity and density builders take
+# (grid, amplitude); stress builders also take the initial velocity.
+PRESETS = {
+    "ic.velocity": {
+        "zero": lambda grid, amp: VectorField.zeros(grid, dirichlet=True),
+        "vortex": lambda grid, amp: VectorField(
+            grid, amp * taylor_vortex(grid).values, dirichlet=True),
+        "gradient": _gradient_flow,
+    },
+    "ic.density": {
+        "zero": lambda grid, amp: ScalarField.zeros(grid),
+        "cosine-density": _cosine_density,
+        "bump": _bump_density,
+        "noise": _noise_density,
+    },
+    "ic.stress": {
+        "zero": lambda grid, amp, u0: SymTensorField.zeros(grid),
+        "proportional-stress": lambda grid, amp, u0: SymTensorField(
+            grid, amp * rate_tensors(u0)[0].values),
+    },
+}
 
 
 def build_initial_data(cfg: RunConfig):
     """Grid, parameters and the three initial fields for one config."""
     grid = build_grid(cfg)
     params = build_params(cfg)
-    u0 = initial_velocity(grid, cfg.ic_velocity, cfg.ic_velocity_amplitude)
-    s0 = initial_density(grid, cfg.ic_density, cfg.ic_density_amplitude)
-    t0 = initial_stress(grid, cfg.ic_stress, cfg.ic_stress_amplitude, u0)
+    u0 = PRESETS["ic.velocity"][cfg.ic_velocity](
+        grid, cfg.ic_velocity_amplitude)
+    s0 = PRESETS["ic.density"][cfg.ic_density](grid, cfg.ic_density_amplitude)
+    t0 = PRESETS["ic.stress"][cfg.ic_stress](grid, cfg.ic_stress_amplitude, u0)
     return grid, params, u0, s0, t0
 
 

@@ -4,15 +4,18 @@ The model is the nondimensional weakly compressible Oldroyd-B system with
 velocity u, density remainder sigma (total density alpha + eps^2 sigma) and
 elastic stress tau.  This module owns everything algebraic at a node:
 
-* `pressure_increment`  w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha),
-  the deviation of the squared sound speed from its reference value:
-  zero under the 'linear' law, kappa eps^2 sigma under the 'quadratic';
+* `FluidParams.total_density`  alpha + eps^2 sigma, and
+  `density_band_check`, which holds it inside the working band;
 * `objective_coupling`  g(grad u, tau) = tau W - W tau - a (D tau + tau D),
   the non-transport part of the frame-objective stress derivative;
 * `momentum_source`     the frozen-coefficient momentum forcing
   F(w, pi) = (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
            + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi,
-  from samples of A w and grad pi taken by the caller.
+  from samples of A w and grad pi taken by the caller.  The pressure
+  increment w(pi) = p'(alpha + eps^2 pi) - p'(alpha), the deviation of the
+  squared sound speed from its reference value (zero under the 'linear'
+  law, kappa eps^2 pi under the 'quadratic'), is computed inside it, on
+  the band-checked density.
 
 All evaluations are pointwise and vectorized over the grid.
 """
@@ -26,8 +29,8 @@ import numpy as np
 from .errors import DensityBandError
 from .fields import ScalarField, SymTensorField, VectorField
 
-__all__ = ["FluidParams", "PressureLaw", "pressure_increment",
-           "objective_coupling", "momentum_source", "density_band_check"]
+__all__ = ["FluidParams", "PressureLaw", "objective_coupling",
+           "momentum_source", "density_band_check"]
 
 
 @dataclass
@@ -81,22 +84,31 @@ class FluidParams:
         """The working density band [m1/2, 2 M1]."""
         return 0.5 * self.m1, 2.0 * self.M1
 
+    def total_density(self, sigma):
+        """Total density alpha + eps^2 sigma of remainder samples `sigma`.
+
+        The one spelling of ``params.alpha + params.eps ** 2 * sigma``: the
+        band checks and the momentum coefficients all read it here.
+        """
+        return self.alpha + self.eps ** 2 * sigma
+
 
 def density_band_check(sigma: ScalarField, params: FluidParams,
                        tol: float = 0.0, context: str = "") -> tuple:
     """Verify m1/2 (1-tol) <= alpha + eps^2 sigma <= 2 M1 (1+tol) pointwise.
 
     Returns (min, max) of the total density; raises DensityBandError with
-    the worst offending node otherwise.
+    the worst offending node otherwise.  A NaN node meets neither bound
+    and is the one named.
     """
-    rho = params.alpha + params.eps ** 2 * sigma.values
+    rho = params.total_density(sigma.values)
     lo, hi = params.band
     lo_t, hi_t = lo * (1.0 - tol), hi * (1.0 + tol)
     rmin, rmax = float(rho.min()), float(rho.max())
-    if rmin < lo_t:
+    if not lo_t <= rmin:
         node = np.unravel_index(int(np.argmin(rho)), rho.shape)
         raise DensityBandError(node, rmin, lo_t, hi_t, context=context)
-    if rmax > hi_t:
+    if not rmax <= hi_t:
         node = np.unravel_index(int(np.argmax(rho)), rho.shape)
         raise DensityBandError(node, rmax, lo_t, hi_t, context=context)
     return rmin, rmax
@@ -108,20 +120,6 @@ def _increment(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     if law.kind == "linear":
         return np.zeros_like(rho)
     return law.kappa * rho - law.kappa * params.alpha
-
-
-def pressure_increment(sigma: ScalarField,
-                       params: FluidParams) -> ScalarField:
-    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha) under `params.law`;
-    w(0) = 0 exactly.
-
-    Evaluation outside the working density band [m1/2, 2 M1] is an
-    unphysical state and raises through `density_band_check`, naming the
-    worst node.
-    """
-    density_band_check(sigma, params, context="pressure_increment")
-    rho = params.alpha + params.eps ** 2 * sigma.values
-    return ScalarField(sigma.grid, _increment(rho, params))
 
 
 def objective_coupling(grad_w: np.ndarray, tau: SymTensorField,
@@ -164,7 +162,7 @@ def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
     the pressure increment is then taken on the checked samples.
     """
     density_band_check(pi, params, context="momentum_source")
-    rho = params.alpha + params.eps ** 2 * pi.values
+    rho = params.total_density(pi.values)
     coef_visc = (1.0 - params.omega) * (params.eps ** 2 * pi.values / rho)
     coef_pres = (params.eps ** 2 / rho) * (pi.values - _increment(rho,
                                                                   params))

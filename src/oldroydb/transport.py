@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import NonDirichletError, SingularStressSystemError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
-                     grad_tensor, mean, sym_components)
+                     diagonal_sum, grad_tensor, mean, sym_components)
 from .rheology import density_band_check
 
 __all__ = ["CharacteristicMap", "trace", "DensityStepReport", "step_density",
@@ -201,17 +201,14 @@ def step_density(sigma_prev: ScalarField, cm: CharacteristicMap,
     """One semi-Lagrangian step of the density-remainder transport.
 
     Pull back along the characteristics of `cm`, apply the exact per-step
-    dilation ODE with div w, the trace of `cm.grad_w` summed in
-    `divergence`'s order, frozen at the arrival node, then re-project the
-    mean to zero.  The total density alpha + eps^2 sigma must stay inside
-    the working band widened by 1e-8 (relative).  Returns (field, report).
+    dilation ODE with div w (the `diagonal_sum` of `cm.grad_w`) frozen at
+    the arrival node, then re-project the mean to zero.  The total density
+    alpha + eps^2 sigma must stay inside the working band widened by 1e-8
+    (relative).  Returns (field, report).
     """
     grid = sigma_prev.grid
     sigma_dep = cm.pull(sigma_prev.values)
-    divw = cm.grad_w[0, 0]
-    for i in range(1, grid.dim):
-        divw = divw + cm.grad_w[i, i]
-    theta = cm.dt * divw
+    theta = cm.dt * diagonal_sum(cm.grad_w[i, i] for i in range(grid.dim))
     lift = params.alpha / params.eps ** 2
     vals = sigma_dep * np.exp(-theta) + lift * np.expm1(-theta)
     drift = mean(ScalarField(grid, vals))

@@ -52,8 +52,9 @@ import numpy as np
 
 from .errors import LinearSolveError
 from .fields import (ScalarField, SymTensorField, VectorField,
-                     conjugate_gradient, grad_tensor, inner, norm,
-                     norm_hminus1, viscous_operator, viscous_preconditioner)
+                     conjugate_gradient, diagonal_sum, grad_tensor, inner,
+                     norm, norm_hminus1, viscous_operator,
+                     viscous_preconditioner)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
@@ -188,9 +189,7 @@ def check_energy_budget(table, us, Fs, params,
     def strain_pieces(u):
         g = grad_tensor(u)
         D = SymTensorField.from_full(u.grid, g, symmetrize=True)
-        div = g[0, 0]  # the diagonal summed in `divergence`'s order
-        for ax in range(1, u.grid.dim):
-            div = div + g[ax, ax]
+        div = diagonal_sum(g[ax, ax] for ax in range(u.grid.dim))
         return norm(D, 0) ** 2, norm(ScalarField(u.grid, div), 0) ** 2
 
     sup_d, sup_c = strain_pieces(us[0])

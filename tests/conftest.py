@@ -61,6 +61,24 @@ def draw_trajectory(data, dim):
     return draw("vector"), draw("scalar_free"), draw("symtensor"), dt
 
 
+def counting(monkeypatch, modules, names):
+    """Wrap each named function in each module; returns the call counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return calls
+
+
 def centered_bump_perturbation(grid, amp=1e-4):
     x, y = grid.coords
     bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02)

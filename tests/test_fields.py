@@ -4,8 +4,10 @@ Derivative checks compare against hand-derived analytic formulas; grid
 constants are fitted on the coarse grid and verified on the fine one.
 """
 
+import importlib
 import itertools
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       laplacian, mean, mean_zero_project, norm, norm_hminus1,
                       norms, rate_tensors, save_snapshot, load_snapshot,
                       trajectory_norms, viscous_operator)
+from oldroydb import fields
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
                              conjugate_gradient, random_smooth_field,
                              sym_components, viscous_preconditioner)
 
-from conftest import draw_trajectory
+from conftest import counting, draw_trajectory
 
 
 def weighted_l2(grid, values):
@@ -294,6 +297,76 @@ def test_difference_operators_exact_on_affine_fields(dim, data):
     assert np.abs(laplacian(v).values).max() <= dim * tol2
     assert np.abs(laplacian(ScalarField(g, v.values[-1])).values).max() \
         <= dim * tol2
+
+
+def _axis_sum(terms):
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def _grad_tensor_reference(v):
+    """[i, j] = d v_i / d x_j, one component and one axis per call."""
+    g = v.grid
+    return np.array([[_diff1(v.values[i], g.h[j], j) for j in range(g.dim)]
+                     for i in range(g.dim)])
+
+
+def _div_tensor_reference(t):
+    """(div T)_i = sum_j d T_ij / d x_j, added in axis order per row."""
+    g = t.grid
+    full = t.full()
+    return np.array([_axis_sum([_diff1(full[i, j], g.h[j], j)
+                                for j in range(g.dim)])
+                     for i in range(g.dim)])
+
+
+def _laplacian_reference(comp, h):
+    """The second differences of one component, added in axis order."""
+    return _axis_sum([_diff2(comp, h[ax], ax) for ax in range(len(h))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_stacked_operators_equal_per_component_reference(dim, data):
+    n = data.draw(st.tuples(*[st.integers(8, 14)] * dim), label="n")
+    extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
+                       label="extent")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    g = Grid(dim, n, extent)
+    v = VectorField(g, rng.normal(size=(dim,) + g.node_shape))
+    t = SymTensorField(g, rng.normal(size=(dim * (dim + 1) // 2,)
+                                     + g.node_shape))
+    s = ScalarField(g, rng.normal(size=g.node_shape))
+    grad = grad_tensor(v)
+    assert np.array_equal(grad, _grad_tensor_reference(v))
+    assert np.array_equal(divergence(v).values,
+                          _axis_sum([grad[i, i] for i in range(dim)]))
+    assert np.array_equal(div_tensor(t).values, _div_tensor_reference(t))
+    lap_s, lap_v = laplacian(s), laplacian(v)
+    assert isinstance(lap_s, ScalarField) and isinstance(lap_v, VectorField)
+    assert np.array_equal(lap_s.values, _laplacian_reference(s.values, g.h))
+    assert np.array_equal(lap_v.values,
+                          np.array([_laplacian_reference(c, g.h)
+                                    for c in v.values]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_operators_make_one_difference_call_per_axis(monkeypatch,
+                                                             dim):
+    g = Grid.unit(8, dim)
+    rng = np.random.default_rng(11)
+    v = random_smooth_field(g, rng, kind="vector")
+    t = random_smooth_field(g, rng, kind="symtensor")
+    calls = counting(monkeypatch, [fields], ["_diff1", "_diff2"])
+    grad_tensor(v)
+    assert calls["_diff1"] == dim
+    div_tensor(t)
+    assert calls["_diff1"] == 2 * dim
+    laplacian(v)
+    assert calls["_diff2"] == dim
 
 
 def test_laplacian_trig_order():
@@ -673,3 +746,14 @@ def test_inner_product_validation():
         inner(ScalarField.zeros(ga), ScalarField.zeros(gb))
     with pytest.raises(TypeError):
         inner(ScalarField.zeros(ga), VectorField.zeros(ga))
+
+
+def test_every_exported_name_exists():
+    # a deleted function must not leave its name behind in an `__all__`
+    pkg = importlib.import_module("oldroydb")
+    for info in pkgutil.iter_modules(pkg.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"oldroydb.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"oldroydb.{info.name}.{name}"

@@ -20,12 +20,15 @@ from oldroydb.errors import (DensityBandError, LinearSolveError,
                              NonDirichletError)
 from oldroydb.fixed_point import (audit_window, check_membership, iterate,
                                   march, suggest_budgets)
-from oldroydb.harness import (DENSITY_PRESETS, LEDGER_COLUMNS, RunConfig, STRESS_PRESETS, VELOCITY_PRESETS,
+from oldroydb.harness import (LEDGER_COLUMNS, PRESETS, RunConfig,
                               _bump_density, build_initial_data,
-                              config_as_dict, initial_density,
-                              initial_stress, initial_velocity, load_config,
-                              parse_config, serialize_config)
+                              config_as_dict, load_config, parse_config,
+                              serialize_config)
 from oldroydb.fields import Grid, divergence, norm, rate_tensors
+
+VELOCITY = PRESETS["ic.velocity"]
+DENSITY = PRESETS["ic.density"]
+STRESS = PRESETS["ic.stress"]
 
 
 # --------------------------------------------------------------- config
@@ -58,11 +61,11 @@ def valid_configs(draw):
         T=T, dt=real(0.0, T, exclude_min=True),
         tol_lin=real(1e-16, 1.0), tol_fp=real(1e-16, 1.0),
         max_iter=draw(st.integers(1, 1000)), delta=real(-10.0, 10.0),
-        ic_velocity=draw(st.sampled_from(VELOCITY_PRESETS)),
+        ic_velocity=draw(st.sampled_from(list(VELOCITY))),
         ic_velocity_amplitude=real(-1.0, 1.0),
-        ic_density=draw(st.sampled_from(DENSITY_PRESETS)),
+        ic_density=draw(st.sampled_from(list(DENSITY))),
         ic_density_amplitude=real(-1.0, 1.0),
-        ic_stress=draw(st.sampled_from(STRESS_PRESETS)),
+        ic_stress=draw(st.sampled_from(list(STRESS))),
         ic_stress_amplitude=real(-1.0, 1.0),
         probe_amplitude=real(0.0, 1.0),
         uniqueness_amplitude=real(-1.0, 1.0),
@@ -133,29 +136,29 @@ def test_registered_presets_build():
     assert abs(mean(s0)) < 1e-14
     assert t0.values.shape[0] == 3
 
-    for name in VELOCITY_PRESETS:
-        v = initial_velocity(grid, name, 0.1)
+    for build in VELOCITY.values():
+        v = build(grid, 0.1)
         assert v.dirichlet
-    for name in DENSITY_PRESETS:
-        s = initial_density(grid, name, 0.1)
+    for build in DENSITY.values():
+        s = build(grid, 0.1)
         assert abs(mean(s)) < 1e-13
-    for name in STRESS_PRESETS:
-        q = initial_stress(grid, name, 0.1, u0)
+    for build in STRESS.values():
+        q = build(grid, 0.1, u0)
         assert q.values.shape[0] == 3
 
 
 def test_vortex_preset_is_divergence_free():
     grid = Grid.unit(32)
-    v = initial_velocity(grid, "vortex", 1.0)
+    v = VELOCITY["vortex"](grid, 1.0)
     assert norm(divergence(v), 0) < 1e-2  # discrete div of the exact cell
-    g = initial_velocity(grid, "gradient", 1.0)
+    g = VELOCITY["gradient"](grid, 1.0)
     assert norm(divergence(g), 0) > 1.0  # deliberately compressive
 
 
 def test_proportional_stress_tracks_velocity():
     grid = Grid.unit(16)
-    v = initial_velocity(grid, "vortex", 0.3)
-    q = initial_stress(grid, "proportional-stress", 2.0, v)
+    v = VELOCITY["vortex"](grid, 0.3)
+    q = STRESS["proportional-stress"](grid, 2.0, v)
     strain = rate_tensors(v)[0]
     assert np.allclose(q.values, 2.0 * strain.values)
 
@@ -163,11 +166,11 @@ def test_proportional_stress_tracks_velocity():
 def test_noise_preset_follows_seed(monkeypatch):
     grid = Grid.unit(16)
     monkeypatch.setenv("OLDROYD_SEED", "7")
-    a = initial_density(grid, "noise", 0.1)
-    b = initial_density(grid, "noise", 0.1)
+    a = DENSITY["noise"](grid, 0.1)
+    b = DENSITY["noise"](grid, 0.1)
     assert np.array_equal(a.values, b.values)
     monkeypatch.setenv("OLDROYD_SEED", "8")
-    c = initial_density(grid, "noise", 0.1)
+    c = DENSITY["noise"](grid, 0.1)
     assert not np.array_equal(a.values, c.values)
     assert np.abs(a.values).max() <= 0.1 + 1e-12
 
@@ -313,6 +316,18 @@ def test_cli_removed_pressure_options_are_config_errors(tmp_path, line):
     summary = _strict_summary(out)
     assert summary["status"] == "config-error"
     assert summary["exit_code"] == 2
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+def test_cli_bad_seed_is_a_config_error(tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("OLDROYD_SEED", seed)
+    cfg = _cfg_file(tmp_path,
+                    "grid.n = 8\ntime.T = 0.002\nic.density = noise\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    summary = _strict_summary(out)
+    assert summary["status"] == "config-error"
+    assert "OLDROYD_SEED" in summary["error"]
 
 
 def test_cli_divergence_exits_3(tmp_path):

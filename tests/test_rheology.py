@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from oldroydb import (DensityBandError, FluidParams, Grid, PressureLaw,
-                      ScalarField, SymTensorField, grad_tensor,
-                      gradient, momentum_source, norm, objective_coupling,
-                      pressure_increment, rate_tensors, sym_components,
-                      viscous_operator)
+                      ScalarField, SymTensorField, density_band_check,
+                      grad_tensor, gradient, momentum_source, norm,
+                      objective_coupling, sym_components, viscous_operator)
 from oldroydb import rheology
 from oldroydb.fields import random_smooth_field
 
@@ -49,7 +48,13 @@ def test_pressure_law_validation():
 
 
 # ---------------------------------------------------------------------------
-# pressure increment
+# pressure increment and the density band
+
+
+def pressure_increment(sigma, params):
+    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha), as `momentum_source`
+    takes it on band-checked samples."""
+    return rheology._increment(params.total_density(sigma.values), params)
 
 
 def test_linear_law_increment_is_zero_field():
@@ -58,7 +63,7 @@ def test_linear_law_increment_is_zero_field():
     rng = np.random.default_rng(7)
     sigma = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.node_shape))
     w = pressure_increment(sigma, params)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
 
 
 def test_quadratic_law_frozen_value():
@@ -68,24 +73,42 @@ def test_quadratic_law_frozen_value():
     params = make_params(eps=0.1, law=PressureLaw(kind="quadratic", kappa=1.0))
     sigma = ScalarField(grid, np.full(grid.node_shape, 2.0))
     w = pressure_increment(sigma, params)
-    assert np.allclose(w.values, 0.02, rtol=1e-14, atol=0.0)
+    assert np.allclose(w, 0.02, rtol=1e-14, atol=0.0)
 
 
 def test_quadratic_law_zero_sigma_exact():
     grid = Grid.unit(8)
     params = make_params(law=PressureLaw(kind="quadratic", kappa=3.7))
     w = pressure_increment(ScalarField.zeros(grid), params)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
 
 
-def test_pressure_increment_band_violation_names_node():
+def test_band_check_upper_violation_names_node():
     grid = Grid.unit(8)
-    params = make_params(eps=1.0, law=PressureLaw(kind="quadratic"))
+    params = make_params(eps=1.0)
     vals = np.zeros(grid.node_shape)
     vals[3, 4] = 5.0  # rho = 6 > 2 M1 = 4
     with pytest.raises(DensityBandError) as err:
-        pressure_increment(ScalarField(grid, vals), params)
+        density_band_check(ScalarField(grid, vals), params, context="here")
     assert err.value.node == (3, 4)
+    assert str(err.value).startswith("here: density 6 at node (3, 4)")
+
+
+def test_band_check_names_nan_node():
+    # a NaN total density meets neither bound: the check fails closed, in
+    # the band check itself and in the momentum source that calls it
+    grid = Grid.unit(8)
+    params = make_params()
+    vals = np.zeros(grid.node_shape)
+    vals[2, 5] = np.nan
+    pi = ScalarField(grid, vals)
+    with pytest.raises(DensityBandError) as err:
+        density_band_check(pi, params)
+    assert err.value.node == (2, 5)
+    assert math.isnan(err.value.value)
+    w = random_smooth_field(grid, np.random.default_rng(29), kind="vector")
+    with pytest.raises(DensityBandError, match="momentum_source"):
+        momentum_source(viscous_operator(w), pi, gradient(pi), params)
 
 
 # ---------------------------------------------------------------------------

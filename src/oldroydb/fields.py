@@ -688,13 +688,17 @@ def conjugate_gradient(A, M, b, x, rtol, maxiter):
     has ||r|| < rtol ||b||; returns (x, iterations, converged).  The
     arithmetic and its order are those of `scipy.sparse.linalg.cg` with
     atol=0 and the same M, so x and the iteration count agree with it bit
-    for bit.
+    for bit.  A residual norm that is not finite (NaN in b, x or an
+    operator) stops it at once, unconverged.
     """
     atol = rtol * np.linalg.norm(b)
     r = b - A(x) if x.any() else b.copy()
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             return x, it, True
+        if not np.isfinite(rnorm):
+            return x, it, False
         z = M(r)
         rho = np.dot(r, z)
         if it == 0:

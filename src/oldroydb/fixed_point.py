@@ -320,28 +320,34 @@ class ConvergenceHistory:
     membership: MembershipReport
 
 
-def _check_hypotheses(u0: VectorField, sigma0: ScalarField, params,
-                      T: float, dt: float) -> int:
+def _check_hypotheses(u0: VectorField, sigma0: ScalarField,
+                      tau0: SymTensorField, params, T: float,
+                      dt: float) -> int:
     """The discrete solvability hypotheses on the data and the window:
-    zero-trace velocity, mean-zero density remainder, total density inside
-    the strict band, a whole number of steps. Returns that number."""
+    finite data, zero-trace velocity, mean-zero density remainder, total
+    density inside the strict band, a whole number of steps. Returns that
+    number. Each test is written to fail on NaN."""
+    for name, f in (("velocity u0", u0), ("density remainder sigma0", sigma0),
+                    ("stress tau0", tau0)):
+        if not np.isfinite(f.values).all():
+            raise ConfigError(f"initial {name} has a non-finite value")
     if not u0.dirichlet:
         raise ConfigError("initial velocity must vanish on the boundary")
     scale = max(1.0, norm(sigma0, 0))
     drift = abs(mean(sigma0))
-    if drift > 1e-11 * scale:
+    if not drift <= 1e-11 * scale:
         raise ConfigError("initial density remainder must have zero mean; "
                           f"its mean is {drift:.3e}")
     rho0 = params.total_density(sigma0.values)
-    if rho0.min() < params.m1 or rho0.max() > params.M1:
+    if not (params.m1 <= rho0.min() and rho0.max() <= params.M1):
         raise ConfigError(
             f"initial total density range [{rho0.min():.6g}, "
             f"{rho0.max():.6g}] leaves the strict band "
             f"[{params.m1:.6g}, {params.M1:.6g}]")
-    if T <= 0.0 or dt <= 0.0:
+    if not (0.0 < T < np.inf and 0.0 < dt):
         raise ConfigError("window length and step must be positive")
     nsteps = int(round(T / dt))
-    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * T:
+    if nsteps < 1 or not abs(nsteps * dt - T) <= 1e-9 * T:
         raise ConfigError("window length must be a whole number of steps")
     return nsteps
 
@@ -359,7 +365,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     Raises NonConvergenceError with the distance history when max_iter
     sweeps do not contract below tolerance or a distance is not finite.
     """
-    nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
+    nsteps = _check_hypotheses(u0, sigma0, tau0, params, T, dt)
 
     b1, b2 = suggest_budgets(u0, sigma0, tau0, params)
 
@@ -417,7 +423,7 @@ def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     sweeps or a distance is not finite; that error and solver failures
     carry the global ``timestep``.
     """
-    nsteps = _check_hypotheses(u0, sigma0, params, T, dt)
+    nsteps = _check_hypotheses(u0, sigma0, tau0, params, T, dt)
     nodes = [(u0, sigma0, tau0)]  # settled (w, pi, psi) at each node
     for k in range(nsteps):
         x = IterTriple.constant(*nodes[k], 1, dt)

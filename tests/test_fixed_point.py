@@ -389,10 +389,27 @@ def test_iterate_rejects_bad_data():
                        * np.cos(2 * np.pi * y))
     with pytest.raises(ConfigError, match="strict band"):
         iterate(u0, deep, t0, params, T=5e-3, dt=1e-3)
-    with pytest.raises(ConfigError, match="positive"):
-        iterate(u0, s0, t0, params, T=0.0, dt=1e-3)
+    for T in (0.0, np.nan):
+        with pytest.raises(ConfigError, match="positive"):
+            iterate(u0, s0, t0, params, T=T, dt=1e-3)
     with pytest.raises(ConfigError, match="whole number"):
         iterate(u0, s0, t0, params, T=0.0105, dt=1e-3)
+
+
+@pytest.mark.parametrize("solve", [iterate, march])
+@pytest.mark.parametrize("field", ["u0", "sigma0", "tau0"])
+def test_non_finite_initial_data_is_a_config_error(field, solve):
+    # a NaN fails every comparison, so the drift and band tests alone
+    # would wave it through; one interior NaN node in any field is refused
+    grid, params, u0, s0, t0 = small_preset(8)
+    data = {"u0": u0, "sigma0": s0, "tau0": t0}
+    vals = data[field].values.copy()
+    vals[..., 3, 3] = np.nan
+    data[field] = (VectorField(grid, vals, dirichlet=True) if field == "u0"
+                   else type(data[field])(grid, vals))
+    with pytest.raises(ConfigError, match=f"initial .*{field} has a non-finite"):
+        solve(data["u0"], data["sigma0"], data["tau0"], params,
+              T=2e-3, dt=1e-3)
 
 
 def test_iterate_rejects_bad_guess():

@@ -1,9 +1,12 @@
 """Characteristic trace, density and stress transport, a-priori bounds."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.ndimage import map_coordinates
 from scipy.optimize import brentq
 
@@ -14,8 +17,9 @@ from oldroydb import (DensityBandError, FluidParams, Grid,
                       objective_coupling, rate_tensors, sym_components,
                       trajectory_norms)
 from oldroydb.fields import _diff1, random_smooth_field
-from oldroydb.mms import (density_advection_study, density_still_study,
-                          stress_relaxation_study, taylor_vortex)
+from oldroydb.mms import (_vortex_feet, density_advection_study,
+                          density_still_study, stress_relaxation_study,
+                          taylor_vortex)
 from oldroydb.transport import (_coupling_matrices, _rate_constant,
                                 _solve_nodes, check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
@@ -684,6 +688,28 @@ def test_density_advection_study_first_order():
     res = density_advection_study()
     assert res.passed, res
     assert all(o >= 0.9 for o in res.orders)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_vortex_feet_match_a_tight_adaptive_reference(n):
+    # the advection study's exact solution is the bump at these feet: the
+    # fixed-step trace of every node agrees with scipy's DOP853 at rtol
+    # 1e-13 to 1e-11, no looser than the adaptive RK45 reference it
+    # replaced (7.5e-12 there, 3.3e-12 and 3.4e-12 measured here)
+    defaults = inspect.signature(density_advection_study).parameters
+    amp, T = defaults["amp"].default, defaults["T"].default
+    grid = Grid.unit(n)
+    nodes = np.stack([grid.coords[0].ravel(), grid.coords[1].ravel()])
+
+    def back_velocity(t, y):
+        x1, x2 = y.reshape(2, -1)
+        u1 = np.sin(np.pi * x1) ** 2 * np.sin(2.0 * np.pi * x2)
+        u2 = -np.sin(2.0 * np.pi * x1) * np.sin(np.pi * x2) ** 2
+        return -amp * np.concatenate([u1, u2])
+
+    ref = solve_ivp(back_velocity, (0.0, T), nodes.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-15).y[:, -1].reshape(2, -1)
+    assert np.abs(_vortex_feet(nodes, amp, T) - ref).max() <= 1e-11
 
 
 def test_density_still_study_exact():

@@ -111,6 +111,17 @@ def test_step_reports_nonconvergence():
                       tol_lin=1e-12, max_iter=1)
 
 
+def test_nan_forcing_stops_the_solve_at_once():
+    # no iteration brings a NaN residual under tolerance: CG gives up at
+    # its first residual check instead of running to max_iter
+    grid = Grid.unit(64)
+    F = VectorField.zeros(grid)
+    F.values[0, 30, 30] = np.nan
+    with pytest.raises(LinearSolveError, match=r", [01] iterations\)"):
+        step_velocity(VectorField.zeros(grid, dirichlet=True), F, 1e-3,
+                      PARAMS)
+
+
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (3, 16),
                                    (3, 32), (2, (32, 48)), (3, (16, 12, 20))])
 def test_pcg_iterations_bounded_across_grids_and_steps(dim, n):

@@ -15,7 +15,7 @@ from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      norms, rate_tensors, save_snapshot, load_snapshot,
                      sym_components, trajectory_norms, viscous_operator)
 from .rheology import (FluidParams, PressureLaw, density_band_check,
-                       momentum_source, objective_coupling)
+                       momentum_source)
 from .transport import (CharacteristicMap, DensityBoundReport,
                         DensityStepReport, StressBoundReport,
                         StressStepReport, check_density_bounds,

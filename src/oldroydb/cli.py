@@ -71,6 +71,11 @@ def _print_membership(mem, label="membership") -> None:
           f"[{mem['density_min']:.6g}, {mem['density_max']:.6g}])")
 
 
+def _print_sweeps(sweeps, label="march") -> None:
+    print(f"{label}: {sweeps['local']} local sweeps, "
+          f"{sweeps['certifying']} certifying")
+
+
 def _print_run(payload) -> None:
     print(f"converged in {payload['iterations']} sweeps; system residual "
           f"{payload['system_residual']:.3e}")
@@ -114,6 +119,7 @@ def _print_uniqueness(payload) -> None:
           f"(threshold {payload['delta_cap']:.6g})")
     for solve, mem in payload["membership"].items():
         _print_membership(mem, f"membership of the {solve} solve")
+        _print_sweeps(payload["sweeps"][solve], f"march of the {solve} solve")
 
 
 def _print_probe(payload) -> None:
@@ -126,6 +132,7 @@ def _print_probe(payload) -> None:
     print("linear response: "
           + ("yes" if payload["linear_ok"] else "NO"))
     _print_membership(payload["membership"])
+    _print_sweeps(payload["sweeps"])
 
 
 def _commands() -> dict:

@@ -29,7 +29,7 @@ from .rheology import FluidParams, PressureLaw
 
 __all__ = ["RunConfig", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
-           "serialize_config", "build_grid", "build_params",
+           "build_grid", "build_params",
            "build_initial_data", "PRESETS", "run_experiment",
            "mms_experiment", "uniqueness_pair_experiment",
            "probe_experiment"]
@@ -111,15 +111,6 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for key, attr, conv in _KEYS:
-        v = getattr(cfg, attr)
-        lines.append(f"{key} = {v!r}" if conv is float
-                     else f"{key} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -376,6 +367,11 @@ def _membership_summary(mem) -> dict:
             "density_min": mem.density_min, "density_max": mem.density_max}
 
 
+def _sweeps_summary(hist) -> dict:
+    """A march's work: its local sweeps, then the certifying ones."""
+    return {"local": sum(hist.local_sweeps), "certifying": hist.iterations}
+
+
 def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     """Refinement studies for each linear solver, in a fixed order."""
     studies = all_studies(build_params(cfg))
@@ -440,6 +436,8 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
         "gap_energy_final": rep.gap_energy[-1],
         "membership": {"base": _membership_summary(hist1.membership),
                        "perturbed": _membership_summary(hist2.membership)},
+        "sweeps": {"base": _sweeps_summary(hist1),
+                   "perturbed": _sweeps_summary(hist2)},
         "artifacts": {"gronwall": path},
     }
 
@@ -465,5 +463,6 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
         "shrink_ratios": list(rep.shrink_ratios),
         "linear_ok": rep.linear_ok,
         "membership": _membership_summary(hist.membership),
+        "sweeps": _sweeps_summary(hist),
         "artifacts": {"probe": path},
     }

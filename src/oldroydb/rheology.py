@@ -1,4 +1,4 @@
-"""Material parameters, pressure laws and constitutive source terms.
+"""Material parameters, pressure laws and the momentum source term.
 
 The model is the nondimensional weakly compressible Oldroyd-B system with
 velocity u, density remainder sigma (total density alpha + eps^2 sigma) and
@@ -6,8 +6,6 @@ elastic stress tau.  This module owns everything algebraic at a node:
 
 * `FluidParams.total_density`  alpha + eps^2 sigma, and
   `density_band_check`, which holds it inside the working band;
-* `objective_coupling`  g(grad u, tau) = tau W - W tau - a (D tau + tau D),
-  the non-transport part of the frame-objective stress derivative;
 * `momentum_source`     the frozen-coefficient momentum forcing
   F(w, pi) = (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
            + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi,
@@ -27,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DensityBandError
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import ScalarField, VectorField
 
-__all__ = ["FluidParams", "PressureLaw", "objective_coupling",
-           "momentum_source", "density_band_check"]
+__all__ = ["FluidParams", "PressureLaw", "momentum_source",
+           "density_band_check"]
 
 
 @dataclass
@@ -122,30 +120,6 @@ def _increment(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     return law.kappa * rho - law.kappa * params.alpha
 
 
-def objective_coupling(grad_w: np.ndarray, tau: SymTensorField,
-                       a: float) -> SymTensorField:
-    """g(grad w, tau) = tau W - W tau - a (D tau + tau D).
-
-    `grad_w` are dense gradient samples (dim, dim, *nodes) as produced by
-    `grad_tensor`; D and W are its symmetric and skew parts.  The result is
-    symmetric for every input and bilinear in (grad_w, tau); symmetry is
-    enforced structurally by storing the upper triangle of the symmetrized
-    product.  The stress step applies the same map as a per-node matrix
-    (`transport._coupling_matrices`); this is the reference it is tested
-    against.
-    """
-    grid = tau.grid
-    D = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
-    W = grad_w - D
-    t = tau.full()
-    # per-node matrix products, nodes vectorized
-    tW = np.einsum("ik...,kj...->ij...", t, W)
-    Dt = np.einsum("ik...,kj...->ij...", D, t)
-    # tau W - W tau = tW + tW^T ; D tau + tau D = Dt + Dt^T
-    m = tW - a * Dt
-    return SymTensorField.from_full(grid, m + np.swapaxes(m, 0, 1))
-
-
 def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
                     params: FluidParams) -> VectorField:
     """Frozen-coefficient momentum forcing F(w, pi) from derivative samples.
@@ -154,12 +128,12 @@ def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
       + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi
 
     `aw` = A w (`viscous_operator`) and `grad_pi` = grad pi (`gradient`)
-    are taken by the caller, so this is pointwise algebra, as
-    `objective_coupling` is on `grad_w`.  The frozen density
-    alpha + eps^2 pi must stay inside the working band [m1/2, 2 M1]; a
-    violation raises with the offending node (this is the membership
-    failure mode of the fixed-point set). The band is checked once, here;
-    the pressure increment is then taken on the checked samples.
+    are taken by the caller, so this is pointwise algebra.  The frozen
+    density alpha + eps^2 pi must stay inside the working band
+    [m1/2, 2 M1]; a violation raises with the offending node (this is the
+    membership failure mode of the fixed-point set). The band is checked
+    once, here; the pressure increment is then taken on the checked
+    samples.
     """
     density_band_check(pi, params, context="momentum_source")
     rho = params.total_density(pi.values)

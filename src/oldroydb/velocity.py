@@ -8,7 +8,8 @@ the symmetric positive definite system
 
 by preconditioned conjugate gradients (`fields.conjugate_gradient`) on
 the interior degrees of freedom, to a true relative residual below
-`tol_lin`.  The shifted operator is applied matrix-free as
+`tol_lin`, starting from a caller's guess or else the previous step.
+The shifted operator is applied matrix-free as
 dt (1-omega) (A_h p) + alpha p on the grid's assembled `viscous_matrix`,
 so no scaled copy of it is held.  The preconditioner
 (`fields.viscous_preconditioner`) inverts its diagonal blocks exactly in
@@ -71,14 +72,17 @@ class VelocityStepReport:
 
 
 def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
-                  tol_lin: float = 1e-10,
-                  max_iter: int = 20000) -> tuple:
+                  tol_lin: float = 1e-10, max_iter: int = 20000,
+                  guess: VectorField = None) -> tuple:
     """One backward-Euler step of alpha u' + (1-omega) A u = F.
 
     Solves (alpha I + dt (1-omega) A_h) u = alpha u_prev + dt F by
-    preconditioned CG over interior nodes, warm-started from u_prev;
-    boundary values stay exactly zero.  Raises LinearSolveError if the true
-    relative residual is above tol_lin after at most max_iter iterations.
+    preconditioned CG over interior nodes, warm-started from ``guess``
+    (u_prev when None); boundary values stay exactly zero.  The start moves
+    the answer only within the tolerance: a guess near the solution, such
+    as the previous iterate of a fixed-point loop, saves iterations.
+    Raises LinearSolveError if the true relative residual is above tol_lin
+    after at most max_iter iterations.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -107,7 +111,8 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
 
         x, iters, _ = conjugate_gradient(
             system, viscous_preconditioner(grid, alpha, coef), b,
-            u_prev.values[interior].flatten(), tol_lin, max_iter)
+            (u_prev if guess is None else guess).values[interior].flatten(),
+            tol_lin, max_iter)
         rel_res = float(np.linalg.norm(b - system(x))) / b_norm
         if not rel_res <= tol_lin:  # NaN fails too
             raise LinearSolveError(

@@ -20,11 +20,12 @@ from oldroydb.errors import (DensityBandError, LinearSolveError,
                              NonDirichletError)
 from oldroydb.fixed_point import (audit_window, check_membership, iterate,
                                   march, suggest_budgets)
-from oldroydb.harness import (LEDGER_COLUMNS, PRESETS, RunConfig,
+from oldroydb.harness import (_KEYS, LEDGER_COLUMNS, PRESETS, RunConfig,
                               _bump_density, build_initial_data,
-                              config_as_dict, load_config, parse_config,
-                              serialize_config)
+                              config_as_dict, load_config, parse_config)
 from oldroydb.fields import Grid, divergence, norm, rate_tensors
+
+from conftest import counting
 
 VELOCITY = PRESETS["ic.velocity"]
 DENSITY = PRESETS["ic.density"]
@@ -32,6 +33,16 @@ STRESS = PRESETS["ic.stress"]
 
 
 # --------------------------------------------------------------- config
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Every key of ``cfg`` in config-file syntax, floats by repr."""
+    lines = []
+    for key, attr, conv in _KEYS:
+        v = getattr(cfg, attr)
+        lines.append(f"{key} = {v!r}" if conv is float
+                     else f"{key} = {v}")
+    return "\n".join(lines) + "\n"
+
 
 def test_config_roundtrip_is_identity():
     cfg = RunConfig(grid_n=24, eps=0.25, T=0.004, dt=2e-3,
@@ -368,7 +379,8 @@ def _certified_membership(cfg, sigma0):
                   "density_max": mem.density_max}
 
 
-def test_cli_uniqueness_reports_membership_without_gating(tmp_path, capsys):
+def test_cli_uniqueness_reports_membership_without_gating(tmp_path, capsys,
+                                                         monkeypatch):
     # both certified solutions of this compressive window overrun the rate
     # budget; each solve's membership is reported as `run` reports its
     # own, and the status still reads only the envelope
@@ -376,17 +388,29 @@ def test_cli_uniqueness_reports_membership_without_gating(tmp_path, capsys):
                                "ic.velocity_amplitude = 0.5\n"
                                "time.T = 0.005\ntol.max_iter = 25\n")
     out = tmp_path / "out"
+    calls = counting(monkeypatch, [fixed_point], ["picard_sweep"])
     assert main(["uniqueness", "--config", path, "--out", str(out)]) == 0
     summary = _strict_summary(out)
     assert summary["status"] == "ok"
+    # each solve's sweeps: the local ones of its march, then the
+    # certifying ones, which together are every sweep the command ran
+    sweeps = summary["sweeps"]
+    assert calls["picard_sweep"] == sum(
+        sweeps[solve][kind] for solve in ("base", "perturbed")
+        for kind in ("local", "certifying"))
     cfg = load_config(path)
     grid, _, _, s0, _ = build_initial_data(cfg)
     bump = _bump_density(grid, cfg.uniqueness_amplitude)
+    printed = capsys.readouterr().out
     for solve, sigma0 in (("base", s0), ("perturbed", s0 + bump)):
-        _, block = _certified_membership(cfg, sigma0)
+        hist, block = _certified_membership(cfg, sigma0)
         assert summary["membership"][solve] == block
         assert block["violations"] == ["rate budget"]
-    printed = capsys.readouterr().out
+        assert len(hist.local_sweeps) == 5
+        assert sweeps[solve] == {"local": sum(hist.local_sweeps),
+                                 "certifying": hist.iterations}
+        assert (f"march of the {solve} solve: {sum(hist.local_sweeps)} "
+                f"local sweeps, {hist.iterations} certifying") in printed
     assert "membership of the base solve: FAIL" in printed
     assert "membership of the perturbed solve: FAIL" in printed
 
@@ -399,8 +423,11 @@ def test_cli_probe_reports_membership_of_one_certifying_sweep(tmp_path):
     cfg = load_config(path)
     hist, block = _certified_membership(cfg, build_initial_data(cfg)[3])
     assert hist.converged and hist.iterations == 1
-    assert _strict_summary(out)["membership"] == block
+    summary = _strict_summary(out)
+    assert summary["membership"] == block
     assert block["passed"]
+    assert summary["sweeps"] == {"local": sum(hist.local_sweeps),
+                                 "certifying": 1}
 
 
 @pytest.mark.parametrize("command, target, exc, exit_code", [

@@ -1,4 +1,5 @@
-"""Pressure laws, the objective stress coupling and the momentum source."""
+"""Pressure laws, the objective stress coupling as the stress step applies
+it, and the momentum source."""
 
 import math
 
@@ -8,9 +9,10 @@ import pytest
 from oldroydb import (DensityBandError, FluidParams, Grid, PressureLaw,
                       ScalarField, SymTensorField, density_band_check,
                       grad_tensor, gradient, momentum_source, norm,
-                      objective_coupling, sym_components, viscous_operator)
+                      sym_components, viscous_operator)
 from oldroydb import rheology
 from oldroydb.fields import random_smooth_field
+from oldroydb.transport import _coupling_matrices
 
 
 def make_params(**kw):
@@ -112,7 +114,16 @@ def test_band_check_names_nan_node():
 
 
 # ---------------------------------------------------------------------------
-# objective coupling g
+# objective coupling g(grad w, tau) = tau W - W tau - a (D tau + tau D)
+
+
+def applied_coupling(grad_w, tau, a):
+    """g(grad w, tau) as the stress step applies it: the per-node matrices
+    of `transport._coupling_matrices` on the stored components of tau."""
+    m = tau.ncomp
+    vals = np.einsum("pqn,qn->pn", _coupling_matrices(grad_w, a),
+                     tau.values.reshape(m, -1))
+    return SymTensorField(tau.grid, vals.reshape(tau.values.shape))
 
 
 def sample_flow(grid, seed=0):
@@ -127,7 +138,7 @@ def sample_tau(grid, seed=1):
 
 def test_coupling_zero_tau_is_zero():
     grid = Grid.unit(8)
-    g = objective_coupling(sample_flow(grid), SymTensorField.zeros(grid), 0.7)
+    g = applied_coupling(sample_flow(grid), SymTensorField.zeros(grid), 0.7)
     assert np.all(g.values == 0.0)
 
 
@@ -136,7 +147,7 @@ def test_coupling_identity_tau_gives_minus_2a_rate():
     grid = Grid.unit(12)
     gw = sample_flow(grid, seed=3)
     a = 0.6
-    g = objective_coupling(gw, SymTensorField.identity(grid), a)
+    g = applied_coupling(gw, SymTensorField.identity(grid), a)
     D = 0.5 * (gw + np.swapaxes(gw, 0, 1))
     for k, (i, j) in enumerate(sym_components(grid.dim)):
         assert np.allclose(g.values[k], -2.0 * a * D[i, j],
@@ -151,7 +162,7 @@ def test_coupling_matches_dense_pernode_oracle(dim):
     gw = sample_flow(grid, seed=4 + dim)
     tau = sample_tau(grid, seed=5 + dim)
     for a in (0.0, -0.4):
-        g = objective_coupling(gw, tau, a)
+        g = applied_coupling(gw, tau, a)
         t_full = tau.full()
         worst = 0.0
         for node in np.ndindex(grid.node_shape):
@@ -169,7 +180,7 @@ def test_coupling_matches_dense_pernode_oracle(dim):
 
 def test_coupling_output_symmetric_roundoff():
     grid = Grid.unit(16, dim=3)
-    g = objective_coupling(sample_flow(grid, seed=11),
+    g = applied_coupling(sample_flow(grid, seed=11),
                            sample_tau(grid, seed=12), a=0.9)
     full = g.full()
     assert np.array_equal(full, np.swapaxes(full, 0, 1))
@@ -181,11 +192,11 @@ def test_coupling_scaling_exact_power_of_two():
     gw = sample_flow(grid, seed=13)
     tau = sample_tau(grid, seed=14)
     a = 0.3
-    base = objective_coupling(gw, tau, a)
-    assert np.array_equal(objective_coupling(2.0 * gw, tau, a).values,
+    base = applied_coupling(gw, tau, a)
+    assert np.array_equal(applied_coupling(2.0 * gw, tau, a).values,
                           2.0 * base.values)
     scaled = SymTensorField(grid, 2.0 * tau.values)
-    assert np.array_equal(objective_coupling(gw, scaled, a).values,
+    assert np.array_equal(applied_coupling(gw, scaled, a).values,
                           2.0 * base.values)
 
 
@@ -195,10 +206,10 @@ def test_coupling_not_jointly_additive():
     gw = sample_flow(grid, seed=15)
     tau = sample_tau(grid, seed=16)
     a, c = 0.5, 2.0
-    base = objective_coupling(gw, tau, a)
-    lhs = (objective_coupling(c * gw, tau, a).values
-           + objective_coupling(gw, SymTensorField(grid, c * tau.values),
-                                a).values)
+    base = applied_coupling(gw, tau, a)
+    lhs = (applied_coupling(c * gw, tau, a).values
+           + applied_coupling(gw, SymTensorField(grid, c * tau.values),
+                              a).values)
     assert not np.allclose(lhs, (1.0 + c) * base.values, rtol=1e-3)
     assert np.allclose(lhs, 2.0 * c * base.values, rtol=1e-13, atol=1e-15)
 

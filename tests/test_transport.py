@@ -14,8 +14,7 @@ from oldroydb import (DensityBandError, FluidParams, Grid,
                       NonDirichletError, ScalarField,
                       SingularStressSystemError, SymTensorField, VectorField,
                       grad_tensor, mean, mean_zero_project, norm,
-                      objective_coupling, rate_tensors, sym_components,
-                      trajectory_norms)
+                      rate_tensors, sym_components, trajectory_norms)
 from oldroydb.fields import _diff1, random_smooth_field
 from oldroydb.mms import (_vortex_feet, density_advection_study,
                           density_still_study, stress_relaxation_study,
@@ -53,6 +52,20 @@ def drawn_grid(data, dim):
     extent = data.draw(st.tuples(*[st.floats(0.25, 4.0)] * dim),
                        label="extent")
     return Grid(dim, n, extent)
+
+
+def objective_coupling(grad_w, tau, a):
+    """Reference g(grad w, tau) = tau W - W tau - a (D tau + tau D) from
+    whole-grid matrix products, D and W the symmetric and skew parts of
+    grad w; the stored components of the symmetrized product."""
+    D = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
+    W = grad_w - D
+    t = tau.full()
+    tW = np.einsum("ik...,kj...->ij...", t, W)
+    Dt = np.einsum("ik...,kj...->ij...", D, t)
+    # tau W - W tau = tW + tW^T ; D tau + tau D = Dt + Dt^T
+    m = tW - a * Dt
+    return SymTensorField.from_full(tau.grid, m + np.swapaxes(m, 0, 1))
 
 
 def mean_zero_noise(grid, seed, amp=0.35):

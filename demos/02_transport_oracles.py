@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, mean, norm, rate_tensors, step_density,
-                      step_stress, trace)
+                      VectorField, mean, norm, step_density, step_stress,
+                      strain, trace)
 from oldroydb.mms import taylor_vortex
 
 
@@ -34,7 +34,7 @@ def main():
     print(f"  max pointwise drift {drift:.2e} (transport is the identity)")
     print(f"  worst |mean sigma|  {worst:.2e} (projection keeps it zero)")
 
-    tau = SymTensorField(grid, 0.4 * rate_tensors(taylor_vortex(grid))[0].values)
+    tau = SymTensorField(grid, 0.4 * strain(taylor_vortex(grid)).values)
     t0_norm = norm(tau, 0)
     dt, nsteps = 1e-2, 100
     print(f"\nstill-fluid stress, We = {params.We}, dt = {dt}:")

@@ -9,7 +9,7 @@ measures the true system residual and the trajectory energy budget.
 import numpy as np
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, audit_window, iterate, rate_tensors)
+                      VectorField, audit_window, iterate, strain)
 from oldroydb.mms import taylor_vortex
 
 
@@ -21,7 +21,7 @@ def preset(n=32):
     x, y = grid.coords
     s0 = ScalarField(grid, 0.01 * np.cos(2 * np.pi * x)
                      * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * rate_tensors(u0)[0].values)
+    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
     return grid, params, u0, s0, t0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
                       VectorField, delta_threshold, march,
-                      mean_zero_project, rate_tensors, uniqueness_experiment)
+                      mean_zero_project, strain, uniqueness_experiment)
 
 
 def compressive_data(n):
@@ -27,7 +27,7 @@ def compressive_data(n):
     u0 = VectorField(grid, vals, dirichlet=True)
     s0 = ScalarField(grid, 0.01 * np.cos(2 * np.pi * x)
                      * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * rate_tensors(u0)[0].values)
+    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
     bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02)
     pert = mean_zero_project(ScalarField(grid, 1e-4 * bump))
     return grid, params, u0, s0, t0, pert

@@ -12,8 +12,8 @@ from .errors import (ConfigError, DensityBandError, InvariantViolation,
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      div_tensor, divergence, grad_tensor, gradient, inner,
                      laplacian, mean, mean_zero_project, norm, norm_hminus1,
-                     norms, rate_tensors, save_snapshot, load_snapshot,
-                     sym_components, trajectory_norms, viscous_operator)
+                     norms, save_snapshot, strain, sym_components,
+                     trajectory_norms, viscous_operator)
 from .rheology import (FluidParams, PressureLaw, density_band_check,
                        momentum_source)
 from .transport import (CharacteristicMap, DensityBoundReport,

@@ -4,7 +4,8 @@ Every invocation, success or failure, leaves a machine-readable
 ``summary.json`` in the output directory naming any violated invariant.
 Exit codes: 0 all checks pass, 2 configuration problem, 3 solver failure,
 4 invariant violation.  Failures of kinds 3 and 4 also record
-``failed_timestep``, the step that failed or null if none did.
+``failed_timestep``, the step that failed or null if none did, and, when
+the failure carries them, ``distance_history`` and ``failed_sweep``.
 """
 
 import argparse
@@ -63,6 +64,18 @@ def _write_summary(out_dir, payload) -> str:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
     return path
+
+
+def _failure_record(exc) -> dict:
+    """The step, the sweep and the distance history a failure carries."""
+    record = {"failed_timestep": getattr(exc, "timestep", None)}
+    history = getattr(exc, "history", None)
+    if history is not None:
+        record["distance_history"] = [d if math.isfinite(d) else None
+                                      for d in history]
+    if hasattr(exc, "failed_sweep"):
+        record["failed_sweep"] = exc.failed_sweep
+    return record
 
 
 def _print_membership(mem, label="membership") -> None:
@@ -178,19 +191,11 @@ def main(argv=None) -> int:
         payload["error"] = str(exc)
         payload["exit_code"] = EXIT_CONFIG
     except _SOLVER_FAILURES as exc:
-        payload["status"] = "solver-failure"
-        payload["error"] = str(exc)
-        payload["exit_code"] = EXIT_SOLVER
-        history = getattr(exc, "history", None)
-        if history:
-            payload["distance_history"] = [d if math.isfinite(d) else None
-                                           for d in history]
-        payload["failed_timestep"] = getattr(exc, "timestep", None)
+        payload.update(status="solver-failure", error=str(exc),
+                       exit_code=EXIT_SOLVER, **_failure_record(exc))
     except InvariantViolation as exc:
-        payload["status"] = "invariant-violation"
-        payload["error"] = str(exc)
-        payload["exit_code"] = EXIT_INVARIANT
-        payload["failed_timestep"] = getattr(exc, "timestep", None)
+        payload.update(status="invariant-violation", error=str(exc),
+                       exit_code=EXIT_INVARIANT, **_failure_record(exc))
 
     summary_path = _write_summary(out_dir, payload)
 

@@ -66,9 +66,9 @@ from .errors import NonDirichletError
 __all__ = [
     "Grid", "ScalarField", "VectorField", "SymTensorField",
     "gradient", "grad_tensor", "diagonal_sum", "divergence", "div_tensor",
-    "laplacian", "viscous_operator", "rate_tensors", "norm", "norms", "inner",
+    "laplacian", "viscous_operator", "strain", "norm", "norms", "inner",
     "mean", "mean_zero_project", "norm_hminus1", "sym_components",
-    "save_snapshot", "load_snapshot", "random_smooth_field",
+    "save_snapshot", "random_smooth_field",
     "conjugate_gradient", "viscous_preconditioner", "TrajectoryNorms",
     "trajectory_norms",
 ]
@@ -299,11 +299,11 @@ class VectorField(_FieldBase):
         return cls(grid, np.zeros((grid.dim,) + grid.node_shape), dirichlet=dirichlet)
 
     @classmethod
-    def from_function(cls, grid, fn, dirichlet=False):
+    def from_function(cls, grid, fn):
         comps = fn(*grid.coords)
         vals = np.stack([np.broadcast_to(np.asarray(c, dtype=float), grid.node_shape)
                          for c in comps])
-        return cls(grid, vals, dirichlet=dirichlet)
+        return cls(grid, vals)
 
 
 class SymTensorField(_FieldBase):
@@ -351,15 +351,15 @@ class SymTensorField(_FieldBase):
         return out
 
     @classmethod
-    def from_full(cls, grid, tensor, symmetrize=False):
+    def from_full(cls, grid, tensor):
+        """The symmetric part of a dense (dim, dim, *node_shape) tensor;
+        a symmetric tensor comes back bit for bit."""
         tensor = np.asarray(tensor, dtype=float)
         pairs = sym_components(grid.dim)
         vals = np.empty((len(pairs),) + grid.node_shape)
         for k, (i, j) in enumerate(pairs):
-            if symmetrize and i != j:
-                vals[k] = 0.5 * (tensor[i, j] + tensor[j, i])
-            else:
-                vals[k] = tensor[i, j]
+            vals[k] = (tensor[i, j] if i == j
+                       else 0.5 * (tensor[i, j] + tensor[j, i]))
         return cls(grid, vals)
 
 
@@ -459,7 +459,9 @@ def viscous_operator(v: VectorField) -> VectorField:
     whose quadratic form is a sum of squared difference quotients, so the
     weighted <A v, v> is exactly nonnegative and vanishes only for v = 0.
     Boundary nodes carry the generic one-sided composition (they never enter
-    the inner product because v vanishes there).
+    the inner product because v vanishes there).  That composition is
+    evaluated on the whole grid, but only its boundary values are kept: the
+    matrix product overwrites every interior node.
     """
     if not v.dirichlet:
         raise NonDirichletError("viscous_operator requires a dirichlet-flagged field")
@@ -471,24 +473,9 @@ def viscous_operator(v: VectorField) -> VectorField:
     return VectorField(g, vals, dirichlet=False)
 
 
-def rate_tensors(v: VectorField):
-    """Symmetric and skew parts of the velocity gradient.
-
-    Returns (D, W) with D a SymTensorField (exactly symmetric by storage)
-    and W dense skew samples mirrored from one stored triangle (exactly
-    skew by construction).  full(D) + W reconstructs grad_tensor(v) to the
-    last ulp; the two roundings per entry forbid anything sharper.
-    """
-    g = grad_tensor(v)
-    D = SymTensorField.from_full(v.grid, g, symmetrize=True)
-    W = np.zeros_like(g)
-    d = v.grid.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            w = 0.5 * (g[i, j] - g[j, i])
-            W[i, j] = w
-            W[j, i] = -w
-    return D, W
+def strain(v: VectorField) -> SymTensorField:
+    """The rate of strain D = sym grad v."""
+    return SymTensorField.from_full(v.grid, grad_tensor(v))
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +729,8 @@ def save_snapshot(f, t: float, path) -> None:
     """ASCII snapshot: header 'dim n1 [n2 [n3]] components t', then values.
 
     Values are written row-major with 17 significant digits, which
-    round-trips float64 bit-exactly.
+    round-trips float64 bit-exactly: ``np.loadtxt(path, skiprows=1)``
+    reshaped to (components, *node_shape) reads them back.
     """
     g = f.grid
     vals = f.values if f.values.ndim == g.dim + 1 else f.values[None]
@@ -755,47 +743,19 @@ def save_snapshot(f, t: float, path) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_snapshot(path, grid: Grid = None):
-    """Read a snapshot; returns (field, t).
-
-    The header stores cell counts only, so a unit box is assumed unless a
-    grid with matching counts is supplied.  Vector fields come back without
-    the Dirichlet flag.
-    """
-    with open(path) as fh:
-        head = fh.readline().split()
-        dim = int(head[0])
-        n = tuple(int(x) for x in head[1:1 + dim])
-        ncomp = int(head[1 + dim])
-        t = float(head[2 + dim])
-        data = np.fromstring(fh.read(), sep=" ")
-    if grid is None:
-        grid = Grid(dim, n, 1.0)
-    elif grid.dim != dim or grid.n != n:
-        raise ValueError(f"snapshot grid {dim}/{n} does not match {grid}")
-    vals = data.reshape((ncomp,) + grid.node_shape)
-    if ncomp == 1:
-        return ScalarField(grid, vals[0]), t
-    if ncomp == dim:
-        return VectorField(grid, vals), t
-    if ncomp == dim * (dim + 1) // 2:
-        return SymTensorField(grid, vals), t
-    raise ValueError(f"cannot infer field type from {ncomp} components in {dim}D")
-
-
 # ---------------------------------------------------------------------------
 # smooth random test fields
 
 
-def random_smooth_field(grid: Grid, rng, kind="vector", modes=3, amplitude=1.0):
+def random_smooth_field(grid: Grid, rng, kind="vector", amplitude=1.0):
     """Random low-mode trigonometric field; 'vector'/'scalar' vanish on the
     boundary (products of sines), 'scalar_free' uses cosines instead."""
     coords = grid.coords
 
     def trig_sum(fn, first):
-        # wave vectors with entries first..modes, the zero vector left out
+        # wave vectors with entries first..3, the zero vector left out
         acc = np.zeros(grid.node_shape)
-        for kv in itertools.product(range(first, modes + 1), repeat=grid.dim):
+        for kv in itertools.product(range(first, 4), repeat=grid.dim):
             if sum(kv) == 0:
                 continue
             c = rng.normal() * amplitude / (sum(kv) ** 2)

@@ -32,7 +32,7 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, TrajectoryNorms,
                      VectorField, div_tensor, grad_tensor, gradient, mean,
-                     norm, rate_tensors, trajectory_norms, viscous_operator)
+                     norm, strain, trajectory_norms, viscous_operator)
 from .rheology import momentum_source
 from .transport import (DensityBoundReport, StressBoundReport,
                         check_density_bounds, check_stress_bounds,
@@ -203,11 +203,13 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10,
     Coefficients for step k are frozen at the arrival node k+1 of the input
     trajectory. Each step first traces that node's velocity, then advances
     the density and the stress with the trace's map, then assembles the
-    forcing, taking its velocity gradient from the same map, and solves for
-    the velocity. So every frozen velocity is differentiated once. No step
-    reads the forcing at node 0, so none is assembled there. Initial data
-    pass through exactly. Solver failures gain a ``timestep`` attribute
-    before propagating.
+    forcing and solves for the velocity. The trace takes the frozen
+    velocity's gradient once; the density's div w, the stress's D and
+    coupling, and the forcing's transport term all read it. Only
+    `viscous_operator` differentiates that velocity again, for its own
+    divergence and second differences. No step reads the forcing at node
+    0, so none is assembled there. Initial data pass through exactly.
+    Solver failures gain a ``timestep`` attribute before propagating.
 
     By default the forcing reads the input's density and stress at node
     k+1 and the velocity CG starts from the previous output velocity: the
@@ -386,6 +388,8 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     and ``hist.membership.table`` holds the returned solution's norms.
     Raises NonConvergenceError with the distance history when max_iter
     sweeps do not contract below tolerance or a distance is not finite.
+    A step failure inside a sweep gains ``failed_sweep``, that sweep's
+    number, and ``history``, the distances of the sweeps before it.
     """
     nsteps = _check_hypotheses(u0, sigma0, tau0, params, T, dt)
 
@@ -405,7 +409,11 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
 
     dists, ratios, slacks = [], [], []
     for k in range(1, max_iter + 1):
-        y = picard_sweep(x, params, tol_lin=tol_lin)[0]
+        try:
+            y = picard_sweep(x, params, tol_lin=tol_lin)[0]
+        except _STEP_FAILURES as exc:
+            exc.failed_sweep, exc.history = k, tuple(dists)
+            raise
         d = trajectory_distance(y, x, params)
         mem = check_membership(y, b1, b2, params)
         ratios.append(d / dists[-1] if dists and dists[-1] > 0.0
@@ -560,8 +568,8 @@ def _probe_shapes(grid):
         scal = scal * np.cos(2.0 * np.pi * x / grid.extent[ax])
     sshape = ScalarField(grid, scal / np.abs(scal).max())
 
-    strain = rate_tensors(vshape)[0]
-    tshape = SymTensorField(grid, strain.values / np.abs(strain.values).max())
+    d = strain(vshape).values
+    tshape = SymTensorField(grid, d / np.abs(d).max())
     return vshape, sshape, tshape
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
-                     mean_zero_project, rate_tensors, save_snapshot)
+                     mean_zero_project, save_snapshot, strain)
 from .fixed_point import (audit_window, continuity_probe, delta_threshold,
                           iterate, march, uniqueness_experiment)
 from .mms import all_studies, taylor_vortex
@@ -228,7 +228,7 @@ PRESETS = {
     "ic.stress": {
         "zero": lambda grid, amp, u0: SymTensorField.zeros(grid),
         "proportional-stress": lambda grid, amp, u0: SymTensorField(
-            grid, amp * rate_tensors(u0)[0].values),
+            grid, amp * strain(u0).values),
     },
 }
 
@@ -287,6 +287,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
                         tol_lin=cfg.tol_lin)
     audit = audit_window(sol, params, tol_lin=cfg.tol_lin)
     out, diag, table, energy = audit.out, audit.diag, audit.table, audit.energy
+    density, stress = audit.density, audit.stress
     residual = audit.residual.worst
 
     dt = cfg.dt
@@ -295,13 +296,13 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         vrep = diag.velocity_reports[k]
         drep = diag.density_reports[k]
         srep = diag.stress_reports[k]
-        lhs = float(energy.lhs_history[k + 1])
-        rhs = float(energy.rhs_history[k + 1])
         ledger.append({
             "t": (k + 1) * dt, "u_l2": table.w[k + 1, 0],
             "u_h2": table.w[k + 1, 2], "sigma_h2": table.pi[k + 1, 2],
-            "tau_h2": table.psi[k + 1, 2], "energy_lhs": lhs,
-            "energy_rhs": rhs, "energy_slack": rhs * (1.0 + 10.0 * dt) - lhs,
+            "tau_h2": table.psi[k + 1, 2],
+            "energy_lhs": energy.lhs_history[k + 1],
+            "energy_rhs": energy.rhs_history[k + 1],
+            "energy_slack": energy.slack_history[k + 1],
             "dissipation_slack": energy.dissipation_slack[k],
             "lin_iters": vrep.iterations, "lin_residual": vrep.residual,
             "mean_sigma_preproject": drep.mean_preproject,
@@ -352,9 +353,14 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         "constants": {"c1_emp": None if audit.regularity.vacuous
                       else audit.regularity.c1_emp,
                       "c1_vacuous": audit.regularity.vacuous,
-                      "c_domain_density": audit.density.c_domain,
-                      "c_domain_stress": audit.stress.c_domain,
-                      "c_relax_stress": audit.stress.c_relax},
+                      "c_domain_density": density.c_domain,
+                      "c_domain_stress": stress.c_domain,
+                      "c_relax_stress": stress.c_relax},
+        "bounds": {
+            "stress": {"sup_h2": stress.sup_h2, "sup_bound": stress.sup_bound,
+                       "sup_bound_holds": stress.sup_bound_holds},
+            "density": {"sup_h2": density.sup_h2,
+                        "sup_bound_margin": density.sup_bound_margin}},
         "mean_sigma_max": mean_sigma_max,
         "artifacts": {"ledger": ledger_path, "convergence": conv_path,
                       **snaps},

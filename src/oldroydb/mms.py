@@ -42,9 +42,10 @@ class StudyResult:
         return all(o >= self.threshold for o in self.orders)
 
 
-def observed_orders(errors, ratio=2.0):
+def observed_orders(errors):
+    """Pairwise orders of a ladder that halves its step at each rung."""
     errs = np.asarray(errors, dtype=float)
-    return list(np.log(errs[:-1] / errs[1:]) / np.log(ratio))
+    return list(np.log(errs[:-1] / errs[1:]) / np.log(2.0))
 
 
 def _vortex(x, y) -> np.ndarray:
@@ -90,10 +91,10 @@ def _decaying_vortex(grid: Grid, params):
     return vort, forcing
 
 
-def velocity_spatial_study(params, ns=(16, 32, 64), T=0.04,
-                           tol_lin=1e-10) -> StudyResult:
+def velocity_spatial_study(params) -> StudyResult:
     """L2 error against u*(x,t) = exp(-t/2) vortex at time T, with dt tied
     to h^2."""
+    ns, T, tol_lin = (16, 32, 64), 0.04, 1e-10
     errors = []
     for n in ns:
         grid = Grid.unit(n)
@@ -108,9 +109,9 @@ def velocity_spatial_study(params, ns=(16, 32, 64), T=0.04,
                        threshold=1.8)
 
 
-def velocity_temporal_study(params, n=24, T=0.05, nsteps=(8, 16, 32, 64),
-                            tol_lin=1e-11) -> StudyResult:
+def velocity_temporal_study(params) -> StudyResult:
     """Self-convergence in dt on a fixed grid (spatial error cancels)."""
+    n, T, nsteps, tol_lin = 24, 0.05, (8, 16, 32, 64), 1e-11
     grid = Grid.unit(n)
     vort, forcing = _decaying_vortex(grid, params)
     finals = []
@@ -141,6 +142,7 @@ _DP5_A = ((),
           (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
 _DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP5_STEPS = 24  # fixed steps of the advection study's window
+_ADVECTION_T, _ADVECTION_AMP = 0.25, 0.7  # its length and vortex amplitude
 
 
 def _vortex_feet(points, amp, T) -> np.ndarray:
@@ -161,8 +163,7 @@ def _vortex_feet(points, amp, T) -> np.ndarray:
     return y
 
 
-def density_advection_study(ns=(24, 48, 96), T=0.25, width=0.18,
-                            center=(0.4, 0.5), amp=0.7) -> StudyResult:
+def density_advection_study() -> StudyResult:
     """Bump advected by a steady vortex, against exact back-tracking.
 
     The reference solution traces every node's characteristic of the
@@ -175,6 +176,8 @@ def density_advection_study(ns=(24, 48, 96), T=0.25, width=0.18,
     divergence leaves only O(h^2) source noise, well below the O(h)
     interpolation error the study measures (dt is tied to h).
     """
+    ns, T, amp = (24, 48, 96), _ADVECTION_T, _ADVECTION_AMP
+    width, center = 0.18, (0.4, 0.5)
     params = FluidParams(eps=1.0)
     errors = []
     for n in ns:
@@ -199,8 +202,9 @@ def density_advection_study(ns=(24, 48, 96), T=0.25, width=0.18,
                        threshold=0.9)
 
 
-def density_still_study(ns=(16, 32), T=0.02, dt=1e-3) -> StudyResult:
+def density_still_study() -> StudyResult:
     """Zero velocity: the density step must be the identity to round-off."""
+    ns, T, dt = (16, 32), 0.02, 1e-3
     params = FluidParams()
     errors = []
     for n in ns:
@@ -217,9 +221,9 @@ def density_still_study(ns=(16, 32), T=0.02, dt=1e-3) -> StudyResult:
                        threshold=0.0, exact=True)
 
 
-def stress_relaxation_study(n=16, T=0.5, We=0.5,
-                            nsteps=(25, 50, 100)) -> StudyResult:
+def stress_relaxation_study() -> StudyResult:
     """Pure relaxation against tau0 exp(-T/We); trapezoid gives order 2."""
+    n, T, We, nsteps = 16, 0.5, 0.5, (25, 50, 100)
     params = FluidParams(We=We)
     grid = Grid.unit(n)
     tau0 = random_smooth_field(grid, np.random.default_rng(7),
@@ -239,10 +243,8 @@ def stress_relaxation_study(n=16, T=0.5, We=0.5,
                        threshold=0.9)
 
 
-def all_studies(params=None) -> list:
+def all_studies(params) -> list:
     """The full verification ladder, as reported by the mms command."""
-    if params is None:
-        params = FluidParams()
     return [velocity_spatial_study(params),
             velocity_temporal_study(params),
             density_advection_study(),

@@ -107,12 +107,10 @@ def _gather(values, corners, weights):
 
 @dataclass
 class CharacteristicMap:
-    """One timestep's frozen velocity: departure points and gradient."""
+    """One timestep's frozen velocity: departure stencil and gradient."""
 
     grid: Grid
-    dep_index: np.ndarray     # (dim, *node_shape), clipped to the index box
     dt: float
-    clipped: int              # nodes nudged back inside the closed domain
     max_excursion: float      # largest pre-clip overshoot, physical units
     corners: np.ndarray = field(repr=False)   # (2^dim, N) flat node indices
     weights: np.ndarray = field(repr=False)   # (2^dim, N) multilinear weights
@@ -128,12 +126,6 @@ class CharacteristicMap:
             raise ValueError(f"values of shape {values.shape} do not end in "
                              f"the node shape {self.grid.node_shape}")
         return _gather(values, self.corners, self.weights)
-
-    @property
-    def departure_points(self) -> np.ndarray:
-        """Departure points in physical coordinates."""
-        h = np.array(self.grid.h).reshape((-1,) + (1,) * self.grid.dim)
-        return self.dep_index * h
 
 
 def trace(w: VectorField, dt: float) -> CharacteristicMap:
@@ -162,13 +154,11 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
 
     dep = base - (dt / h) * w_mid
     max_exc = 0.0
-    clipped_mask = np.zeros(grid.node_shape, dtype=bool)
     for i in range(grid.dim):
         low = -dep[i]
         high = dep[i] - extents[i]
         exc = max(float(low.max()), float(high.max())) * grid.h[i]
         max_exc = max(max_exc, exc)
-        clipped_mask |= (low > 0.0) | (high > 0.0)
         np.clip(dep[i], 0.0, extents[i], out=dep[i])
     tol = 1e-11 * max(1.0, *(grid.h[i] * extents[i] for i in range(grid.dim)))
     if max_exc > tol:
@@ -177,10 +167,9 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
             f"(allowance {tol:.1e}); driving velocity is not Dirichlet "
             f"or dt is too large")
     corners, weights = _stencil(grid, dep)
-    return CharacteristicMap(grid=grid, dep_index=dep, dt=dt,
-                             clipped=int(clipped_mask.sum()),
-                             max_excursion=max_exc, corners=corners,
-                             weights=weights, grad_w=grad_tensor(w))
+    return CharacteristicMap(grid=grid, dt=dt, max_excursion=max_exc,
+                             corners=corners, weights=weights,
+                             grad_w=grad_tensor(w))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +302,7 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
     m = tau_prev.ncomp
     tau_dep = cm.pull(tau_prev.values).reshape(m, -1)
 
-    D = SymTensorField.from_full(grid, cm.grad_w, symmetrize=True).values
+    D = SymTensorField.from_full(grid, cm.grad_w).values
     G = _coupling_matrices(cm.grad_w, params.a)
     lam = params.We / cm.dt
     rhs = ((lam - 0.5) * tau_dep

@@ -167,6 +167,7 @@ class EnergyBudgetReport:
     dissipation_satisfied: bool  # every step's inequality holds
     lhs_history: np.ndarray = field(repr=False)
     rhs_history: np.ndarray = field(repr=False)
+    slack_history: np.ndarray = field(repr=False)  # `slack` at every node
 
 
 def check_energy_budget(table, us, Fs, params,
@@ -193,7 +194,7 @@ def check_energy_budget(table, us, Fs, params,
 
     def strain_pieces(u):
         g = grad_tensor(u)
-        D = SymTensorField.from_full(u.grid, g, symmetrize=True)
+        D = SymTensorField.from_full(u.grid, g)
         div = diagonal_sum(g[ax, ax] for ax in range(u.grid.dim))
         return norm(D, 0) ** 2, norm(ScalarField(u.grid, div), 0) ** 2
 
@@ -226,12 +227,13 @@ def check_energy_budget(table, us, Fs, params,
         diss_ok = diss_ok and bool(step_lhs <= step_rhs + 1e-11 * scale)
 
     lhs, rhs = lhs_hist[-1], rhs_hist[-1]
+    slack = np.array(rhs_hist) * (1.0 + 10.0 * dt) - np.array(lhs_hist)
     return EnergyBudgetReport(
-        lhs=lhs, rhs=rhs, slack=rhs * (1.0 + 10.0 * dt) - lhs,
+        lhs=lhs, rhs=rhs, slack=float(slack[-1]),
         satisfied=bool(lhs <= rhs * (1.0 + 10.0 * dt) + 1e-14 * (1.0 + rhs)),
         forcing_integral=forcing_int, dissipation_slack=tuple(diss_slack),
         dissipation_satisfied=diss_ok, lhs_history=np.array(lhs_hist),
-        rhs_history=np.array(rhs_hist))
+        rhs_history=np.array(rhs_hist), slack_history=slack)
 
 
 @dataclass

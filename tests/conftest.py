@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, mean_zero_project, rate_tensors)
+                      VectorField, mean_zero_project, strain)
 from oldroydb.fields import random_smooth_field
 from oldroydb.fixed_point import audit_window, iterate, march
 from oldroydb.mms import taylor_vortex
@@ -21,7 +21,7 @@ def small_preset(n=32, amp_u=0.05, amp_s=0.01, amp_t=0.02):
     x, y = grid.coords
     s0 = ScalarField(grid,
                      amp_s * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, amp_t * rate_tensors(u0)[0].values)
+    t0 = SymTensorField(grid, amp_t * strain(u0).values)
     return grid, params, u0, s0, t0
 
 
@@ -37,7 +37,7 @@ def compressive_preset(n=32, amp=0.5):
     u0 = VectorField(grid, vals, dirichlet=True)
     s0 = ScalarField(grid,
                      0.01 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * rate_tensors(u0)[0].values)
+    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
     return grid, params, u0, s0, t0
 
 

@@ -14,7 +14,7 @@ from oldroydb import (FluidParams, Grid, IterTriple, ScalarField,
                       SymTensorField, VectorField, continuity_probe,
                       div_tensor, divergence, grad_tensor, gradient, inner,
                       iterate, laplacian, mean, norm, picard_sweep,
-                      rate_tensors, step_density, step_stress, trace,
+                      step_density, step_stress, strain, trace,
                       uniqueness_experiment, viscous_operator)
 from oldroydb.mms import taylor_vortex
 
@@ -99,7 +99,7 @@ def test_criterion_2_exact_stress_decay():
     grid = Grid.unit(16)
     params = FluidParams(eps=0.1, omega=0.5, We=0.5, alpha=1.0, a=1.0)
     still = VectorField.zeros(grid, dirichlet=True)
-    base = rate_tensors(taylor_vortex(grid))[0]
+    base = strain(taylor_vortex(grid))
     tau = SymTensorField(grid, 0.4 * base.values)
     tau0_norm = norm(tau, 0)
     dt = 1e-3

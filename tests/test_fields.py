@@ -4,10 +4,13 @@ Derivative checks compare against hand-derived analytic formulas; grid
 constants are fitted on the coarse grid and verified on the fine one.
 """
 
+import ast
 import importlib
 import itertools
 import math
+import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from scipy.sparse.linalg import LinearOperator, cg, spsolve
 from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
                       div_tensor, divergence, grad_tensor, gradient, inner,
                       laplacian, mean, mean_zero_project, norm, norm_hminus1,
-                      norms, rate_tensors, save_snapshot, load_snapshot,
-                      trajectory_norms, viscous_operator)
+                      norms, save_snapshot, strain, trajectory_norms,
+                      viscous_operator)
 from oldroydb import fields
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
@@ -507,37 +510,56 @@ def test_quadratic_form_equals_gradient_plus_divergence_norms():
 
 
 # ---------------------------------------------------------------------------
-# rate tensors
+# rate of strain
 
 
-def test_rate_tensors_rotation_and_dilation():
+def symmetrized_reference(grid, tensor):
+    """The symmetrizing branch of the former `SymTensorField.from_full`,
+    kept verbatim: diagonal entries copied, off-diagonal ones averaged."""
+    pairs = sym_components(grid.dim)
+    vals = np.empty((len(pairs),) + grid.node_shape)
+    for k, (i, j) in enumerate(pairs):
+        if i != j:
+            vals[k] = 0.5 * (tensor[i, j] + tensor[j, i])
+        else:
+            vals[k] = tensor[i, j]
+    return vals
+
+
+def test_strain_rotation_and_dilation():
     g = Grid(2, 16)
     rot = VectorField.from_function(g, lambda x, y: (-(y - 0.5), x - 0.5))
-    D, W = rate_tensors(rot)
-    assert np.allclose(D.values, 0.0, atol=1e-12)
-    assert np.allclose(W[0, 1], -1.0, atol=1e-12)
+    assert np.allclose(strain(rot).values, 0.0, atol=1e-12)
 
-    dil = VectorField.from_function(g, lambda x, y: (x, y))
-    D, W = rate_tensors(dil)
+    D = strain(VectorField.from_function(g, lambda x, y: (x, y)))
     assert np.allclose(D.values[0], 1.0, atol=1e-12)
     assert np.allclose(D.values[1], 0.0, atol=1e-12)
     assert np.allclose(D.values[2], 1.0, atol=1e-12)
-    assert np.allclose(W, 0.0, atol=1e-12)
 
 
-def test_rate_tensors_split_is_exact_to_the_ulp():
+def test_strain_is_the_former_symmetric_part_bit_for_bit():
+    # the former rate_tensors(v)[0] symmetrized grad_tensor(v) through the
+    # reference branch; its full form is exactly symmetric by storage
     for g in (Grid(2, 16), Grid(3, 8)):
-        rng = np.random.default_rng(5)
-        v = random_smooth_field(g, rng, "vector")
-        D, W = rate_tensors(v)
+        v = random_smooth_field(g, np.random.default_rng(5), "vector")
+        D = strain(v)
+        assert np.array_equal(D.values,
+                              symmetrized_reference(g, grad_tensor(v)))
         full = D.full()
-        # structural exactness of the two parts
         assert np.array_equal(full, np.swapaxes(full, 0, 1))
-        assert np.array_equal(W, -np.swapaxes(W, 0, 1))
-        # reconstruction differs from the gradient by at most one rounding
-        gt = grad_tensor(v)
-        tol = 4.0 * np.spacing(np.maximum(np.abs(gt), np.abs(full)) + 1e-300)
-        assert np.all(np.abs(full + W - gt) <= tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_from_full_takes_the_symmetric_part(dim):
+    # on a general tensor it is the former symmetrizing path to the bit;
+    # on a symmetric one it returns the stored triangle unchanged
+    g = Grid(dim, 8)
+    t = np.random.default_rng(dim).normal(size=(dim, dim) + g.node_shape)
+    assert np.array_equal(SymTensorField.from_full(g, t).values,
+                          symmetrized_reference(g, t))
+    sym = t + np.swapaxes(t, 0, 1)
+    assert np.array_equal(SymTensorField.from_full(g, sym).values,
+                          [sym[i, j] for i, j in sym_components(dim)])
 
 
 def test_trace_inequality_pointwise_and_normwise():
@@ -545,7 +567,7 @@ def test_trace_inequality_pointwise_and_normwise():
     for g in (Grid(2, 16), Grid(3, 8)):
         rng = np.random.default_rng(9)
         v = random_smooth_field(g, rng, "vector")
-        D, _ = rate_tensors(v)
+        D = strain(v)
         full = D.full()
         tr = np.trace(full)
         frob2 = np.sum(full * full, axis=(0, 1))
@@ -725,19 +747,15 @@ def test_snapshot_round_trip_bit_exact(tmp_path_factory, dim, data):
     f = kind(g, rng.normal(size=ncomp + g.node_shape) * scale)
     path = tmp_path_factory.mktemp("snap") / "snap.dat"
     save_snapshot(f, t=t, path=path)
-    back, t_back = load_snapshot(path, grid=g)
-    assert type(back) is type(f)
-    assert t_back == t
-    assert np.array_equal(back.values, f.values)
-
-
-def test_snapshot_grid_mismatch(tmp_path):
-    g = Grid(2, 8)
-    f = ScalarField.zeros(g)
-    path = tmp_path / "snap.dat"
-    save_snapshot(f, 0.0, path)
-    with pytest.raises(ValueError):
-        load_snapshot(path, grid=Grid(2, 16))
+    # the header, then the values as numpy reads them back
+    with open(path) as fh:
+        head = fh.readline().split()
+    ncomp = int(head[1 + dim])
+    assert [int(x) for x in head[:1 + dim]] == [dim, *n]
+    assert ncomp == (f.values.shape[0] if kind is not ScalarField else 1)
+    assert float(head[2 + dim]) == t
+    back = np.loadtxt(path, skiprows=1).reshape((ncomp,) + g.node_shape)
+    assert np.array_equal(back.reshape(f.values.shape), f.values)
 
 
 def test_inner_product_validation():
@@ -757,3 +775,42 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"oldroydb.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"oldroydb.{info.name}.{name}"
+
+
+def _names_read(path):
+    """Every name a Python file loads, takes as an attribute or imports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # read by a package module (its own included; the re-exports of
+    # `__init__` read nothing), by a demo, or named in README.md
+    pkg = importlib.import_module("oldroydb")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = [os.path.join(pkg.__path__[0], f"{info.name}.py")
+             for info in pkgutil.iter_modules(pkg.__path__)]
+    demos = os.path.join(root, "demos")
+    files += [os.path.join(demos, f) for f in os.listdir(demos)
+              if f.endswith(".py")]
+    read = set().union(*map(_names_read, files))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = set(re.findall(r"\w+", fh.read()))
+    unread = []
+    for info in pkgutil.iter_modules(pkg.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"oldroydb.{info.name}")
+        unread += [f"oldroydb.{info.name}.{name}"
+                   for name in getattr(module, "__all__", ())
+                   if name not in read and name not in readme]
+    assert unread == []

@@ -406,10 +406,10 @@ def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
     c = converged32
     nsteps = c.sol.nsteps
     calls = counting(monkeypatch, (fixed_point, rheology, transport, velocity),
-                     ["viscous_operator", "divergence", "rate_tensors"])
+                     ["viscous_operator", "divergence", "strain"])
     audit = audit_window(c.sol, c.params)
     assert calls["viscous_operator"] == 2 * nsteps + 1
-    assert calls["divergence"] == calls["rate_tensors"] == 0
+    assert calls["divergence"] == calls["strain"] == 0
     assert len(audit.forcings) == nsteps + 1
     assert audit.out.w[0] is c.sol.w[0]
     assert audit.residual == c.audit.residual

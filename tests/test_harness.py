@@ -23,7 +23,7 @@ from oldroydb.fixed_point import (audit_window, check_membership, iterate,
 from oldroydb.harness import (_KEYS, LEDGER_COLUMNS, PRESETS, RunConfig,
                               _bump_density, build_initial_data,
                               config_as_dict, load_config, parse_config)
-from oldroydb.fields import Grid, divergence, norm, rate_tensors
+from oldroydb.fields import Grid, divergence, norm, strain
 
 from conftest import counting
 
@@ -170,8 +170,7 @@ def test_proportional_stress_tracks_velocity():
     grid = Grid.unit(16)
     v = VELOCITY["vortex"](grid, 0.3)
     q = STRESS["proportional-stress"](grid, 2.0, v)
-    strain = rate_tensors(v)[0]
-    assert np.allclose(q.values, 2.0 * strain.values)
+    assert np.allclose(q.values, 2.0 * strain(v).values)
 
 
 def test_noise_preset_follows_seed(monkeypatch):
@@ -251,6 +250,29 @@ def test_ledger_columns_match_their_sources(tmp_path):
     assert rows[0]["lin_iters"] > 0
 
 
+def test_cli_run_reports_transport_bounds_without_gating(tmp_path, capsys):
+    # the audit's fitted sup estimates, in strict JSON; no check reads
+    # them and stdout does not print them
+    path = _cfg_file(tmp_path, "grid.n = 16\ntime.T = 0.005\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert "sup" not in capsys.readouterr().out
+    summary = _strict_summary(out)
+    cfg = load_config(path)
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt, tol_fp=cfg.tol_fp,
+                     max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
+    audit = audit_window(sol, params, tol_lin=cfg.tol_lin)
+    stress, density = audit.stress, audit.density
+    assert summary["bounds"] == {
+        "stress": {"sup_h2": stress.sup_h2, "sup_bound": stress.sup_bound,
+                   "sup_bound_holds": stress.sup_bound_holds},
+        "density": {"sup_h2": density.sup_h2,
+                    "sup_bound_margin": density.sup_bound_margin}}
+    assert stress.sup_bound_holds and stress.sup_h2 <= stress.sup_bound
+    assert "bounds" not in summary["checks"]
+
+
 def test_cli_zero_run(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "ic.velocity = zero\n"
                               "ic.density = zero\n"
@@ -265,6 +287,8 @@ def test_cli_zero_run(tmp_path, capsys):
     assert summary["constants"]["c1_vacuous"] is True
     assert summary["constants"]["c1_emp"] is None
     assert "c1_emp vacuous" in capsys.readouterr().out
+    assert summary["bounds"]["stress"]["sup_h2"] == 0.0
+    assert summary["bounds"]["density"]["sup_h2"] == 0.0
     rows = _ledger_rows(tmp_path / "out")
     assert len(rows) == 2
     for row in rows:
@@ -350,6 +374,25 @@ def test_cli_divergence_exits_3(tmp_path):
     assert summary["status"] == "solver-failure"
     assert len(summary["distance_history"]) == 4
     assert summary["failed_timestep"] is None  # no single step failed
+
+
+def test_cli_band_exit_names_the_failed_sweep(tmp_path):
+    # at eps = 0.025 the default window diverges; on n = 31, the smallest
+    # grid where the divergence leaves the density band inside a sweep
+    # instead of running out of sweeps, sweep 38 fails at step 10, and
+    # the summary keeps the distances of the 37 sweeps that finished
+    cfg = _cfg_file(tmp_path, "grid.n = 31\nparams.eps = 0.025\n"
+                              "tol.max_iter = 40\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    summary = _strict_summary(out)
+    assert summary["status"] == "invariant-violation"
+    assert summary["error"].startswith("step_density: density")
+    assert summary["failed_timestep"] == 10
+    assert summary["failed_sweep"] == 38
+    history = summary["distance_history"]
+    assert len(history) == 37 and all(d > 0.0 for d in history)
+    assert history[-1] > 1e3 * history[0]
 
 
 def test_cli_nan_distance_exits_3_with_strict_history(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """Characteristic trace, density and stress transport, a-priori bounds."""
 
-import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +13,13 @@ from scipy.optimize import brentq
 from oldroydb import (DensityBandError, FluidParams, Grid,
                       NonDirichletError, ScalarField,
                       SingularStressSystemError, SymTensorField, VectorField,
-                      grad_tensor, mean, mean_zero_project, norm,
-                      rate_tensors, sym_components, trajectory_norms)
+                      grad_tensor, mean, mean_zero_project, norm, strain,
+                      sym_components, trajectory_norms)
+from oldroydb import transport
 from oldroydb.fields import _diff1, random_smooth_field
-from oldroydb.mms import (_vortex_feet, density_advection_study,
-                          density_still_study, stress_relaxation_study,
-                          taylor_vortex)
+from oldroydb.mms import (_ADVECTION_AMP, _ADVECTION_T, _vortex_feet,
+                          density_advection_study, density_still_study,
+                          stress_relaxation_study, taylor_vortex)
 from oldroydb.transport import (_coupling_matrices, _rate_constant,
                                 _solve_nodes, check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
@@ -79,12 +80,25 @@ def mean_zero_noise(grid, seed, amp=0.35):
 # characteristic trace
 
 
+def departure_index(cm):
+    """The departure points of a map in index units: the node-index field
+    pulled through its stencil, exact at still nodes, exact up to rounding
+    elsewhere."""
+    return cm.pull(np.indices(cm.grid.node_shape, dtype=float))
+
+
+def departure_points(cm):
+    """The departure points of a map in physical coordinates."""
+    h = np.array(cm.grid.h).reshape((-1,) + (1,) * cm.grid.dim)
+    return departure_index(cm) * h
+
+
 def test_trace_still_fluid_is_identity():
     grid = Grid.unit(16)
     cm = trace(VectorField.zeros(grid, dirichlet=True), 1e-3)
-    assert np.array_equal(cm.dep_index, np.indices(grid.node_shape,
-                                                   dtype=float))
-    assert cm.clipped == 0 and cm.max_excursion == 0.0
+    assert np.array_equal(departure_index(cm),
+                          np.indices(grid.node_shape, dtype=float))
+    assert cm.max_excursion == 0.0
 
 
 def test_trace_boundary_nodes_are_fixed_points():
@@ -93,7 +107,7 @@ def test_trace_boundary_nodes_are_fixed_points():
     cm = trace(w, 0.01)
     base = np.indices(grid.node_shape, dtype=float)
     bd = grid.boundary_mask
-    assert np.array_equal(cm.dep_index[:, bd], base[:, bd])
+    assert np.array_equal(departure_index(cm)[:, bd], base[:, bd])
 
 
 def test_trace_matches_rigid_rotation_locally():
@@ -106,7 +120,7 @@ def test_trace_matches_rigid_rotation_locally():
     sel = r <= 0.18  # rigid zone, interpolation exact on the linear field
     errs = []
     for dt in (0.02, 0.01):
-        dep = trace(w, dt).departure_points
+        dep = departure_points(trace(w, dt))
         th = -rate * dt
         exact = np.stack([
             0.5 + np.cos(th) * (x - 0.5) - np.sin(th) * (y - 0.5),
@@ -144,16 +158,21 @@ def test_trace_stays_in_box_and_pull_interpolates(dim, data):
                                           label="seed"))
     courant = data.draw(st.floats(0.01, 0.7), label="courant")
     w, dt = random_dirichlet_velocity(grid, rng, courant)
-    cm = trace(w, dt)
-    assert cm.clipped == 0 and cm.max_excursion == 0.0
+    with mock.patch.object(transport, "_stencil",
+                           wraps=transport._stencil) as stencil:
+        cm = trace(w, dt)
+    exact = stencil.call_args.args[1]  # the departure points it was built on
+    assert cm.max_excursion == 0.0
+    dep = departure_index(cm)
+    assert np.abs(dep - exact).max() <= 1e-14 * max(grid.node_shape)
     for i in range(dim):
-        assert 0.0 <= cm.dep_index[i].min()
-        assert cm.dep_index[i].max() <= grid.node_shape[i] - 1
+        assert 0.0 <= dep[i].min()
+        assert dep[i].max() <= grid.node_shape[i] - 1
 
     stack = rng.normal(size=(4,) + grid.node_shape)
     pulled = cm.pull(stack)
     assert pulled.shape == stack.shape
-    coords = [c.ravel() for c in cm.dep_index]
+    coords = [c.ravel() for c in exact]
     for k in range(len(stack)):
         oracle = map_coordinates(stack[k], coords, order=1, mode="nearest")
         scale = np.abs(stack[k]).max()
@@ -166,10 +185,10 @@ def test_trace_stays_in_box_and_pull_interpolates(dim, data):
     def affine(points):
         return coef[0] + sum(coef[i + 1] * points[i] for i in range(dim))
 
-    exact = affine(cm.departure_points)
     scale = abs(coef[0]) + sum(abs(coef[i + 1]) * grid.extent[i]
                                for i in range(dim))
-    assert np.abs(cm.pull(affine(grid.coords)) - exact).max() <= 1e-14 * scale
+    assert np.abs(cm.pull(affine(grid.coords))
+                  - affine(departure_points(cm))).max() <= 1e-14 * scale
 
 
 def reference_divergence(w):
@@ -368,7 +387,7 @@ def test_stress_one_step_from_zero_matches_closed_form():
     w = VectorField(grid, 0.05 * taylor_vortex(grid).values, dirichlet=True)
     dt = 1e-3
     tau, _ = step_stress(SymTensorField.zeros(grid), trace(w, dt), params)
-    D, _ = rate_tensors(w)
+    D = strain(w)
     pred = 2.0 * params.omega * dt / (params.We + 0.5 * dt) * D.values
     scale = np.abs(pred).max()
     # deviation is the implicit g coupling, quadratic in the small output
@@ -709,8 +728,7 @@ def test_vortex_feet_match_a_tight_adaptive_reference(n):
     # fixed-step trace of every node agrees with scipy's DOP853 at rtol
     # 1e-13 to 1e-11, no looser than the adaptive RK45 reference it
     # replaced (7.5e-12 there, 3.3e-12 and 3.4e-12 measured here)
-    defaults = inspect.signature(density_advection_study).parameters
-    amp, T = defaults["amp"].default, defaults["T"].default
+    amp, T = _ADVECTION_AMP, _ADVECTION_T
     grid = Grid.unit(n)
     nodes = np.stack([grid.coords[0].ravel(), grid.coords[1].ravel()])
 

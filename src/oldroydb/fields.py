@@ -10,9 +10,14 @@ and the discrete mean of a projected field vanishes to round-off.
 
 Differences: first and second derivatives are second-order centered in the
 interior with second-order one-sided closures at the boundary; every
-operator is exact on affine fields.  `grad_tensor`, `div_tensor` and
-`laplacian` difference all components at once, one call per axis on the
-component stack, with the arithmetic of differencing each component alone.
+operator is exact on affine fields.  `_diff1` and `_diff2` take the interior
+stencil in one pass over the flattened array, offset by the axis stride, and
+then overwrite the two edge slabs with the closures; `_diff1` does numpy's
+`gradient` arithmetic (edge order 2) element for element.  Every first
+derivative in the package goes through `_diff1`.  `grad_tensor`,
+`div_tensor` and `laplacian` difference all components at once, one call per
+axis on the component stack, with the arithmetic of differencing each
+component alone.
 div w is always the diagonal of the gradient added in axis order
 (`diagonal_sum`), wherever the diagonal comes from.
 
@@ -37,10 +42,13 @@ field: the components are stacked, and each sorted multi-index extends its
 parent by one difference along an axis no smaller than its last, so H^0..H^3
 of a 3-D field take 19 difference calls whatever the component count.  The
 quotients and the summation order are those of differencing each multi-index
-from scratch, one component at a time, so the two agree to the last bit.
-H^{-1} is realized through the discrete Dirichlet-Laplacian solve of every
-component, done exactly in the sine basis: transform, divide by
-sum_a lam_a, transform back.  `trajectory_norms` takes each norm a
+from scratch, one component at a time, so the two agree to the last bit: the
+weighted squares of all components of a multi-index come from one reduction
+over the (ncomp, nodes) rows, which gives each component the pairwise sum
+`np.sum` takes of it alone; `inner` and H^{-1} sum their components the
+same way.  H^{-1} is realized through the discrete Dirichlet-Laplacian
+solve of every component, done exactly in the sine basis: transform, divide
+by sum_a lam_a, transform back.  `trajectory_norms` takes each norm a
 trajectory's budgets read, once per node and rate, into one table whose
 columns the membership check, the post-run audit and the gap energy read.
 
@@ -55,6 +63,7 @@ c, so the iteration count does not grow as the grid is refined.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -380,24 +389,55 @@ def _centered_d1(m, h):
                     format="csr") / (2.0 * h)
 
 
+def _along(values, axis):
+    """`values` as one contiguous flat array, the same array viewed as
+    (outer, n, inner) around `axis`, and the axis stride `inner`."""
+    x = np.ascontiguousarray(values)
+    inner = math.prod(x.shape[axis + 1:])
+    return x.reshape(-1), x.reshape(-1, x.shape[axis], inner), inner
+
+
 def _diff1(values, h, axis):
-    """Second-order first derivative (centered interior, one-sided edges)."""
-    return np.gradient(values, h, axis=axis, edge_order=2)
+    """Second-order first derivative (centered interior, one-sided edges).
+
+    The arithmetic of numpy's `gradient(values, h, axis=axis, edge_order=2)`
+    element for element.  Interior: (f[i+1] - f[i-1]) / (2 h), taken in one
+    pass over the flat array offset by the axis stride s.  That pass also
+    fills the two edge slabs with quotients across the slab seams, which the
+    one-sided (-1.5 f0 + 2 f1 - 0.5 f2) / h closures then overwrite.
+    """
+    x, f, s = _along(values, axis)
+    out = np.empty_like(x)
+    mid = out[s:-s]
+    np.subtract(x[2 * s:], x[:-2 * s], out=mid)
+    mid /= 2.0 * h
+    o = out.reshape(f.shape)
+    o[:, 0] = (-1.5 / h) * f[:, 0] + (2.0 / h) * f[:, 1] + (-0.5 / h) * f[:, 2]
+    o[:, -1] = ((0.5 / h) * f[:, -3] + (-2.0 / h) * f[:, -2]
+                + (1.5 / h) * f[:, -1])
+    return out.reshape(values.shape)
 
 
 def _diff2(values, h, axis):
     """Second-order second derivative along one axis.
 
-    Interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2.  Boundary: the one-sided
-    four-point stencil (2, -5, 4, -1) / h^2, which is also second order and
-    exact on affine data.
+    Interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2, one pass over the flat array
+    as in `_diff1`.  Boundary: the one-sided four-point stencil
+    (2, -5, 4, -1) / h^2, which is also second order and exact on affine
+    data.
     """
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    x, f, s = _along(values, axis)
+    out = np.empty_like(x)
+    mid = out[s:-s]
+    np.multiply(2.0, x[s:-s], out=mid)
+    np.subtract(x[:-2 * s], mid, out=mid)
+    mid += x[2 * s:]
+    mid /= h**2
+    o = out.reshape(f.shape)
+    o[:, 0] = (2.0 * f[:, 0] - 5.0 * f[:, 1] + 4.0 * f[:, 2] - f[:, 3]) / h**2
+    o[:, -1] = (2.0 * f[:, -1] - 5.0 * f[:, -2] + 4.0 * f[:, -3]
+                - f[:, -4]) / h**2
+    return out.reshape(values.shape)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -495,17 +535,27 @@ def _components(f):
     raise TypeError(f"not a field: {type(f)!r}")
 
 
+def _weighted_sums(w, a, b):
+    """sum(w a_c b_c) of each component c of two stacks, as Python floats.
+
+    One reduction over the (ncomp, nodes) rows of w * a * b gives each
+    component the same pairwise sum as `np.sum` of that component alone.
+    """
+    t = w * a
+    t *= b
+    return np.add.reduce(t.reshape(len(t), -1), axis=1).tolist()
+
+
 def inner(a, b) -> float:
     """Weighted L2 inner product; off-diagonal tensor entries count twice."""
     _check_grid(a, b)
     if type(a) is not type(b):
         raise TypeError("mixed field types in inner product")
-    w = a.grid.weights
     ca, mults = _components(a)
     cb, _ = _components(b)
     total = 0.0
-    for x, y, m in zip(ca, cb, mults):
-        total += m * float(np.sum(w * x * y))
+    for s, m in zip(_weighted_sums(a.grid.weights, ca, cb), mults):
+        total += m * s
     return total
 
 
@@ -528,7 +578,7 @@ def norms(f, k: int = 0) -> tuple:
     squares = {}  # multi-index -> weighted L2 square of each component
 
     def visit(axes, d):
-        squares[axes] = [float(np.sum(s)) for s in w * d * d]
+        squares[axes] = _weighted_sums(w, d, d)
         if len(axes) < k:
             for ax in range(axes[-1] if axes else 0, g.dim):
                 visit(axes + (ax,), _diff1(d, h[ax], ax + 1))
@@ -714,10 +764,11 @@ def _poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 def norm_hminus1(f) -> float:
     """Dual-norm realization of H^{-1}: sqrt(<f, phi>) with -lap phi = f."""
     stack, mults = _components(f)
-    w = f.grid.weights
+    sums = _weighted_sums(f.grid.weights, stack,
+                          _poisson_dirichlet(f.grid, stack))
     total = 0.0
-    for comp, phi, mult in zip(stack, _poisson_dirichlet(f.grid, stack), mults):
-        total += mult * float(np.sum(w * comp * phi))
+    for s, mult in zip(sums, mults):
+        total += mult * s
     return float(np.sqrt(max(total, 0.0)))
 
 

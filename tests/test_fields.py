@@ -102,26 +102,31 @@ def test_norm_order_validation():
             norms(f, bad)
 
 
-def _norm_reference(f, k):
-    """H^k with every multi-index quotient differenced from scratch, one
-    component at a time: the formula `norms` must reproduce bit for bit."""
+def _reference_components(f):
+    """(samples, multiplicity) of each component, in storage order."""
     g = f.grid
     if isinstance(f, ScalarField):
-        comps = [(f.values, 1.0)]
-    elif isinstance(f, VectorField):
-        comps = [(f.values[i], 1.0) for i in range(g.dim)]
-    else:
-        comps = [(f.values[q], 1.0 if i == j else 2.0)
-                 for q, (i, j) in enumerate(sym_components(g.dim))]
+        return [(f.values, 1.0)]
+    if isinstance(f, VectorField):
+        return [(f.values[i], 1.0) for i in range(g.dim)]
+    return [(f.values[q], 1.0 if i == j else 2.0)
+            for q, (i, j) in enumerate(sym_components(g.dim))]
+
+
+def _norm_reference(f, k):
+    """H^k with every multi-index quotient differenced from scratch by
+    `np.gradient`, one component at a time: the formula `norms` must
+    reproduce bit for bit."""
+    g = f.grid
     total = 0.0
-    for comp, mult in comps:
+    for comp, mult in _reference_components(f):
         total += mult * float(np.sum(g.weights * comp * comp))
         for order in range(1, k + 1):
             for axes in itertools.combinations_with_replacement(range(g.dim),
                                                                 order):
                 d = comp
                 for ax in axes:
-                    d = _diff1(d, g.h[ax], ax)
+                    d = np.gradient(d, g.h[ax], axis=ax, edge_order=2)
                 total += mult * float(np.sum(g.weights * d * d))
     return float(np.sqrt(total))
 
@@ -144,6 +149,33 @@ def test_norms_equal_norm_and_per_multi_index_reference(dim, data):
     for j in range(4):
         assert every[j] == norm(f, j) == _norm_reference(f, j)
         assert norms(f, j) == every[:j + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_inner_and_hminus1_add_component_sums_in_order(dim, data):
+    # each component's own np.sum, times its multiplicity, added in
+    # component order: the arithmetic of one np.sum per component
+    n = data.draw(st.tuples(*[st.integers(8, 14)] * dim), label="n")
+    kind = data.draw(st.sampled_from([ScalarField, VectorField,
+                                      SymTensorField]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    g = Grid(dim, n)
+    ncomp = {ScalarField: (), VectorField: (dim,),
+             SymTensorField: (dim * (dim + 1) // 2,)}[kind]
+    a, b = (kind(g, rng.normal(size=ncomp + g.node_shape)) for _ in "ab")
+    expect = 0.0
+    for (x, m), (y, _) in zip(_reference_components(a),
+                              _reference_components(b)):
+        expect += m * float(np.sum(g.weights * x * y))
+    assert inner(a, b) == expect
+    stack = a.values.reshape((-1,) + g.node_shape)
+    phis = _poisson_dirichlet(g, stack)
+    expect = 0.0
+    for (x, m), phi in zip(_reference_components(a), phis):
+        expect += m * float(np.sum(g.weights * x * phi))
+    assert norm_hminus1(a) == math.sqrt(max(expect, 0.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,6 +245,54 @@ def test_mean_zero_projection():
 
 # ---------------------------------------------------------------------------
 # first/second derivative operators
+
+
+def _moveaxis_diff2(values, h, axis):
+    """The second difference as sliced along a moved axis: the arithmetic
+    `_diff2` must reproduce bit for bit."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return np.moveaxis(out, 0, axis)
+
+
+def _difference_inputs(data, shortest):
+    """Random samples on a 2-4 dim shape whose axes have at least
+    `shortest` nodes, in every layout the package differences: contiguous,
+    a column `full[:, j]` of a full tensor (as `div_tensor` passes), a
+    component `values[i]` of a stack, and a transposed view."""
+    shape = data.draw(st.lists(st.integers(shortest, 9), min_size=2,
+                               max_size=4).map(tuple), label="shape")
+    scale = 10.0 ** data.draw(st.integers(-3, 3), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    full = scale * rng.normal(size=(shape[0], 3) + shape[1:])
+    stack = scale * rng.normal(size=(2,) + shape)
+    return [scale * rng.normal(size=shape), full[:, 1], stack[1],
+            np.ascontiguousarray(stack[0].T).T]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_diff1_is_numpy_gradient_bit_for_bit(data):
+    for values in _difference_inputs(data, 3):
+        for axis in range(values.ndim):
+            h = data.draw(st.floats(1e-3, 10.0), label="h")
+            assert np.array_equal(
+                _diff1(values, h, axis),
+                np.gradient(values, h, axis=axis, edge_order=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_diff2_is_the_moveaxis_stencil_bit_for_bit(data):
+    for values in _difference_inputs(data, 4):
+        for axis in range(values.ndim):
+            h = data.draw(st.floats(1e-3, 10.0), label="h")
+            assert np.array_equal(_diff2(values, h, axis),
+                                  _moveaxis_diff2(values, h, axis))
 
 
 def test_gradient_exact_on_affine_fields():
@@ -312,22 +392,24 @@ def _axis_sum(terms):
 def _grad_tensor_reference(v):
     """[i, j] = d v_i / d x_j, one component and one axis per call."""
     g = v.grid
-    return np.array([[_diff1(v.values[i], g.h[j], j) for j in range(g.dim)]
-                     for i in range(g.dim)])
+    return np.array([[np.gradient(v.values[i], g.h[j], axis=j, edge_order=2)
+                      for j in range(g.dim)] for i in range(g.dim)])
 
 
 def _div_tensor_reference(t):
     """(div T)_i = sum_j d T_ij / d x_j, added in axis order per row."""
     g = t.grid
     full = t.full()
-    return np.array([_axis_sum([_diff1(full[i, j], g.h[j], j)
+    return np.array([_axis_sum([np.gradient(full[i, j], g.h[j], axis=j,
+                                            edge_order=2)
                                 for j in range(g.dim)])
                      for i in range(g.dim)])
 
 
 def _laplacian_reference(comp, h):
     """The second differences of one component, added in axis order."""
-    return _axis_sum([_diff2(comp, h[ax], ax) for ax in range(len(h))])
+    return _axis_sum([_moveaxis_diff2(comp, h[ax], ax)
+                      for ax in range(len(h))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,10 +568,13 @@ def test_assembled_matrices_match_stencil_compositions(dim):
 
     av = viscous_operator(v).values
     for i in range(dim):
-        expect = -laplacian(v).values[i] - _diff2(v.values[i], h[i], i)
+        expect = (-laplacian(v).values[i]
+                  - _moveaxis_diff2(v.values[i], h[i], i))
         for j in range(dim):
             if j != i:
-                expect = expect - _diff1(_diff1(v.values[j], h[j], j), h[i], i)
+                expect = expect - np.gradient(
+                    np.gradient(v.values[j], h[j], axis=j, edge_order=2),
+                    h[i], axis=i, edge_order=2)
         got = av[i][interior]
         assert np.allclose(got, expect[interior], rtol=1e-13,
                            atol=1e-13 * np.abs(got).max())

@@ -14,8 +14,7 @@ from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      laplacian, mean, mean_zero_project, norm, norm_hminus1,
                      norms, save_snapshot, strain, sym_components,
                      trajectory_norms, viscous_operator)
-from .rheology import (FluidParams, PressureLaw, density_band_check,
-                       momentum_source)
+from .rheology import FluidParams, density_band_check, momentum_source
 from .transport import (CharacteristicMap, DensityBoundReport,
                         DensityStepReport, StressBoundReport,
                         StressStepReport, check_density_bounds,

@@ -22,10 +22,12 @@ div w is always the diagonal of the gradient added in axis order
 (`diagonal_sum`), wherever the diagonal comes from.
 
 Each grid also assembles, once, two CSR matrices on its interior nodes
-from Kronecker products of the 1-D compact second and centered first
-differences: `dirichlet_laplacian` (-lap) and `viscous_matrix`, the elliptic
-block A_h = -(lap + grad div) that `viscous_operator` applies at interior
-nodes and the velocity step solves.
+from Kronecker products of 1-D matrices: `dirichlet_laplacian` (-lap) and
+`viscous_matrix`, the elliptic block A_h = -(lap + grad div) that
+`viscous_operator` applies at interior nodes and the velocity step solves.
+Each 1-D matrix is `_diff2` or `_diff1` applied to the identity and cut to
+the interior rows and columns, so the interior stencils are written once,
+in the kernels.
 
 Sine eigenpairs: on an m-cell axis the 1-D Dirichlet -d^2/dx^2 is
 S diag(lam) S with lam_k = (4/h^2) sin^2(k pi/2m) and the symmetric,
@@ -165,8 +167,15 @@ class Grid:
             out = f if out is None else sp.kron(out, f, format="csr")
         return out
 
+    def _interior_matrix(self, kernel, a):
+        """`kernel` (`_diff1` or `_diff2`) along axis a as a CSR matrix on
+        its interior nodes: the kernel of the identity, cut to the interior
+        rows and columns, so the zero boundary values drop out."""
+        m = self.n[a]
+        return sp.csr_matrix(kernel(np.eye(m + 1), self.h[a], 0)[1:-1, 1:-1])
+
     def _d2(self, a):
-        return self._kron({a: _compact_d2(self.n[a], self.h[a])})
+        return self._kron({a: self._interior_matrix(_diff2, a)})
 
     @cached_property
     def dirichlet_laplacian(self):
@@ -186,7 +195,7 @@ class Grid:
         Stacking one block row at a time keeps the assembly transient small.
         """
         d = self.dim
-        c = [_centered_d1(m, h) for m, h in zip(self.n, self.h)]
+        c = [self._interior_matrix(_diff1, a) for a in range(d)]
         rows = [sp.hstack([self.dirichlet_laplacian - self._d2(i) if j == i
                            else -self._kron({i: c[i], j: c[j]})
                            for j in range(d)], format="csr")
@@ -195,7 +204,8 @@ class Grid:
 
     @cached_property
     def sine_eigenpairs(self):
-        """Per axis, (lam, S): -`_compact_d2`(n_a, h_a) = S diag(lam) S.
+        """Per axis, (lam, S): on an axis of n_a cells, the 1-D Dirichlet
+        -d^2/dx^2 (the interior `_diff2` matrix, negated) is S diag(lam) S.
 
         jk is reduced mod 2m before the sine, so every argument lies in
         [0, 2 pi) and S is exactly symmetric.
@@ -374,19 +384,6 @@ class SymTensorField(_FieldBase):
 
 # ---------------------------------------------------------------------------
 # difference stencils
-
-
-def _compact_d2(m, h):
-    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 on the m-1 interior nodes of an
-    m-cell axis; the zero boundary values drop out."""
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m - 1, m - 1),
-                    format="csr") / h**2
-
-
-def _centered_d1(m, h):
-    """(f[i+1] - f[i-1]) / (2 h) on the m-1 interior nodes of an m-cell axis."""
-    return sp.diags([-1.0, 1.0], [-1, 1], shape=(m - 1, m - 1),
-                    format="csr") / (2.0 * h)
 
 
 def _along(values, axis):

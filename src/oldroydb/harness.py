@@ -25,7 +25,7 @@ from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
 from .fixed_point import (audit_window, continuity_probe, delta_threshold,
                           iterate, march, uniqueness_experiment)
 from .mms import all_studies, taylor_vortex
-from .rheology import FluidParams, PressureLaw
+from .rheology import FluidParams
 
 __all__ = ["RunConfig", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
@@ -56,8 +56,7 @@ class RunConfig:
     slip: float = _key("params.a", 1.0)
     m1: float = _key("params.m1", 0.5)
     M1: float = _key("params.M1", 2.0)
-    pressure: str = _key("params.pressure", "linear")
-    pressure_kappa: float = _key("params.pressure_kappa", 1.0)
+    kappa: float = _key("params.kappa", 0.0)
     T: float = _key("time.T", 0.01)
     dt: float = _key("time.dt", 1e-3)
     tol_lin: float = _key("tol.lin", 1e-10)
@@ -152,10 +151,9 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 def build_params(cfg: RunConfig) -> FluidParams:
     try:
-        law = PressureLaw(kind=cfg.pressure, kappa=cfg.pressure_kappa)
         return FluidParams(eps=cfg.eps, omega=cfg.omega, We=cfg.we,
                            alpha=cfg.alpha, a=cfg.slip, m1=cfg.m1,
-                           M1=cfg.M1, law=law)
+                           M1=cfg.M1, kappa=cfg.kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -1,4 +1,4 @@
-"""Material parameters, pressure laws and the momentum source term.
+"""Material parameters and the momentum source term.
 
 The model is the nondimensional weakly compressible Oldroyd-B system with
 velocity u, density remainder sigma (total density alpha + eps^2 sigma) and
@@ -9,43 +9,28 @@ elastic stress tau.  This module owns everything algebraic at a node:
 * `momentum_source`     the frozen-coefficient momentum forcing
   F(w, pi) = (1-omega) (eps^2 pi / (alpha + eps^2 pi)) A w
            + (eps^2 / (alpha + eps^2 pi)) (pi - w(pi)) grad pi,
-  from samples of A w and grad pi taken by the caller.  The pressure
-  increment w(pi) = p'(alpha + eps^2 pi) - p'(alpha), the deviation of the
-  squared sound speed from its reference value (zero under the 'linear'
-  law, kappa eps^2 pi under the 'quadratic'), is computed inside it, on
-  the band-checked density.
+  from samples of A w and grad pi taken by the caller.  The barotropic
+  pressure law enters only through the increment
+  w(pi) = p'(alpha + eps^2 pi) - p'(alpha), the deviation of the squared
+  sound speed from its reference value.  The law is fixed by one
+  coefficient, `FluidParams.kappa` = p'' (so w(pi) = kappa eps^2 pi); its
+  default 0 is the linear law p = eps^-2 (rho - alpha), whose increment
+  vanishes.  The increment is taken inside the source, on the band-checked
+  density.
 
 All evaluations are pointwise and vectorized over the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DensityBandError
 from .fields import ScalarField, VectorField
 
-__all__ = ["FluidParams", "PressureLaw", "momentum_source",
-           "density_band_check"]
-
-
-@dataclass
-class PressureLaw:
-    """Barotropic pressure law, consumed through its derivative p'(rho).
-
-    kinds: 'linear' (p = eps^-2 (rho - alpha)), whose p' is constant, so
-    its pressure increment vanishes identically, and 'quadratic'
-    (p = kappa rho^2 / 2, p' = kappa rho).
-    """
-
-    kind: str = "linear"
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "quadratic"):
-            raise ValueError(f"unknown pressure law {self.kind!r}")
+__all__ = ["FluidParams", "momentum_source", "density_band_check"]
 
 
 @dataclass
@@ -59,7 +44,7 @@ class FluidParams:
     a: float = 1.0        # slip parameter, in [-1, 1]
     m1: float = 0.5       # lower density-band bound
     M1: float = 2.0       # upper density-band bound
-    law: PressureLaw = field(default_factory=PressureLaw)
+    kappa: float = 0.0    # p'', the pressure law; 0 is the linear law
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -112,14 +97,6 @@ def density_band_check(sigma: ScalarField, params: FluidParams,
     return rmin, rmax
 
 
-def _increment(rho: np.ndarray, params: FluidParams) -> np.ndarray:
-    # p'(rho) - p'(alpha) on total-density samples already band-checked
-    law = params.law
-    if law.kind == "linear":
-        return np.zeros_like(rho)
-    return law.kappa * rho - law.kappa * params.alpha
-
-
 def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
                     params: FluidParams) -> VectorField:
     """Frozen-coefficient momentum forcing F(w, pi) from derivative samples.
@@ -138,7 +115,7 @@ def momentum_source(aw: VectorField, pi: ScalarField, grad_pi: VectorField,
     density_band_check(pi, params, context="momentum_source")
     rho = params.total_density(pi.values)
     coef_visc = (1.0 - params.omega) * (params.eps ** 2 * pi.values / rho)
-    coef_pres = (params.eps ** 2 / rho) * (pi.values - _increment(rho,
-                                                                  params))
+    increment = params.kappa * rho - params.kappa * params.alpha
+    coef_pres = (params.eps ** 2 / rho) * (pi.values - increment)
     return VectorField(pi.grid, coef_visc * aw.values
                        + coef_pres * grad_pi.values)

@@ -1,6 +1,7 @@
 """Config round-trip, preset registry, CSV ledgers and the CLI drivers."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oldroydb
 import oldroydb.fixed_point as fixed_point
-from oldroydb import ConfigError, mean
+from oldroydb import ConfigError, FluidParams, mean
 from oldroydb.cli import main
 from oldroydb.errors import (DensityBandError, LinearSolveError,
                              NonDirichletError)
@@ -22,7 +23,8 @@ from oldroydb.fixed_point import (audit_window, check_membership, iterate,
                                   march, suggest_budgets)
 from oldroydb.harness import (_KEYS, LEDGER_COLUMNS, PRESETS, RunConfig,
                               _bump_density, build_initial_data,
-                              config_as_dict, load_config, parse_config)
+                              build_params, config_as_dict, load_config,
+                              parse_config)
 from oldroydb.fields import Grid, divergence, norm, strain
 
 from conftest import counting
@@ -67,8 +69,7 @@ def valid_configs(draw):
         omega=real(0.0, 1.0, exclude_min=True, exclude_max=True),
         we=real(1e-3, 10.0), alpha=alpha, slip=real(-1.0, 1.0),
         m1=real(0.0, alpha, exclude_min=True), M1=real(alpha, 100.0),
-        pressure=draw(st.sampled_from(("linear", "quadratic"))),
-        pressure_kappa=real(-10.0, 10.0),
+        kappa=real(-10.0, 10.0),
         T=T, dt=real(0.0, T, exclude_min=True),
         tol_lin=real(1e-16, 1.0), tol_fp=real(1e-16, 1.0),
         max_iter=draw(st.integers(1, 1000)), delta=real(-10.0, 10.0),
@@ -99,6 +100,20 @@ def test_config_defaults_cover_every_key():
     assert len(config_as_dict(RunConfig())) == len(text.strip().split("\n"))
 
 
+def test_params_keys_are_the_fluid_params_fields():
+    # one config key params.<name> per FluidParams field, each passed through
+    names = [f.name for f in dataclasses.fields(FluidParams)]
+    keys = [k for k in config_as_dict(RunConfig()) if k.startswith("params.")]
+    assert sorted(keys) == sorted(f"params.{name}" for name in names)
+    values = dict(eps=0.3, omega=0.4, We=0.7, alpha=1.3, a=-0.6, m1=0.9,
+                  M1=2.9, kappa=-2.5)
+    assert sorted(values) == sorted(names)
+    assert len(set(values.values())) == len(values)
+    params = build_params(parse_config(
+        "".join(f"params.{name} = {v!r}\n" for name, v in values.items())))
+    assert {name: getattr(params, name) for name in names} == values
+
+
 def test_config_parser_diagnostics():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("no.such.key = 1\n")
@@ -120,8 +135,11 @@ def test_config_validation():
         parse_config("ic.velocity = waterfall\n")
     with pytest.raises(ConfigError, match="eps"):
         parse_config("params.eps = 3.0\n")
-    with pytest.raises(ConfigError, match="unknown pressure law"):
-        parse_config("params.pressure = table\n")
+    # the pressure law is the one coefficient params.kappa; the keys of the
+    # former law selector are unknown, so an old config fails loudly
+    for key in ("params.pressure", "params.pressure_kappa"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="max_iter"):
         parse_config("tol.max_iter = 0\n")
     for bad in ("tol.lin = 0\n", "tol.lin = -1e-10\n", "tol.fp = 0\n",
@@ -343,7 +361,8 @@ def test_cli_bad_data_is_config_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("line", ["params.pressure_cs = 2",
-                                  "params.pressure = isothermal"])
+                                  "params.pressure = isothermal",
+                                  "params.pressure_kappa = 1"])
 def test_cli_removed_pressure_options_are_config_errors(tmp_path, line):
     cfg = _cfg_file(tmp_path, line + "\n")
     out = tmp_path / "out"
@@ -351,6 +370,8 @@ def test_cli_removed_pressure_options_are_config_errors(tmp_path, line):
     summary = _strict_summary(out)
     assert summary["status"] == "config-error"
     assert summary["exit_code"] == 2
+    key = line.partition("=")[0].strip()
+    assert f"unknown config key {key!r}" in summary["error"]
 
 
 @pytest.mark.parametrize("seed", ["abc", "-1"])

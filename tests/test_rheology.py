@@ -1,13 +1,14 @@
-"""Pressure laws, the objective stress coupling as the stress step applies
-it, and the momentum source."""
+"""Parameters, the objective stress coupling as the stress step applies it,
+and the momentum source with its pressure increment."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oldroydb import (DensityBandError, FluidParams, Grid, PressureLaw,
-                      ScalarField, SymTensorField, density_band_check,
+from oldroydb import (DensityBandError, FluidParams, Grid, ScalarField,
+                      SymTensorField, VectorField, density_band_check,
                       grad_tensor, gradient, momentum_source, norm,
                       sym_components, viscous_operator)
 from oldroydb import rheology
@@ -43,36 +44,55 @@ def test_params_band():
     assert p.band == (0.25, 4.0)
 
 
-def test_pressure_law_validation():
-    for kind in ("cubic", "table", "isothermal"):
-        with pytest.raises(ValueError, match="unknown pressure law"):
-            PressureLaw(kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # pressure increment and the density band
 
 
+def linear_law_source(aw, pi, grad_pi, params):
+    """The former 'linear' branch of `momentum_source`, verbatim: its
+    pressure increment was a zero array."""
+    density_band_check(pi, params, context="momentum_source")
+    rho = params.total_density(pi.values)
+    coef_visc = (1.0 - params.omega) * (params.eps ** 2 * pi.values / rho)
+    coef_pres = (params.eps ** 2 / rho) * (pi.values - np.zeros_like(rho))
+    return VectorField(pi.grid, coef_visc * aw.values
+                       + coef_pres * grad_pi.values)
+
+
 def pressure_increment(sigma, params):
-    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha), as `momentum_source`
-    takes it on band-checked samples."""
-    return rheology._increment(params.total_density(sigma.values), params)
+    """w(sigma) = p'(alpha + eps^2 sigma) - p'(alpha), read through
+    `momentum_source`: on A w = 0 and a unit grad pi the forcing is
+    (eps^2 / rho) (sigma - w), so the forcing at kappa = 0 minus the one at
+    `params.kappa`, over eps^2 / rho, is w."""
+    grid = sigma.grid
+    zero = VectorField.zeros(grid)
+    unit = VectorField(grid, np.ones((grid.dim,) + grid.node_shape))
+    linear = dataclasses.replace(params, kappa=0.0)
+    gap = (momentum_source(zero, sigma, unit, linear).values
+           - momentum_source(zero, sigma, unit, params).values)
+    return gap[0] / (params.eps ** 2 / params.total_density(sigma.values))
 
 
 def test_linear_law_increment_is_zero_field():
+    # kappa = 0 is the linear law: the forcing is bit for bit the one the
+    # former linear branch, with its zero increment, computed
     grid = Grid.unit(8)
-    params = make_params(law=PressureLaw(kind="linear"))
+    params = make_params()
+    assert params.kappa == 0.0
     rng = np.random.default_rng(7)
-    sigma = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.node_shape))
-    w = pressure_increment(sigma, params)
-    assert np.all(w == 0.0)
+    w = random_smooth_field(grid, rng, kind="vector")
+    pi = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.node_shape))
+    aw, gp = viscous_operator(w), gradient(pi)
+    out = momentum_source(aw, pi, gp, params)
+    assert np.array_equal(out.values,
+                          linear_law_source(aw, pi, gp, params).values)
 
 
 def test_quadratic_law_frozen_value():
     # p = kappa rho^2 / 2, dp/drho = kappa rho, increment = kappa eps^2 sigma
     # kappa = 1, eps = 0.1, sigma = 2 -> 0.02 everywhere
     grid = Grid.unit(8)
-    params = make_params(eps=0.1, law=PressureLaw(kind="quadratic", kappa=1.0))
+    params = make_params(eps=0.1, kappa=1.0)
     sigma = ScalarField(grid, np.full(grid.node_shape, 2.0))
     w = pressure_increment(sigma, params)
     assert np.allclose(w, 0.02, rtol=1e-14, atol=0.0)
@@ -80,7 +100,7 @@ def test_quadratic_law_frozen_value():
 
 def test_quadratic_law_zero_sigma_exact():
     grid = Grid.unit(8)
-    params = make_params(law=PressureLaw(kind="quadratic", kappa=3.7))
+    params = make_params(kappa=3.7)
     w = pressure_increment(ScalarField.zeros(grid), params)
     assert np.all(w == 0.0)
 
@@ -232,11 +252,10 @@ def test_source_zero_inputs_zero():
 
 
 def test_source_matches_pernode_scalar_oracle():
-    # eps = 0.1, alpha = 1, linear law, pi = 1: re-evaluate the formula with
-    # plain python floats at every node
+    # eps = 0.1, alpha = 1, linear law (kappa = 0), pi = 1: re-evaluate the
+    # formula with plain python floats at every node
     grid = Grid.unit(8)
-    params = make_params(eps=0.1, alpha=1.0, omega=0.5,
-                         law=PressureLaw(kind="linear"))
+    params = make_params(eps=0.1, alpha=1.0, omega=0.5, kappa=0.0)
     w = random_smooth_field(grid, np.random.default_rng(22), kind="vector")
     pi = ScalarField(grid, np.ones(grid.node_shape))
     out = source(w, pi, params)
@@ -257,18 +276,24 @@ def test_source_matches_pernode_scalar_oracle():
             assert math.isclose(got, expect, rel_tol=1e-13, abs_tol=1e-15)
 
 
-def test_source_depends_only_on_increments():
-    # the linear law (dp/drho = eps^-2) and the quadratic law with kappa = 0
-    # (dp/drho = 0) have different absolute dp/drho but identical (zero)
-    # increments, hence identical F
+def test_kappa_changes_the_source_on_nonzero_pi():
+    # F(kappa = 1) - F(kappa = 0) = -(eps^2 / rho) w(pi) grad pi with
+    # w(pi) = kappa eps^2 pi: on a pi in [0.2, 0.5] it is nonzero wherever
+    # grad pi is
     grid = Grid.unit(8)
     w = random_smooth_field(grid, np.random.default_rng(24), kind="vector")
-    pi = ScalarField(grid, 0.3 * np.cos(np.pi * grid.coords[0])
-                     * np.cos(np.pi * grid.coords[1]))
-    out_lin = source(w, pi, make_params(law=PressureLaw(kind="linear")))
-    out_quad = source(w, pi, make_params(
-        law=PressureLaw(kind="quadratic", kappa=0.0)))
-    assert np.array_equal(out_lin.values, out_quad.values)
+    pi = ScalarField(grid, 0.2 + 0.3 * grid.coords[0] * grid.coords[1])
+    params = make_params(kappa=1.0)
+    diff = (source(w, pi, params).values
+            - source(w, pi, make_params()).values)
+    gp = gradient(pi).values
+    sloped = np.abs(gp) > 1e-12
+    assert sloped.mean() > 0.8
+    assert np.all(diff[sloped] != 0.0)
+    eps2 = params.eps ** 2
+    expect = -(eps2 / params.total_density(pi.values)) * eps2 * pi.values * gp
+    assert np.allclose(diff, expect, rtol=1e-12,
+                       atol=1e-12 * np.abs(expect).max())
 
 
 def test_source_low_mach_limit():
@@ -279,7 +304,7 @@ def test_source_low_mach_limit():
                      * np.sin(np.pi * grid.coords[1]))
 
     def size(eps):
-        params = make_params(eps=eps, law=PressureLaw(kind="quadratic"))
+        params = make_params(eps=eps, kappa=1.0)
         return norm(source(w, pi, params), 0)
 
     d1, d2 = size(0.1), size(0.01)
@@ -300,12 +325,12 @@ def test_source_band_violation_names_node():
     assert "momentum_source" in str(err.value)
 
 
-@pytest.mark.parametrize("kind", ["linear", "quadratic"])
-def test_source_checks_the_band_once(monkeypatch, kind):
+@pytest.mark.parametrize("kappa", [0.0, 1.0], ids=["linear", "quadratic"])
+def test_source_checks_the_band_once(monkeypatch, kappa):
     # one frozen node, one band check: the pressure increment inside the
     # source reads the samples the source has already checked
     grid = Grid.unit(8)
-    params = make_params(law=PressureLaw(kind=kind))
+    params = make_params(kappa=kappa)
     w = random_smooth_field(grid, np.random.default_rng(28), kind="vector")
     pi = ScalarField(grid, 0.5 * np.cos(np.pi * grid.coords[0]))
     real = rheology.density_band_check

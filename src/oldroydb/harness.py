@@ -366,9 +366,13 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
 
 
 def _membership_summary(mem) -> dict:
+    """The membership verdict, with each norm budget's usage: used / cap."""
     return {"passed": mem.passed, "violations": list(mem.violations),
             "slack_min": mem.slack_min, "b1": mem.b1, "b2": mem.b2,
-            "density_min": mem.density_min, "density_max": mem.density_max}
+            "density_min": mem.density_min, "density_max": mem.density_max,
+            "usage": {"velocity": mem.velocity_budget / mem.b1,
+                      "data": mem.data_budget / mem.b1,
+                      "rate": mem.rate_budget / mem.b2}}
 
 
 def _sweeps_summary(hist) -> dict:

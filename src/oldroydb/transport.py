@@ -107,11 +107,14 @@ def _gather(values, corners, weights):
 
 @dataclass
 class CharacteristicMap:
-    """One timestep's frozen velocity: departure stencil and gradient."""
+    """One timestep's frozen velocity: departure stencil and gradient.
+
+    `trace` checks how far the departure points leave the box before it
+    clips them; the map keeps only their stencil.
+    """
 
     grid: Grid
     dt: float
-    max_excursion: float      # largest pre-clip overshoot, physical units
     corners: np.ndarray = field(repr=False)   # (2^dim, N) flat node indices
     weights: np.ndarray = field(repr=False)   # (2^dim, N) multilinear weights
     grad_w: np.ndarray = field(repr=False)    # grad_tensor(w), (dim, dim, ...)
@@ -167,9 +170,8 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
             f"(allowance {tol:.1e}); driving velocity is not Dirichlet "
             f"or dt is too large")
     corners, weights = _stencil(grid, dep)
-    return CharacteristicMap(grid=grid, dt=dt, max_excursion=max_exc,
-                             corners=corners, weights=weights,
-                             grad_w=grad_tensor(w))
+    return CharacteristicMap(grid=grid, dt=dt, corners=corners,
+                             weights=weights, grad_w=grad_tensor(w))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +353,8 @@ def _rate_constant(target, l1h3):
 class DensityBoundReport:
     """Fit of the density transport a-priori estimates to a history."""
 
-    sup_h2: float
-    base_h2: float          # ||sigma0||_H2 + alpha eps^-2
-    c_domain_sup: float     # smallest constant closing the sup bound
-    sup_vacuous: bool       # sup bound already holds with constant 0
-    sup_rate_h1: float
-    c_domain: float         # constant fitted from the rate bound
+    sup_h2: float            # sup in time of ||sigma||_H2
+    c_domain: float          # constant fitted from the rate bound
     sup_bound_margin: float  # bound(c_domain) - sup_h2, nonnegative on pass
 
 
@@ -364,40 +362,32 @@ def check_density_bounds(table, params) -> DensityBoundReport:
     """Fit the transport estimate constants on a density history.
 
     table is the `trajectory_norms` table of the history (initial data
-    first).  The sup estimate is usually vacuous because of the alpha
-    eps^-2 lift, so the quotable constant comes from the rate estimate:
-    the smallest c with sup||sigma'||_1 <= c ||w||_sup (||sigma0||_2 +
-    alpha eps^-2) exp(c ||w||_L1H3).
+    first).  The sup estimate (||sigma0||_2 + alpha eps^-2) exp(c
+    ||w||_L1H3) is usually vacuous because of the alpha eps^-2 lift, so no
+    constant is fitted to it; the quotable constant comes from the rate
+    estimate: the smallest c with sup||sigma'||_1 <= c ||w||_sup
+    (||sigma0||_2 + alpha eps^-2) exp(c ||w||_L1H3).  The sup bound is
+    evaluated at that c for `sup_bound_margin`.
     """
-    lift = params.alpha / params.eps ** 2
     sup_h2 = float(table.pi[:, 2].max())
-    base_h2 = float(table.pi[0, 2]) + lift
+    base_h2 = float(table.pi[0, 2]) + params.alpha / params.eps ** 2
     l1h3, suph2 = table.w_l1h3, table.w_suph2
-
-    if l1h3 > 0.0 and sup_h2 > base_h2:
-        c_sup = np.log(sup_h2 / base_h2) / l1h3
-    else:
-        c_sup = 0.0
     rate = float(table.pi_rate[:, 1].max())
     target = rate / (suph2 * base_h2) if suph2 > 0.0 else 0.0
     c_fit = _rate_constant(target, l1h3)
     margin = base_h2 * np.exp(c_fit * l1h3) - sup_h2
-    return DensityBoundReport(
-        sup_h2=sup_h2, base_h2=base_h2, c_domain_sup=c_sup,
-        sup_vacuous=bool(sup_h2 <= base_h2), sup_rate_h1=rate,
-        c_domain=c_fit, sup_bound_margin=margin)
+    return DensityBoundReport(sup_h2=sup_h2, c_domain=c_fit,
+                              sup_bound_margin=margin)
 
 
 @dataclass
 class StressBoundReport:
     """Fit of the stress transport a-priori estimates to a history."""
 
-    sup_h2: float
-    base_h2: float          # ||tau0||_H2
+    sup_h2: float           # sup in time of ||tau||_H2
     c_domain: float         # minimizer of the sup bound
-    sup_bound: float        # (base + 2 omega/(c We)) exp(c ||w||_L1H3)
+    sup_bound: float        # (||tau0||_H2 + 2 omega/(c We)) exp(c ||w||_L1H3)
     sup_bound_holds: bool
-    sup_rate_h1: float
     c_relax: float          # fitted prefactor of the rate bound
 
 
@@ -424,6 +414,5 @@ def check_stress_bounds(table, params) -> StressBoundReport:
     denom = (suph2 + 1.0 / (c_domain * params.We)) * (base + relax / c_domain)
     c0 = rate / (denom * np.exp(c_domain * l1h3)) if denom > 0.0 else 0.0
     return StressBoundReport(
-        sup_h2=sup_h2, base_h2=base, c_domain=c_domain, sup_bound=bound,
-        sup_bound_holds=bool(sup_h2 <= bound * (1.0 + 1e-12)),
-        sup_rate_h1=rate, c_relax=c0)
+        sup_h2=sup_h2, c_domain=c_domain, sup_bound=bound,
+        sup_bound_holds=bool(sup_h2 <= bound * (1.0 + 1e-12)), c_relax=c0)

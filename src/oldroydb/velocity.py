@@ -162,7 +162,6 @@ class EnergyBudgetReport:
     rhs: float
     slack: float                 # rhs (1 + 10 dt) - lhs, >= 0 when satisfied
     satisfied: bool
-    forcing_integral: float      # sum dt ||F||^2
     dissipation_slack: tuple     # per step, rhs - lhs of its inequality
     dissipation_satisfied: bool  # every step's inequality holds
     lhs_history: np.ndarray = field(repr=False)
@@ -231,7 +230,7 @@ def check_energy_budget(table, us, Fs, params,
     return EnergyBudgetReport(
         lhs=lhs, rhs=rhs, slack=float(slack[-1]),
         satisfied=bool(lhs <= rhs * (1.0 + 10.0 * dt) + 1e-14 * (1.0 + rhs)),
-        forcing_integral=forcing_int, dissipation_slack=tuple(diss_slack),
+        dissipation_slack=tuple(diss_slack),
         dissipation_satisfied=diss_ok, lhs_history=np.array(lhs_hist),
         rhs_history=np.array(rhs_hist), slack_history=slack)
 
@@ -240,21 +239,18 @@ def check_energy_budget(table, us, Fs, params,
 class RegularityReport:
     """Empirical parabolic-regularity ratio for a velocity trajectory."""
 
-    lhs: float
-    bracket: float
-    c1_emp: float
-    vacuous: bool
-    f_l2h1: float
-    fprime_l2hm1: float
+    c1_emp: float    # velocity budget / data bracket, NaN when vacuous
+    vacuous: bool    # the data bracket is zero
 
 
 def check_regularity_budget(table, Au0, Fs) -> RegularityReport:
     """Ratio of trajectory regularity norms to the data bracket.
 
-    The numerator is the `trajectory_norms` table's velocity budget.  Au0 is
-    A u0 and Fs[0] the right side assembled from the initial data; the forcing
-    rate F' is its per-step finite difference measured in the discrete dual
-    norm (one Dirichlet-Laplacian solve per sample).
+    The numerator is the `trajectory_norms` table's velocity budget, the
+    bracket ||A u0||^2 + ||F(0)||^2 + ||F||_{L2 H1}^2 + ||F'||_{L2 H-1}^2.
+    Au0 is A u0 and Fs[0] the right side assembled from the initial data;
+    the forcing rate F' is its per-step finite difference measured in the
+    discrete dual norm (one Dirichlet-Laplacian solve per sample).
     """
     if len(Fs) != len(table.w):
         raise ValueError("need one forcing sample per time node")
@@ -263,12 +259,7 @@ def check_regularity_budget(table, Au0, Fs) -> RegularityReport:
     fprime = table.integral(
         norm_hminus1(VectorField(F.grid, (F.values - prev.values) / dt)) ** 2
         for prev, F in zip(Fs[:-1], Fs[1:]))
-    visc0 = norm(Au0, 0)
-    f0 = norm(Fs[0], 0)
-    lhs = table.velocity_budget
-    bracket = visc0 ** 2 + f0 ** 2 + f_l2h1 + fprime
+    bracket = norm(Au0, 0) ** 2 + norm(Fs[0], 0) ** 2 + f_l2h1 + fprime
     vacuous = bracket == 0.0
-    c1 = float("nan") if vacuous else lhs / bracket
-    return RegularityReport(
-        lhs=lhs, bracket=bracket, c1_emp=c1, vacuous=vacuous,
-        f_l2h1=f_l2h1, fprime_l2hm1=fprime)
+    c1 = float("nan") if vacuous else table.velocity_budget / bracket
+    return RegularityReport(c1_emp=c1, vacuous=vacuous)

@@ -5,6 +5,7 @@ constants are fitted on the coarse grid and verified on the fine one.
 """
 
 import ast
+import dataclasses
 import importlib
 import itertools
 import math
@@ -922,25 +923,60 @@ def _names_read(path):
     return names
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _reader_files():
+    """The package modules and the demos: the code outside the tests."""
+    pkg = importlib.import_module("oldroydb")
+    demos = os.path.join(ROOT, "demos")
+    return ([os.path.join(pkg.__path__[0], f"{info.name}.py")
+             for info in pkgutil.iter_modules(pkg.__path__)]
+            + [os.path.join(demos, f) for f in os.listdir(demos)
+               if f.endswith(".py")])
+
+
+def _package_modules():
+    """Every `oldroydb` module but `__main__`, whose import runs the CLI."""
+    pkg = importlib.import_module("oldroydb")
+    return [importlib.import_module(f"oldroydb.{info.name}")
+            for info in pkgutil.iter_modules(pkg.__path__)
+            if info.name != "__main__"]
+
+
 def test_every_exported_name_has_a_reader_outside_the_tests():
     # read by a package module (its own included; the re-exports of
     # `__init__` read nothing), by a demo, or named in README.md
-    pkg = importlib.import_module("oldroydb")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    files = [os.path.join(pkg.__path__[0], f"{info.name}.py")
-             for info in pkgutil.iter_modules(pkg.__path__)]
-    demos = os.path.join(root, "demos")
-    files += [os.path.join(demos, f) for f in os.listdir(demos)
-              if f.endswith(".py")]
-    read = set().union(*map(_names_read, files))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+    read = set().union(*map(_names_read, _reader_files()))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = set(re.findall(r"\w+", fh.read()))
-    unread = []
-    for info in pkgutil.iter_modules(pkg.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"oldroydb.{info.name}")
-        unread += [f"oldroydb.{info.name}.{name}"
-                   for name in getattr(module, "__all__", ())
-                   if name not in read and name not in readme]
+    unread = [f"{module.__name__}.{name}" for module in _package_modules()
+              for name in getattr(module, "__all__", ())
+              if name not in read and name not in readme]
+    assert unread == []
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    # a field is read when a package module or a demo loads it as an
+    # attribute, or README.md names it in backticks.  The check goes by
+    # name: a field passes when a field of the same name in another class
+    # is read (so `RegularityReport.lhs` would pass on
+    # `EnergyBudgetReport.lhs`, and `MembershipReport.velocity_budget`
+    # passes on `TrajectoryNorms.velocity_budget`)
+    loaded = set()
+    for path in _reader_files():
+        with open(path, encoding="utf-8") as fh:
+            loaded.update(node.attr for node in ast.walk(ast.parse(fh.read()))
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Load))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        ticked = set(re.findall(r"\w+", " ".join(
+            re.findall(r"`([^`]*)`", fh.read()))))
+    unread = [f"{module.__name__}.{name}.{f.name}"
+              for module in _package_modules()
+              for name, cls in vars(module).items()
+              if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+              and cls.__module__ == module.__name__
+              for f in dataclasses.fields(cls)
+              if f.name not in loaded and f.name not in ticked]
     assert unread == []

@@ -6,28 +6,19 @@ the invariant-set membership of the limit, and its audit: one more sweep
 measures the true system residual and the trajectory energy budget.
 """
 
-import numpy as np
+import os
 
-from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, audit_window, iterate, strain)
-from oldroydb.mms import taylor_vortex
+from oldroydb import audit_window, iterate
+from oldroydb.harness import build_initial_data, load_config
 
-
-def preset(n=32):
-    grid = Grid.unit(n)
-    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
-    u0 = VectorField(grid, 0.05 * taylor_vortex(grid).values,
-                     dirichlet=True)
-    x, y = grid.coords
-    s0 = ScalarField(grid, 0.01 * np.cos(2 * np.pi * x)
-                     * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
-    return grid, params, u0, s0, t0
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
+                      "smalldata2d.cfg")
 
 
 def main():
-    grid, params, u0, s0, t0 = preset()
-    sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)
+    cfg = load_config(CONFIG)
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt)
 
     print(f"converged after {hist.iterations} sweeps "
           f"(budgets b1 = {hist.membership.b1:.3g}, "

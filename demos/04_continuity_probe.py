@@ -7,16 +7,19 @@ amplitudes and reports the gap ratios; halving the input should halve
 the output.
 """
 
-from oldroydb import continuity_probe, iterate
+import os
 
-# reuse the preset from the fixed-point demo
-from importlib import import_module
-preset = import_module("03_fixed_point_run").preset
+from oldroydb import continuity_probe, iterate
+from oldroydb.harness import build_initial_data, load_config
+
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
+                      "smalldata2d.cfg")
 
 
 def main():
-    grid, params, u0, s0, t0 = preset()
-    sol, _ = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)
+    cfg = load_config(CONFIG)
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt)
 
     for components, label in [("wps", "all components"),
                               ("s", "stress only")]:

@@ -9,36 +9,24 @@ marched step by step and certified by one whole-window sweep; the growth
 rate reads its norms from the certificate's norm table.
 """
 
-import numpy as np
+import os
+from dataclasses import replace
 
-from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, delta_threshold, march,
-                      mean_zero_project, strain, uniqueness_experiment)
+from oldroydb import delta_threshold, march, uniqueness_experiment
+from oldroydb.harness import PRESETS, build_initial_data, load_config
 
-
-def compressive_data(n):
-    grid = Grid.unit(n)
-    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
-    x, y = grid.coords
-    vals = 0.5 * np.pi * np.stack([
-        np.sin(2 * np.pi * x) * np.sin(np.pi * y) ** 2,
-        np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y)])
-    vals[:, grid.boundary_mask] = 0.0
-    u0 = VectorField(grid, vals, dirichlet=True)
-    s0 = ScalarField(grid, 0.01 * np.cos(2 * np.pi * x)
-                     * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
-    bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02)
-    pert = mean_zero_project(ScalarField(grid, 1e-4 * bump))
-    return grid, params, u0, s0, t0, pert
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
+                      "uniqueness2d.cfg")
 
 
 def pair(n):
-    """Solution and norm table for the base and the perturbed data."""
-    grid, params, u0, s0, t0, pert = compressive_data(n)
-    sol, hist = march(u0, s0, t0, params, T=0.01, dt=1e-3, max_iter=25)
-    solp, histp = march(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
-                        max_iter=25)
+    """Solution and norm table for the base and the bump-perturbed data."""
+    cfg = replace(load_config(CONFIG), grid_n=n)
+    grid, params, u0, s0, t0 = build_initial_data(cfg)
+    bump = PRESETS["ic.density"]["bump"](grid, cfg.uniqueness_amplitude)
+    (sol, hist), (solp, histp) = (
+        march(u0, s, t0, params, cfg.T, cfg.dt, max_iter=cfg.max_iter)
+        for s in (s0, s0 + bump))
     return params, (sol, hist.membership.table, solp,
                     histp.membership.table)
 

@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     commands = _commands()
     args = _parser(commands).parse_args(argv)
     _, driver, printer = commands[args.command]
-    out_dir = args.out or "out"
+    out_dir = args.out or RunConfig.out_dir
     payload = {"command": args.command, "status": "config-error",
                "exit_code": EXIT_CONFIG, "error": None}
     try:

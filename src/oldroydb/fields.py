@@ -234,7 +234,25 @@ def _check_grid(a, b):
 
 
 class _FieldBase:
-    """Shared arithmetic for the three field containers."""
+    """Shared construction and arithmetic for the three field containers;
+    each names its `_kind` and the `_shape` of its values on a grid."""
+
+    def __init__(self, grid, values):
+        values = np.asarray(values, dtype=float)
+        shape = self._shape(grid)
+        if values.shape != shape:
+            raise ValueError(f"{self._kind} values must have shape {shape}, "
+                             f"got {values.shape}")
+        self.grid = grid
+        self.values = values
+
+    @classmethod
+    def zeros(cls, grid, **flags):
+        return cls(grid, np.zeros(cls._shape(grid)), **flags)
+
+    @property
+    def ncomp(self):
+        return self.values.shape[0]
 
     def copy(self):
         return self.__class__(self.grid, self.values.copy(), **self._flags())
@@ -269,23 +287,16 @@ class _FieldBase:
 class ScalarField(_FieldBase):
     """Scalar samples at the grid nodes."""
 
+    _kind = "scalar"
     ncomp = 1
 
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.node_shape:
-            raise ValueError(f"scalar values must have shape {grid.node_shape}, "
-                             f"got {values.shape}")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.node_shape))
+    @staticmethod
+    def _shape(grid):
+        return grid.node_shape
 
     @classmethod
     def from_function(cls, grid, fn):
-        return cls(grid, np.asarray(fn(*grid.coords), dtype=float))
+        return cls(grid, fn(*grid.coords))
 
 
 class VectorField(_FieldBase):
@@ -295,34 +306,25 @@ class VectorField(_FieldBase):
     the boundary nodes.
     """
 
+    _kind = "vector"
+
+    @staticmethod
+    def _shape(grid):
+        return (grid.dim,) + grid.node_shape
+
     def __init__(self, grid, values, dirichlet=False):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.dim,) + grid.node_shape:
-            raise ValueError(f"vector values must have shape "
-                             f"{(grid.dim,) + grid.node_shape}, got {values.shape}")
-        if dirichlet and not np.all(values[:, grid.boundary_mask] == 0.0):
+        super().__init__(grid, values)
+        if dirichlet and not np.all(self.values[:, grid.boundary_mask] == 0.0):
             raise NonDirichletError("dirichlet-flagged field is nonzero on the boundary")
-        self.grid = grid
-        self.values = values
         self.dirichlet = bool(dirichlet)
 
     def _flags(self):
         return {"dirichlet": self.dirichlet}
 
-    @property
-    def ncomp(self):
-        return self.grid.dim
-
-    @classmethod
-    def zeros(cls, grid, dirichlet=False):
-        return cls(grid, np.zeros((grid.dim,) + grid.node_shape), dirichlet=dirichlet)
-
     @classmethod
     def from_function(cls, grid, fn):
-        comps = fn(*grid.coords)
-        vals = np.stack([np.broadcast_to(np.asarray(c, dtype=float), grid.node_shape)
-                         for c in comps])
-        return cls(grid, vals)
+        return cls(grid, np.stack([np.broadcast_to(c, grid.node_shape)
+                                   for c in fn(*grid.coords)]))
 
 
 class SymTensorField(_FieldBase):
@@ -333,23 +335,11 @@ class SymTensorField(_FieldBase):
     therefore structural: `full()` mirrors the stored values exactly.
     """
 
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        m = grid.dim * (grid.dim + 1) // 2
-        if values.shape != (m,) + grid.node_shape:
-            raise ValueError(f"symmetric tensor values must have shape "
-                             f"{(m,) + grid.node_shape}, got {values.shape}")
-        self.grid = grid
-        self.values = values
+    _kind = "symmetric tensor"
 
-    @property
-    def ncomp(self):
-        return self.grid.dim * (self.grid.dim + 1) // 2
-
-    @classmethod
-    def zeros(cls, grid):
-        m = grid.dim * (grid.dim + 1) // 2
-        return cls(grid, np.zeros((m,) + grid.node_shape))
+    @staticmethod
+    def _shape(grid):
+        return (grid.dim * (grid.dim + 1) // 2,) + grid.node_shape
 
     @classmethod
     def identity(cls, grid, scale=1.0):

@@ -37,7 +37,7 @@ from .rheology import momentum_source
 from .transport import (DensityBoundReport, StressBoundReport,
                         check_density_bounds, check_stress_bounds,
                         step_density, step_stress, trace)
-from .velocity import (EnergyBudgetReport, RegularityReport,
+from .velocity import (TOL_LIN, EnergyBudgetReport, RegularityReport,
                        check_energy_budget, check_regularity_budget,
                        step_velocity)
 
@@ -62,6 +62,9 @@ __all__ = [
     "trajectory_distance",
     "uniqueness_experiment",
 ]
+
+TOL_FP = 1e-8   # default fixed-point distance between consecutive sweeps
+MAX_ITER = 20   # default sweeps of `iterate`, and of each `march` step
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ _STEP_FAILURES = (DensityBandError, LinearSolveError, NonDirichletError,
                   SingularStressSystemError)
 
 
-def picard_sweep(inp: IterTriple, params, tol_lin: float = 1e-10,
+def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
                  seidel: bool = False) -> tuple:
     """One application of the frozen-coefficient map, with diagnostics.
 
@@ -377,8 +380,8 @@ def _check_hypotheses(u0: VectorField, sigma0: ScalarField,
 
 
 def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
-            params, T: float, dt: float, tol_fp: float = 1e-8,
-            max_iter: int = 20, tol_lin: float = 1e-10,
+            params, T: float, dt: float, tol_fp: float = TOL_FP,
+            max_iter: int = MAX_ITER, tol_lin: float = TOL_LIN,
             initial_guess: IterTriple = None) -> tuple:
     """Run sweeps until consecutive trajectories agree to tol_fp.
 
@@ -435,8 +438,8 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
 
 
 def march(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
-          params, T: float, dt: float, tol_fp: float = 1e-8,
-          max_iter: int = 20, tol_lin: float = 1e-10) -> tuple:
+          params, T: float, dt: float, tol_fp: float = TOL_FP,
+          max_iter: int = MAX_ITER, tol_lin: float = TOL_LIN) -> tuple:
     """Reach the window's fixed point step by step; return (sol, hist).
 
     Step k of the map reads only input node k+1 and output node k. So once
@@ -526,7 +529,7 @@ class WindowAudit:
 
 
 def audit_window(sol: IterTriple, params,
-                 tol_lin: float = 1e-10) -> WindowAudit:
+                 tol_lin: float = TOL_LIN) -> WindowAudit:
     """Plug a converged trajectory into one more sweep and check that
     sweep against the energy, dissipation, regularity and transport
     estimates. Its gap to ``sol`` is the residual; its per-step reports
@@ -604,7 +607,7 @@ class ProbeReport:
 
 def continuity_probe(base: IterTriple, delta: float, params,
                      components: str = "wps",
-                     tol_lin: float = 1e-10) -> ProbeReport:
+                     tol_lin: float = TOL_LIN) -> ProbeReport:
     """Perturb the input trajectory at amplitudes delta, delta/2, delta/4.
 
     The perturbation is a fixed smooth shape times a linear time ramp (so
@@ -663,7 +666,7 @@ class UniquenessReport:
 def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
                           sol2: IterTriple, table2: TrajectoryNorms,
                           delta: float, params, c12: float = None,
-                          fp_tol: float = 1e-8,
+                          fp_tol: float = TOL_FP,
                           slack: float = 0.0) -> UniquenessReport:
     """Weighted L2 gap energy of two trajectories vs. exp(2 int rate).
 

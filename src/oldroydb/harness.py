@@ -1,15 +1,16 @@
 """Experiment plumbing: config files, initial-data presets, CSV artifacts.
 
 A run is described by a flat text config (``section.key = value`` lines).
-Each driver takes a config and an existing output directory, constructs
-the data, runs its experiment, writes its CSV tables there and returns a
-JSON-ready payload whose ``failed_checks`` lists, sorted, the names of
-the checks that failed; the CLI turns that list into a status and an exit
-code.  Every table goes through `_write_csv`: the per-timestep energy
-ledger (one dict per step, keyed by `LEDGER_COLUMNS`), the sweep
-convergence history and the per-command reports.  Every numeric cell is
-written with 17 significant digits so repeated runs of one config are
-byte-identical.
+`build_initial_data` builds its data from the `PRESETS` table; the demos
+and the test fixtures take the shipped data from it too.  Each driver
+takes a config and an existing output directory, runs its experiment,
+writes its CSV tables there and returns a JSON-ready payload whose
+``failed_checks`` lists, sorted, the names of the checks that failed; the
+CLI turns that list into a status and an exit code.  Every table goes
+through `_write_csv`: the per-timestep energy ledger (one dict per step,
+keyed by `LEDGER_COLUMNS`), the sweep convergence history and the
+per-command reports.  Every numeric cell is written with 17 significant
+digits so repeated runs of one config are byte-identical.
 """
 
 import csv
@@ -22,10 +23,12 @@ import numpy as np
 from .errors import ConfigError
 from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
                      mean_zero_project, save_snapshot, strain)
-from .fixed_point import (audit_window, continuity_probe, delta_threshold,
-                          iterate, march, uniqueness_experiment)
+from .fixed_point import (MAX_ITER, TOL_FP, audit_window, continuity_probe,
+                          delta_threshold, iterate, march,
+                          uniqueness_experiment)
 from .mms import all_studies, taylor_vortex
 from .rheology import FluidParams
+from .velocity import TOL_LIN
 
 __all__ = ["RunConfig", "LEDGER_COLUMNS",
            "CONVERGENCE_COLUMNS", "parse_config", "load_config",
@@ -44,24 +47,25 @@ def _key(name: str, default):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; each field names its config key."""
+    """Everything a run needs; each field names its config key.  The
+    ``params.*`` fields carry the `FluidParams` names and defaults."""
 
     grid_dim: int = _key("grid.dim", 2)
     grid_n: int = _key("grid.n", 32)
     grid_extent: float = _key("grid.extent", 1.0)
-    eps: float = _key("params.eps", 0.1)
-    omega: float = _key("params.omega", 0.5)
-    we: float = _key("params.We", 0.1)
-    alpha: float = _key("params.alpha", 1.0)
-    slip: float = _key("params.a", 1.0)
-    m1: float = _key("params.m1", 0.5)
-    M1: float = _key("params.M1", 2.0)
-    kappa: float = _key("params.kappa", 0.0)
+    eps: float = _key("params.eps", FluidParams.eps)
+    omega: float = _key("params.omega", FluidParams.omega)
+    We: float = _key("params.We", FluidParams.We)
+    alpha: float = _key("params.alpha", FluidParams.alpha)
+    a: float = _key("params.a", FluidParams.a)
+    m1: float = _key("params.m1", FluidParams.m1)
+    M1: float = _key("params.M1", FluidParams.M1)
+    kappa: float = _key("params.kappa", FluidParams.kappa)
     T: float = _key("time.T", 0.01)
     dt: float = _key("time.dt", 1e-3)
-    tol_lin: float = _key("tol.lin", 1e-10)
-    tol_fp: float = _key("tol.fp", 1e-8)
-    max_iter: int = _key("tol.max_iter", 20)
+    tol_lin: float = _key("tol.lin", TOL_LIN)
+    tol_fp: float = _key("tol.fp", TOL_FP)
+    max_iter: int = _key("tol.max_iter", MAX_ITER)
     delta: float = _key("tol.delta", 1.0)
     ic_velocity: str = _key("ic.velocity", "vortex")
     ic_velocity_amplitude: float = _key("ic.velocity_amplitude", 0.05)
@@ -151,9 +155,8 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 def build_params(cfg: RunConfig) -> FluidParams:
     try:
-        return FluidParams(eps=cfg.eps, omega=cfg.omega, We=cfg.we,
-                           alpha=cfg.alpha, a=cfg.slip, m1=cfg.m1,
-                           M1=cfg.M1, kappa=cfg.kappa)
+        return FluidParams(**{f.name: getattr(cfg, f.name)
+                              for f in fields(FluidParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -61,6 +61,8 @@ __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
            "RegularityReport", "check_regularity_budget"]
 
+TOL_LIN = 1e-10  # default relative residual of a velocity solve
+
 
 @dataclass
 class VelocityStepReport:
@@ -72,7 +74,7 @@ class VelocityStepReport:
 
 
 def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
-                  tol_lin: float = 1e-10, max_iter: int = 20000,
+                  tol_lin: float = TOL_LIN, max_iter: int = 20000,
                   guess: VectorField = None) -> tuple:
     """One backward-Euler step of alpha u' + (1-omega) A u = F.
 
@@ -130,7 +132,7 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
 
 
 def run_velocity(u0: VectorField, forcing, T: float, dt: float, params,
-                 tol_lin: float = 1e-10) -> tuple:
+                 tol_lin: float = TOL_LIN) -> tuple:
     """Integrate over [0, T]; forcing(t) is evaluated at step endpoints.
 
     Returns (times, us, Fs, reports) with us[0] = u0 and Fs[0] = forcing(0)

@@ -1,44 +1,39 @@
 """Shared presets and session-scoped converged runs."""
 
+import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from oldroydb import (FluidParams, Grid, ScalarField, SymTensorField,
-                      VectorField, mean_zero_project, strain)
+from oldroydb import Grid
 from oldroydb.fields import random_smooth_field
 from oldroydb.fixed_point import audit_window, iterate, march
-from oldroydb.mms import taylor_vortex
+from oldroydb.harness import (PRESETS, RunConfig, build_initial_data,
+                              load_config)
+
+UNIQUENESS_CONFIG = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos",
+    "configs", "uniqueness2d.cfg")
 
 
-def small_preset(n=32, amp_u=0.05, amp_s=0.01, amp_t=0.02):
-    """Gentle vortex, cosine density remainder, strain-proportional stress."""
-    grid = Grid.unit(n)
-    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
-    u0 = VectorField(grid, amp_u * taylor_vortex(grid).values, dirichlet=True)
-    x, y = grid.coords
-    s0 = ScalarField(grid,
-                     amp_s * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, amp_t * strain(u0).values)
-    return grid, params, u0, s0, t0
+def uniqueness_config(n=32):
+    """The `uniqueness` command's shipped config on an n x n grid."""
+    return replace(load_config(UNIQUENESS_CONFIG), grid_n=n)
 
 
-def compressive_preset(n=32, amp=0.5):
-    """Gradient flow with genuine dilation, for gap-growth experiments."""
-    grid = Grid.unit(n)
-    params = FluidParams(eps=0.1, omega=0.5, We=0.1, alpha=1.0, a=1.0)
-    x, y = grid.coords
-    vals = amp * np.stack([
-        np.pi * np.sin(2 * np.pi * x) * np.sin(np.pi * y) ** 2,
-        np.pi * np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y)])
-    vals[:, grid.boundary_mask] = 0.0
-    u0 = VectorField(grid, vals, dirichlet=True)
-    s0 = ScalarField(grid,
-                     0.01 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    t0 = SymTensorField(grid, 0.02 * strain(u0).values)
-    return grid, params, u0, s0, t0
+def small_preset(n=32):
+    """Gentle vortex, cosine density remainder, strain-proportional stress:
+    the default config's data on an n x n grid."""
+    return build_initial_data(RunConfig(grid_n=n))
+
+
+def compressive_preset(n=32):
+    """Gradient flow with genuine dilation, for gap-growth experiments:
+    the `uniqueness` command's shipped data on an n x n grid."""
+    return build_initial_data(uniqueness_config(n))
 
 
 def draw_trajectory(data, dim):
@@ -79,16 +74,16 @@ def counting(monkeypatch, modules, names):
     return calls
 
 
-def centered_bump_perturbation(grid, amp=1e-4):
-    x, y = grid.coords
-    bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02)
-    return mean_zero_project(ScalarField(grid, amp * bump))
+def centered_bump_perturbation(grid):
+    """The `bump` density preset at the `uniqueness` command's amplitude."""
+    return PRESETS["ic.density"]["bump"](
+        grid, uniqueness_config().uniqueness_amplitude)
 
 
 def _converged(n):
-    grid, params, u0, s0, t0 = small_preset(n)
-    sol, hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3,
-                        tol_fp=1e-8)
+    cfg = RunConfig(grid_n=n)
+    grid, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt)
     return SimpleNamespace(grid=grid, params=params, u0=u0, s0=s0, t0=t0,
                            sol=sol, hist=hist,
                            audit=audit_window(sol, params))
@@ -105,13 +100,14 @@ def converged64():
 
 
 def _gronwall_pair(n):
-    """Two marched and certified solutions, each with its norm table."""
-    grid, params, u0, s0, t0 = compressive_preset(n)
-    pert = centered_bump_perturbation(grid)
-    sol, hist = march(u0, s0, t0, params, T=0.01, dt=1e-3,
-                      tol_fp=1e-8, max_iter=25)
-    solp, histp = march(u0, s0 + pert, t0, params, T=0.01, dt=1e-3,
-                        tol_fp=1e-8, max_iter=25)
+    """Two marched and certified solutions, each with its norm table: the
+    base and the bump-perturbed data of the `uniqueness` command."""
+    cfg = uniqueness_config(n)
+    grid, params, u0, s0, t0 = build_initial_data(cfg)
+    (sol, hist), (solp, histp) = (
+        march(u0, s, t0, params, cfg.T, cfg.dt, tol_fp=cfg.tol_fp,
+              max_iter=cfg.max_iter)
+        for s in (s0, s0 + centered_bump_perturbation(grid)))
     return SimpleNamespace(grid=grid, params=params, sol=sol, solp=solp,
                            table=hist.membership.table,
                            tablep=histp.membership.table)

@@ -67,7 +67,7 @@ def valid_configs(draw):
         grid_n=draw(st.integers(8, 256)), grid_extent=real(0.1, 10.0),
         eps=real(0.0, 1.0, exclude_min=True),
         omega=real(0.0, 1.0, exclude_min=True, exclude_max=True),
-        we=real(1e-3, 10.0), alpha=alpha, slip=real(-1.0, 1.0),
+        We=real(1e-3, 10.0), alpha=alpha, a=real(-1.0, 1.0),
         m1=real(0.0, alpha, exclude_min=True), M1=real(alpha, 100.0),
         kappa=real(-10.0, 10.0),
         T=T, dt=real(0.0, T, exclude_min=True),
@@ -112,6 +112,8 @@ def test_params_keys_are_the_fluid_params_fields():
     params = build_params(parse_config(
         "".join(f"params.{name} = {v!r}\n" for name, v in values.items())))
     assert {name: getattr(params, name) for name in names} == values
+    # and the config's defaults are the FluidParams defaults
+    assert build_params(RunConfig()) == FluidParams()
 
 
 def test_config_parser_diagnostics():
@@ -767,8 +769,14 @@ def _readme_block(after):
 
 def test_readme_quickstart_runs(capsys):
     code = _readme_block("## Library quickstart")
-    exec(compile(code, README, "exec"), {})
+    scope = {}
+    exec(compile(code, README, "exec"), scope)
     assert capsys.readouterr().out.split()[-1] == "True"
+    # the quickstart spells out the default config's data, bit for bit
+    _, params, u0, s0, t0 = build_initial_data(RunConfig())
+    assert scope["params"] == params
+    for name, fld in (("u0", u0), ("s0", s0), ("t0", t0)):
+        assert np.array_equal(scope[name].values, fld.values), name
 
 
 def test_readme_lists_exactly_the_config_keys():

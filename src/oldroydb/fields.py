@@ -21,13 +21,17 @@ component alone.
 div w is always the diagonal of the gradient added in axis order
 (`diagonal_sum`), wherever the diagonal comes from.
 
-Each grid also assembles, once, two CSR matrices on its interior nodes
-from Kronecker products of 1-D matrices: `dirichlet_laplacian` (-lap) and
-`viscous_matrix`, the elliptic block A_h = -(lap + grad div) that
-`viscous_operator` applies at interior nodes and the velocity step solves.
-Each 1-D matrix is `_diff2` or `_diff1` applied to the identity and cut to
-the interior rows and columns, so the interior stencils are written once,
-in the kernels.
+The elliptic block A_h = -(lap + grad div), which `viscous_operator`
+applies at interior nodes and the velocity step solves (`viscous_system`),
+is applied as a stencil on the flat, zero-bordered component stack with
+the same axis-stride offsets (`_viscous_stencil`): one compact second
+difference per axis for all components at once, with the weight doubled
+on component a along axis a (the compact d^2/dx_a^2 of A_h's diagonal
+block), and for each axis pair a < b the product of the two centered
+differences, which couples components a and b.  Every coefficient is the
+value the interior `_diff2` or `_diff1` stencil takes at a unit vector,
+so the matrix the stencil applies is exactly symmetric and is, entry for
+entry, the Kronecker assembly of the 1-D interior difference matrices.
 
 Sine eigenpairs: on an m-cell axis the 1-D Dirichlet -d^2/dx^2 is
 S diag(lam) S with lam_k = (4/h^2) sin^2(k pi/2m) and the symmetric,
@@ -70,7 +74,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonDirichletError
 
@@ -80,8 +83,8 @@ __all__ = [
     "laplacian", "viscous_operator", "strain", "norm", "norms", "inner",
     "mean", "mean_zero_project", "norm_hminus1", "sym_components",
     "save_snapshot", "random_smooth_field",
-    "conjugate_gradient", "viscous_preconditioner", "TrajectoryNorms",
-    "trajectory_norms",
+    "conjugate_gradient", "viscous_system", "viscous_preconditioner",
+    "TrajectoryNorms", "trajectory_norms",
 ]
 
 
@@ -157,50 +160,25 @@ class Grid:
             mask[tuple(sl)] = True
         return mask
 
-    def _kron(self, ops):
-        """ops[a] along axis a, identity elsewhere; axis 0 varies slowest,
-        which is the C order of one component's interior block
-        values[i][1:-1, ..., 1:-1]."""
-        out = None
-        for a, m in enumerate(self.n):
-            f = ops[a] if a in ops else sp.eye(m - 1, format="csr")
-            out = f if out is None else sp.kron(out, f, format="csr")
-        return out
-
-    def _interior_matrix(self, kernel, a):
-        """`kernel` (`_diff1` or `_diff2`) along axis a as a CSR matrix on
-        its interior nodes: the kernel of the identity, cut to the interior
-        rows and columns, so the zero boundary values drop out."""
-        m = self.n[a]
-        return sp.csr_matrix(kernel(np.eye(m + 1), self.h[a], 0)[1:-1, 1:-1])
-
-    def _d2(self, a):
-        return self._kron({a: self._interior_matrix(_diff2, a)})
-
     @cached_property
-    def dirichlet_laplacian(self):
-        """-lap on the interior nodes with zero boundary data (CSR)."""
-        lap = -self._d2(0)
-        for a in range(1, self.dim):
-            lap = lap - self._d2(a)
-        return lap
-
-    @cached_property
-    def viscous_matrix(self):
-        """A_h = -(lap + grad div) on the interior nodes, component-major.
-
-        Block (i, i) is the Dirichlet Laplacian minus the compact d^2/dx_i^2;
-        block (i, j) is -C_i C_j, a Kronecker product of two antisymmetric
-        centered differences and so symmetric: A_h is exactly symmetric.
-        Stacking one block row at a time keeps the assembly transient small.
+    def _viscous_coefficients(self):
+        """`_viscous_stencil`'s axis strides, neighbour weights per axis and
+        component, centre weights (sum_a 2/h_a^2 + 2/h_i^2, added in axis
+        order) and, per axis pair a < b, components (a, b) and their weight.
         """
         d = self.dim
-        c = [self._interior_matrix(_diff1, a) for a in range(d)]
-        rows = [sp.hstack([self.dirichlet_laplacian - self._d2(i) if j == i
-                           else -self._kron({i: c[i], j: c[j]})
-                           for j in range(d)], format="csr")
-                for i in range(d)]
-        return sp.vstack(rows, format="csr")
+        strides = [math.prod(self.node_shape[a + 1:]) for a in range(d)]
+        w = [1.0 / h**2 for h in self.h]
+        c = [0.5 / h for h in self.h]
+        weights = [np.array([[2.0 * w[a] if i == a else w[a]]
+                             for i in range(d)]) for a in range(d)]
+        total = 2.0 * w[0]
+        for wa in w[1:]:
+            total += 2.0 * wa
+        centre = np.array([[total + 2.0 * w[i]] for i in range(d)])
+        pairs = [(a, b, slice(a, b + 1, b - a), c[a] * c[b])
+                 for a, b in itertools.combinations(range(d), 2)]
+        return strides, weights, centre, pairs
 
     @cached_property
     def sine_eigenpairs(self):
@@ -479,24 +457,49 @@ def laplacian(v) -> "VectorField | ScalarField":
     return type(v)(v.grid, acc.reshape(v.values.shape))
 
 
+def _viscous_stencil(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """A_h x at the interior nodes of a component stack x (dim, *node_shape)
+    that vanishes on the boundary.
+
+    Each term is one pass over the flat (dim, nodes) rows offset by the
+    axis strides, as in `_diff2`: at an interior node every offset reaches
+    the true neighbour, and the boundary entries of the result, which see
+    across the row seams, are left for the caller to drop or overwrite.
+    """
+    strides, weights, centre, pairs = grid._viscous_coefficients
+    comp = x.reshape(grid.dim, -1)
+    y = centre * comp
+    for s, w in zip(strides, weights):
+        t = comp[:, :-2 * s] + comp[:, 2 * s:]
+        t *= w
+        y[:, s:-s] -= t
+    for a, b, both, cab in pairs:
+        sa, sb = strides[a], strides[b]
+        t = comp[both, 2 * sb:] - comp[both, :-2 * sb]
+        t = t[:, 2 * sa:] - t[:, :-2 * sa]
+        t *= cab
+        y[a, sa + sb:-sa - sb] -= t[1]
+        y[b, sa + sb:-sa - sb] -= t[0]
+    return y.reshape(x.shape)
+
+
 def viscous_operator(v: VectorField) -> VectorField:
     """The elliptic block A v = -(lap v + grad div v) on a Dirichlet field.
 
-    Interior nodes apply `Grid.viscous_matrix`: an exactly symmetric matrix
-    whose quadratic form is a sum of squared difference quotients, so the
-    weighted <A v, v> is exactly nonnegative and vanishes only for v = 0.
-    Boundary nodes carry the generic one-sided composition (they never enter
-    the inner product because v vanishes there).  That composition is
-    evaluated on the whole grid, but only its boundary values are kept: the
-    matrix product overwrites every interior node.
+    Interior nodes apply `_viscous_stencil`, whose matrix is exactly
+    symmetric and has a quadratic form that is a sum of squared difference
+    quotients, so the weighted <A v, v> is nonnegative and vanishes only
+    for v = 0.  Boundary nodes carry the generic one-sided composition
+    (they never enter the inner product because v vanishes there).  That
+    composition is evaluated on the whole grid, but only its boundary
+    values are kept: the stencil overwrites every interior node.
     """
     if not v.dirichlet:
         raise NonDirichletError("viscous_operator requires a dirichlet-flagged field")
     g = v.grid
     vals = -(laplacian(v).values + gradient(divergence(v)).values)
     interior = (slice(None),) + (slice(1, -1),) * g.dim
-    vals[interior] = (g.viscous_matrix @ v.values[interior].ravel()
-                      ).reshape(vals[interior].shape)
+    vals[interior] = _viscous_stencil(g, v.values)[interior]
     return VectorField(g, vals, dirichlet=False)
 
 
@@ -683,13 +686,33 @@ def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     return reduce(np.add.outer, [lam for lam, _ in grid.sine_eigenpairs])
 
 
+def viscous_system(grid: Grid, alpha: float, coef: float):
+    """p -> (alpha I + coef A_h) p, the system the velocity step solves.
+
+    p and the result are flat component-major interior vectors, the C order
+    of values[:, 1:-1, ..., 1:-1].  A_h is `_viscous_stencil` on one
+    zero-bordered stack that each call refills with p.
+    """
+    interior = (slice(None),) + (slice(1, -1),) * grid.dim
+    padded = np.zeros((grid.dim,) + grid.node_shape)
+    inside = padded[interior]
+
+    def apply(p):
+        inside[...] = p.reshape(inside.shape)
+        q = np.multiply(_viscous_stencil(grid, padded)[interior], coef).ravel()
+        q += alpha * p
+        return q
+
+    return apply
+
+
 def viscous_preconditioner(grid: Grid, alpha: float, coef: float):
     """r -> P r, P the inverse of the diagonal blocks of alpha I + coef A_h.
 
     Block i is alpha I + coef (-(lap + d^2/dx_i^2)), diagonal in the sine
     basis with entries alpha + coef (sum_a lam_a + lam_i); P is symmetric
     positive definite for alpha > 0, coef >= 0.  r and P r are flat
-    component-major interior vectors, the layout of `viscous_matrix`.
+    component-major interior vectors, the layout of `viscous_system`.
     """
     lams = [lam for lam, _ in grid.sine_eigenpairs]
     total = _laplacian_eigenvalues(grid)

@@ -9,9 +9,8 @@ the symmetric positive definite system
 by preconditioned conjugate gradients (`fields.conjugate_gradient`) on
 the interior degrees of freedom, to a true relative residual below
 `tol_lin`, starting from a caller's guess or else the previous step.
-The shifted operator is applied matrix-free as
-dt (1-omega) (A_h p) + alpha p on the grid's assembled `viscous_matrix`,
-so no scaled copy of it is held.  The preconditioner
+The shifted operator (`fields.viscous_system`) applies A_h as a stencil,
+so no matrix is assembled or held.  The preconditioner
 (`fields.viscous_preconditioner`) inverts its diagonal blocks exactly in
 the sine basis, which keeps the iteration count flat in n and dt.
 
@@ -55,7 +54,7 @@ from .errors import LinearSolveError
 from .fields import (ScalarField, SymTensorField, VectorField,
                      conjugate_gradient, diagonal_sum, grad_tensor, inner,
                      norm, norm_hminus1, viscous_operator,
-                     viscous_preconditioner)
+                     viscous_preconditioner, viscous_system)
 
 __all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
            "EnergyBudgetReport", "check_energy_budget",
@@ -103,14 +102,7 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
         iters = 0
         rel_res = 0.0
     else:
-        A_h = grid.viscous_matrix
-
-        def system(p):
-            q = A_h @ p
-            q *= coef
-            q += alpha * p
-            return q
-
+        system = viscous_system(grid, alpha, coef)
         x, iters, _ = conjugate_gradient(
             system, viscous_preconditioner(grid, alpha, coef), b,
             (u_prev if guess is None else guess).values[interior].flatten(),

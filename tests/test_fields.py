@@ -29,7 +29,8 @@ from oldroydb import fields
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
                              conjugate_gradient, random_smooth_field,
-                             sym_components, viscous_preconditioner)
+                             sym_components, viscous_preconditioner,
+                             viscous_system)
 
 from conftest import counting, draw_trajectory
 
@@ -546,39 +547,97 @@ def test_viscous_operator_symmetric(dim, data):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_assembled_matrices_exactly_symmetric(dim):
-    g = Grid(dim, (8, 10, 12)[:dim], (1.0, 0.7, 1.3)[:dim])
-    for mat in (g.viscous_matrix, g.dirichlet_laplacian):
-        assert abs(mat - mat.T).max() == 0.0
-
-
 def _compact_d2(m, h):
-    """The former 1-D interior second difference, verbatim."""
+    """The 1-D interior second difference as a CSR matrix."""
     return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m - 1, m - 1),
                     format="csr") / h**2
 
 
 def _centered_d1(m, h):
-    """The former 1-D interior first difference, verbatim."""
+    """The 1-D interior first difference as a CSR matrix."""
     return sp.diags([-1.0, 1.0], [-1, 1], shape=(m - 1, m - 1),
                     format="csr") / (2.0 * h)
 
 
-def _assembled_reference(g):
-    """`dirichlet_laplacian` and `viscous_matrix` as the grid assembled them
-    from the two former 1-D helpers."""
-    d2 = [g._kron({a: _compact_d2(m, h)})
-          for a, (m, h) in enumerate(zip(g.n, g.h))]
-    lap = -d2[0]
+def _kron(g, ops):
+    """ops[a] along axis a, identity elsewhere; axis 0 varies slowest,
+    which is the C order of one component's interior block
+    values[i][1:-1, ..., 1:-1]."""
+    out = None
+    for a, m in enumerate(g.n):
+        f = ops[a] if a in ops else sp.eye(m - 1, format="csr")
+        out = f if out is None else sp.kron(out, f, format="csr")
+    return out
+
+
+def _d2(g, a):
+    return _kron(g, {a: _compact_d2(g.n[a], g.h[a])})
+
+
+def _reference_laplacian(g):
+    """The Dirichlet -lap on the interior nodes, assembled from Kronecker
+    products of the 1-D matrices."""
+    lap = -_d2(g, 0)
     for a in range(1, g.dim):
-        lap = lap - d2[a]
+        lap = lap - _d2(g, a)
+    return lap
+
+
+def _reference_viscous(g):
+    """A_h = -(lap + grad div) on the interior nodes, component-major:
+    block (i, i) is -lap minus the compact d^2/dx_i^2, block (i, j) is
+    -C_i C_j."""
+    lap = _reference_laplacian(g)
     c = [_centered_d1(m, h) for m, h in zip(g.n, g.h)]
-    rows = [sp.hstack([lap - d2[i] if j == i
-                       else -g._kron({i: c[i], j: c[j]})
+    rows = [sp.hstack([lap - _d2(g, i) if j == i
+                       else -_kron(g, {i: c[i], j: c[j]})
                        for j in range(g.dim)], format="csr")
             for i in range(g.dim)]
-    return lap, sp.vstack(rows, format="csr")
+    return sp.vstack(rows, format="csr")
+
+
+def interior_size(grid):
+    """Interior degrees of freedom of a vector field: the length of the
+    flat vectors the velocity system acts on."""
+    return grid.dim * math.prod(m - 1 for m in grid.n)
+
+
+def _stencil_matrix(g):
+    """The matrix the viscous stencil applies, read column by column from
+    unit vectors through the velocity system with alpha 0, coef 1."""
+    apply = viscous_system(g, 0.0, 1.0)
+    size = interior_size(g)
+    e = np.zeros(size)
+    rows, cols, vals = [], [], []
+    for col in range(size):
+        e[col] = 1.0
+        y = apply(e)
+        e[col] = 0.0
+        nz = np.flatnonzero(y)
+        rows.append(nz)
+        cols.append(np.full(nz.size, col))
+        vals.append(y[nz])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size))
+
+
+def _assert_same_entries(got, want):
+    assert got.shape == want.shape
+    got, want = got.tocsr(), want.tocsr()
+    for m in (got, want):
+        m.eliminate_zeros()
+        m.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assembled_matrices_exactly_symmetric(dim):
+    # the stencil's matrix, and the reference -lap the tests solve with
+    g = Grid(dim, (8, 10, 12)[:dim], (1.0, 0.7, 1.3)[:dim])
+    for mat in (_stencil_matrix(g), _reference_laplacian(g)):
+        _assert_same_entries(mat, mat.T)
 
 
 @pytest.mark.parametrize("dim, n, extent", [
@@ -586,15 +645,27 @@ def _assembled_reference(g):
     (3, (8, 9, 10), (0.1, 1.0, 3.3))])
 def test_assembled_matrices_are_the_former_assembly_bit_for_bit(dim, n,
                                                                 extent):
-    # the 1-D matrices are the difference kernels applied to the identity;
-    # the CSR arrays match the former hand-written diagonals exactly
+    # every coefficient of the stencil is the one the Kronecker assembly of
+    # the 1-D difference matrices stores, at the same row and column
     g = Grid(dim, n, extent)
-    expected = _assembled_reference(g)
-    for got, want in zip((g.dirichlet_laplacian, g.viscous_matrix), expected):
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    _assert_same_entries(_stencil_matrix(g), _reference_viscous(g))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stencil_product_matches_the_assembled_product(dim, data):
+    # the same matrix, summed in another order.  A CSR row of up to 15
+    # terms is within gamma_15 |A| |x| of the exact product and the
+    # stencil's deepest term within gamma_8 (gamma_k ~ k eps / 2), so the
+    # two rows differ by less than 12 ulp of |A| |x|; about 4 is seen
+    n, extent, seed = data.draw(dirichlet_fields(dim))
+    g = Grid(dim, n, extent)
+    A = _reference_viscous(g)
+    x = np.random.default_rng(seed).normal(size=A.shape[0])
+    got = viscous_system(g, 0.0, 1.0)(x)
+    scale = abs(A) @ np.abs(x)
+    assert np.all(np.abs(got - A @ x) <= 12 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -608,7 +679,7 @@ def test_assembled_matrices_match_stencil_compositions(dim):
     v = dirichlet_noise(g, 3)
 
     f = v.values[0]
-    lap = g.dirichlet_laplacian @ f[interior]
+    lap = _reference_laplacian(g) @ f[interior]
     assert np.allclose(lap, -laplacian(ScalarField(g, f)).values[interior],
                        rtol=1e-13, atol=1e-13 * np.abs(lap).max())
 
@@ -728,8 +799,8 @@ def test_hminus1_zero():
 def test_conjugate_gradient_matches_scipy_bit_for_bit(dim, data):
     # scipy's cg is the reference the in-house recurrence was ported from:
     # the same solution to the last bit and the same iteration count, on
-    # the matrix-free velocity system with its sine-basis preconditioner
-    # and on the Dirichlet Laplacian with the identity, cold and warm
+    # the stencil velocity system with its sine-basis preconditioner and
+    # on the assembled Dirichlet Laplacian with the identity, cold and warm
     # started
     n = data.draw(st.tuples(*[st.integers(8, 16 if dim == 3 else 40)] * dim),
                   label="n")
@@ -739,18 +810,11 @@ def test_conjugate_gradient_matches_scipy_bit_for_bit(dim, data):
     if data.draw(st.booleans(), label="velocity system"):
         alpha = data.draw(st.floats(0.1, 10.0), label="alpha")
         coef = data.draw(st.floats(1e-5, 1e-1), label="dt") * 0.5
-        V = g.viscous_matrix
-
-        def A(p):
-            q = V @ p
-            q *= coef
-            q += alpha * p
-            return q
-
+        A = viscous_system(g, alpha, coef)
         M = viscous_preconditioner(g, alpha, coef)
-        size = V.shape[0]
+        size = interior_size(g)
     else:
-        L = g.dirichlet_laplacian
+        L = _reference_laplacian(g)
         A, M, size = L.__matmul__, np.copy, L.shape[0]
     rtol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12]), label="rtol")
     maxiter = data.draw(st.sampled_from([1, 7, 20 * size]), label="maxiter")
@@ -786,18 +850,20 @@ def shifted_systems(dim):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_viscous_preconditioner_inverts_diagonal_blocks(dim, data):
-    # block i of alpha I + coef A_h, cut from the assembled matrix, is
-    # diagonal in the sine basis, so the preconditioner undoes it exactly
+    # block i of alpha I + coef A_h, applied by the velocity system to a
+    # vector whose other components vanish, is diagonal in the sine basis,
+    # so the preconditioner undoes it exactly
     (n, extent, seed), alpha, coef = data.draw(shifted_systems(dim))
     g = Grid(dim, n, extent)
-    size = g.dirichlet_laplacian.shape[0]
-    x = np.random.default_rng(seed).normal(size=dim * size)
-    y = np.concatenate([
-        alpha * x[i * size:(i + 1) * size]
-        + coef * (g.viscous_matrix[i * size:(i + 1) * size,
-                                   i * size:(i + 1) * size]
-                  @ x[i * size:(i + 1) * size])
-        for i in range(dim)])
+    system = viscous_system(g, alpha, coef)
+    x = np.random.default_rng(seed).normal(size=interior_size(g))
+    size = x.size // dim
+    y = np.empty_like(x)
+    for i in range(dim):
+        part = slice(i * size, (i + 1) * size)
+        alone = np.zeros_like(x)
+        alone[part] = x[part]
+        y[part] = system(alone)[part]
     back = viscous_preconditioner(g, alpha, coef)(y)
     assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -826,7 +892,7 @@ def test_poisson_dirichlet_matches_sparse_direct_solve(dim, data):
     phi = _poisson_dirichlet(g, rhs)
     assert np.all(phi[:, g.boundary_mask] == 0.0)
     for comp in range(2):
-        ref = spsolve(g.dirichlet_laplacian.tocsc(),
+        ref = spsolve(_reference_laplacian(g).tocsc(),
                       rhs[comp][~g.boundary_mask])
         got = phi[comp][~g.boundary_mask]
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -57,6 +57,12 @@ solve of every component, done exactly in the sine basis: transform, divide
 by sum_a lam_a, transform back.  `trajectory_norms` takes each norm a
 trajectory's budgets read, once per node and rate, into one table whose
 columns the membership check, the post-run audit and the gap energy read.
+It stacks several nodes (or rates, each built with its batch) into one
+derivative tree, in batches of at most `_NORM_BATCH` floats; since every
+difference is elementwise and every (node, component) row is reduced on
+its own, each row is the bits of `norms` of that node alone.  A table can
+hand node 0's rows to the next table of a trajectory with the same node 0,
+which `iterate` does: its sweeps all pass node 0 through.
 
 The velocity step solves alpha I + c A_h by `conjugate_gradient`, the
 package's port of scipy's preconditioned CG, with `viscous_preconditioner`:
@@ -549,40 +555,56 @@ def inner(a, b) -> float:
     return total
 
 
+def _stack_norms(grid: Grid, stack: np.ndarray, mults, k: int) -> np.ndarray:
+    """H^0..H^k of every field of a stack (fields, ncomp, *node_shape).
+
+    One derivative tree over all fields and components: the quotient of each
+    sorted multi-index is one difference of its parent's, and each
+    (field, component) row is reduced on its own, so a field's row of the
+    result does not depend on what else is stacked with it.  Per field the
+    squared terms are added in the order `norm` defines.  Returns an array
+    (fields, k + 1).
+    """
+    count, ncomp = stack.shape[:2]
+    w, h = grid.weights, grid.h
+    squares = {}  # multi-index -> weighted L2 square per (field, component)
+
+    def visit(axes, d):
+        squares[axes] = _weighted_sums(w, d, d)
+        if len(axes) < k:
+            for ax in range(axes[-1] if axes else 0, grid.dim):
+                visit(axes + (ax,), _diff1(d, h[ax], ax + 1))
+
+    visit((), stack.reshape((count * ncomp,) + grid.node_shape))
+    terms = [(order, squares[axes]) for order in range(k + 1)
+             for axes in itertools.combinations_with_replacement(
+                 range(grid.dim), order)]
+    rows = []
+    for i in range(count):
+        totals = [0.0] * (k + 1)
+        for c, mult in enumerate(mults):
+            for order, square in terms:
+                term = mult * square[i * ncomp + c]
+                for j in range(order, k + 1):
+                    totals[j] += term
+        rows.append(totals)
+    return np.sqrt(rows)
+
+
 def norms(f, k: int = 0) -> tuple:
     """Discrete Sobolev norms (H^0, ..., H^k), k in {0, 1, 2, 3}, in one pass.
 
-    One derivative tree over the stacked components: the quotient of each
-    sorted multi-index is one difference of its parent's.  The squared terms
-    are added in the order `norm` defines, so entry j equals `norm(f, j)`
-    exactly.
+    One derivative tree over the stacked components (`_stack_norms`): the
+    quotient of each sorted multi-index is one difference of its parent's.
+    The squared terms are added in the order `norm` defines, so entry j
+    equals `norm(f, j)` exactly.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0 or k > 3:
         raise ValueError(f"norm order k={k} out of range 0..3")
-    g = f.grid
-    w = g.weights
-    h = g.h
     stack, mults = _components(f)
-    squares = {}  # multi-index -> weighted L2 square of each component
-
-    def visit(axes, d):
-        squares[axes] = _weighted_sums(w, d, d)
-        if len(axes) < k:
-            for ax in range(axes[-1] if axes else 0, g.dim):
-                visit(axes + (ax,), _diff1(d, h[ax], ax + 1))
-
-    visit((), stack)
-    totals = [0.0] * (k + 1)
-    for c, mult in enumerate(mults):
-        for order in range(k + 1):
-            for axes in itertools.combinations_with_replacement(range(g.dim),
-                                                                order):
-                term = mult * squares[axes][c]
-                for j in range(order, k + 1):
-                    totals[j] += term
-    return tuple(float(np.sqrt(t)) for t in totals)
+    return tuple(_stack_norms(f.grid, stack[None], mults, k)[0].tolist())
 
 
 def norm(f, k: int = 0) -> float:
@@ -628,6 +650,11 @@ class TrajectoryNorms:
         return float(self.w[:, 2].max())
 
     @property
+    def first_rows(self):
+        """The (w, pi, psi) rows of node 0, for `trajectory_norms`."""
+        return self.w[0], self.pi[0], self.psi[0]
+
+    @property
     def velocity_budget(self):
         """int ||w||_H3^2 + sup ||w||_H2^2 + int ||w'||_H1^2 + sup ||w'||_L2^2,
         squared on Python floats to match `norm(...) ** 2` to the bit."""
@@ -639,21 +666,53 @@ class TrajectoryNorms:
                 + max(squares(self.w_rate[:, 0])))
 
 
-def trajectory_norms(ws, pis, psis, dt) -> TrajectoryNorms:
+# floats in one stacked batch of `trajectory_norms`: two 3-D n=16 velocity
+# nodes, so the norms of 3-D trajectories are batched too, yet small enough
+# that a derivative tree, which holds about k + 2 arrays of the batch's
+# size at once, keeps the peak memory of every benchmark workload within 2%
+# of norming node by node
+_NORM_BATCH = 30_000
+
+
+def _batched_norms(nodes, k, dt=None):
+    """H^0..H^k of each node, or with ``dt`` of each backward difference
+    (node_i - node_{i-1}) / dt, from stacks of at most `_NORM_BATCH` floats
+    (one node at least), each built only when its batch is normed."""
+    grid = nodes[0].grid
+    mults = _components(nodes[0])[1]
+    size = max(1, _NORM_BATCH // (len(mults) * math.prod(grid.node_shape)))
+    lag = 0 if dt is None else 1
+    rows = []
+    for start in range(lag, len(nodes), size):
+        stack = np.stack([_components(f)[0]
+                          for f in nodes[start - lag:start + size]])
+        if dt is not None:
+            stack = (stack[1:] - stack[:-1]) / dt
+        rows.append(_stack_norms(grid, stack, mults, k))
+    return np.concatenate(rows)
+
+
+def trajectory_norms(ws, pis, psis, dt, first_rows=None) -> TrajectoryNorms:
     """Every norm the budgets of a velocity, density and stress trajectory
-    read, each computed once by `norms`."""
+    read, each computed once, in node batches (`_batched_norms`).
+
+    ``first_rows``, the (w, pi, psi) rows of node 0 from the table of a
+    trajectory with the same node 0 (`TrajectoryNorms.first_rows`), are
+    reused instead of recomputed.
+    """
     if not len(ws) == len(pis) == len(psis) >= 2:
         raise ValueError("need trajectories of one length, at least 2 nodes")
-
-    def rates(nodes):
-        return np.array([norms(type(cur)(cur.grid,
-                                         (cur.values - prev.values) / dt), 1)
-                         for prev, cur in zip(nodes[:-1], nodes[1:])])
-
+    if first_rows is None:
+        w, pi, psi = (_batched_norms(ws, 3), _batched_norms(pis, 2),
+                      _batched_norms(psis, 2))
+    else:
+        w, pi, psi = (np.vstack([row, _batched_norms(nodes[1:], k)])
+                      for row, nodes, k in zip(first_rows, (ws, pis, psis),
+                                               (3, 2, 2)))
     return TrajectoryNorms(
-        dt=dt, w=np.array([norms(v, 3) for v in ws]), w_rate=rates(ws),
-        pi=np.array([norms(p, 2) for p in pis]), pi_rate=rates(pis),
-        psi=np.array([norms(s, 2) for s in psis]), psi_rate=rates(psis))
+        dt=dt, w=w, w_rate=_batched_norms(ws, 1, dt), pi=pi,
+        pi_rate=_batched_norms(pis, 1, dt), psi=psi,
+        psi_rate=_batched_norms(psis, 1, dt))
 
 
 def mean(f: ScalarField) -> float:
@@ -791,7 +850,9 @@ def save_snapshot(f, t: float, path) -> None:
 
     Values are written row-major with 17 significant digits, which
     round-trips float64 bit-exactly: ``np.loadtxt(path, skiprows=1)``
-    reshaped to (components, *node_shape) reads them back.
+    reshaped to (components, *node_shape) reads them back.  Each row is
+    formatted by one ``%`` operation, which writes what ``f"{x:.17g}"``
+    writes for every float.
     """
     g = f.grid
     vals = f.values if f.values.ndim == g.dim + 1 else f.values[None]
@@ -800,8 +861,9 @@ def save_snapshot(f, t: float, path) -> None:
         ns = " ".join(str(m) for m in g.n)
         fh.write(f"{g.dim} {ns} {ncomp} {t:.17g}\n")
         flat = vals.reshape(-1, g.node_shape[-1])
-        for row in flat:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        line = " ".join(["%.17g"] * flat.shape[1]) + "\n"
+        for row in flat.tolist():
+            fh.write(line % tuple(row))
 
 
 # ---------------------------------------------------------------------------

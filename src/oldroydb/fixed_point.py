@@ -9,8 +9,12 @@ the paper's map, and its sweeps are the contraction evidence. The same
 fixed point can also be reached one step at a time (`march`), sweeping
 each one-step window in block Gauss-Seidel order, which contracts faster,
 and then certified by one Jacobi sweep. Gauss-Seidel solves; Jacobi
-certifies. Around the loop sit the admissible-set membership check
-(norm budgets summed from one `trajectory_norms` table per sweep, plus
+certifies. From its second sweep on, `iterate` starts each velocity solve
+from the input velocity (a warm start, which moves the output only
+within the linear tolerance); its first sweep, the audit sweep and the
+probe's sweeps start cold. Around the loop sit the admissible-set
+membership check (norm budgets summed from one `trajectory_norms` table
+per sweep, which takes node 0's norms from the first sweep's table, plus
 the density band), the audit of a converged window by one more sweep
 (`audit_window`), a continuity probe that perturbs the input trajectory
 and watches the output gap shrink linearly, and a two-solution energy
@@ -200,7 +204,7 @@ _STEP_FAILURES = (DensityBandError, LinearSolveError, NonDirichletError,
 
 
 def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
-                 seidel: bool = False) -> tuple:
+                 seidel: bool = False, warm: bool = False) -> tuple:
     """One application of the frozen-coefficient map, with diagnostics.
 
     Coefficients for step k are frozen at the arrival node k+1 of the input
@@ -222,6 +226,15 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
     starts from the input velocity at node k+1 (block Gauss-Seidel). Both
     orderings share their fixed points; `march` settles steps with the
     second, which contracts faster.
+
+    ``warm`` starts a Jacobi sweep's CG from the input velocity at node k+1
+    too; the forcing still reads the input (Jacobi). The start moves the
+    output only within ``tol_lin`` and saves iterations once the input is
+    near the fixed point, so `iterate` warms its sweeps from the second
+    on. A sweep that measures a given trajectory (the first of `iterate`,
+    which certifies a march, the audit and the probe) stays cold, so its
+    velocity reports count the iterations of a solve from the previous
+    step.
     """
     u, sg, tau = inp.w[0], inp.pi[0], inp.psi[0]
     us, sgs, taus = [u], [sg], [tau]
@@ -236,7 +249,7 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
             Fk = assemble_forcing(wk, cm.grad_w, viscous_operator(wk), pk,
                                   qk, params)
             u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin,
-                                  guess=wk if seidel else None)
+                                  guess=wk if seidel or warm else None)
         except _STEP_FAILURES as exc:
             exc.timestep = k + 1
             raise
@@ -273,19 +286,21 @@ class MembershipReport:
 
 
 def check_membership(candidate: IterTriple, b1: float, b2: float,
-                     params) -> MembershipReport:
+                     params, first_rows: tuple = None) -> MembershipReport:
     """Evaluate the norm-budget and band inequalities; never raises.
 
     Every term comes from one `trajectory_norms` table, kept as `table`:
     velocity usage is its `velocity_budget`, data usage is sup-t H2 of
     density plus stress, rate usage is sup-t H1 of their rates.  The
-    checks fail closed: a NaN usage violates its budget, and a NaN density
-    node makes the density range, the band check and `slack_min` NaN.
+    table reuses ``first_rows``, node 0's rows of an earlier candidate
+    with the same node 0, when given.  The checks fail closed: a NaN usage
+    violates its budget, and a NaN density node makes the density range,
+    the band check and `slack_min` NaN.
     """
     if b1 <= 0.0 or b2 <= 0.0:
         raise ValueError("budgets must be positive")
     table = trajectory_norms(candidate.w, candidate.pi, candidate.psi,
-                             candidate.dt)
+                             candidate.dt, first_rows=first_rows)
     w_used = table.velocity_budget
     data_used = float(table.pi[:, 2].max() + table.psi[:, 2].max())
     rate_used = float(table.pi_rate[:, 1].max() + table.psi_rate[:, 1].max())
@@ -389,8 +404,11 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
     mean-zero density remainder, total density inside the strict band).
     Membership is checked against `suggest_budgets` of the initial data,
     and ``hist.membership.table`` holds the returned solution's norms.
-    Raises NonConvergenceError with the distance history when max_iter
-    sweeps do not contract below tolerance or a distance is not finite.
+    Sweeps from the second on start their velocity solves warm
+    (`picard_sweep`), and node 0's norms, which every sweep passes through
+    unchanged, are taken once. Raises NonConvergenceError with the distance
+    history when max_iter sweeps do not contract below tolerance or a
+    distance is not finite.
     A step failure inside a sweep gains ``failed_sweep``, that sweep's
     number, and ``history``, the distances of the sweeps before it.
     """
@@ -411,14 +429,16 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
             raise ConfigError("initial guess must start from the given data")
 
     dists, ratios, slacks = [], [], []
+    first_rows = None  # node 0 passes through every sweep: norm it once
     for k in range(1, max_iter + 1):
         try:
-            y = picard_sweep(x, params, tol_lin=tol_lin)[0]
+            y = picard_sweep(x, params, tol_lin=tol_lin, warm=k > 1)[0]
         except _STEP_FAILURES as exc:
             exc.failed_sweep, exc.history = k, tuple(dists)
             raise
         d = trajectory_distance(y, x, params)
-        mem = check_membership(y, b1, b2, params)
+        mem = check_membership(y, b1, b2, params, first_rows=first_rows)
+        first_rows = mem.table.first_rows
         ratios.append(d / dists[-1] if dists and dists[-1] > 0.0
                       else float("nan"))
         dists.append(d)

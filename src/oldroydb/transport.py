@@ -34,8 +34,13 @@ with grad w frozen at the arrival node:
 
 a dense system on the m = dim (dim+1)/2 symmetric components per node.  Its
 matrix G of tau -> g(grad w, tau) is written from grad w through a constant
-index table, and all nodes are solved at once by one Gaussian elimination
-with partial pivoting, whose pivots also give the determinant.  The
+index table, and all nodes are solved at once by one Gaussian elimination,
+whose pivots also give the determinant.  The elimination exchanges rows
+only when a step's certificate fails: max|grad w| and the table's column
+sums bound every column sum of (We/2)|G|, and when We/dt + 1/2 exceeds that
+bound four times over, every column of the system is diagonally dominant,
+so partial pivoting would exchange no row (Golub & Van Loan, Matrix
+Computations, 3.4) and skipping its search gives the same bits.  The
 trapezoid weighting keeps the pure-relaxation limit accurate to O(dt^2),
 which the exact-decay acceptance tolerance requires; backward Euler's
 O(dt) amplification bias is an order of magnitude too coarse at dt = 1e-3.
@@ -243,6 +248,29 @@ def _coupling_table(dim):
 
 _COUPLING_TABLES = {dim: _coupling_table(dim) for dim in (2, 3)}
 
+# largest column sum of |G| per unit of max|L|: sum over p and r of
+# |T[p m + q, r]|, maximized over the column q
+_COUPLING_COLUMN_SUMS = {
+    dim: float(np.abs(table).reshape(len(sym_components(dim)), -1,
+                                     dim * dim).sum(axis=(0, 2)).max())
+    for dim, table in _COUPLING_TABLES.items()}
+
+_DOMINANCE_MARGIN = 4.0  # factor by which the diagonal must exceed the bound
+
+
+def _diagonally_dominant(grad_w, a, We, diagonal):
+    """Whether every column of diagonal I + (We/2) G dominates its diagonal
+    with the margin `_DOMINANCE_MARGIN`, certified from max|grad w| alone.
+
+    |L_ij| <= (|1 + a| + |a - 1|) / 2 max|grad w|, and a column of |G|
+    sums to at most `_COUPLING_COLUMN_SUMS` max|L|.  A non-finite grad w
+    fails the certificate.
+    """
+    dim = grad_w.shape[0]
+    l_max = 0.5 * (abs(1.0 + a) + abs(a - 1.0)) * float(np.abs(grad_w).max())
+    bound = 0.5 * We * _COUPLING_COLUMN_SUMS[dim] * l_max
+    return bool(diagonal > _DOMINANCE_MARGIN * bound)
+
 
 def _coupling_matrices(grad_w, a):
     """Per-node matrix (m, m, N) of tau -> g(grad w, tau) on stored components.
@@ -256,24 +284,29 @@ def _coupling_matrices(grad_w, a):
     return (_COUPLING_TABLES[dim] @ L.reshape(dim * dim, -1)).reshape(m, m, -1)
 
 
-def _solve_nodes(M, b):
-    """Solve M x = b at every node by Gaussian elimination, partial pivoting.
+def _solve_nodes(M, b, pivot=True):
+    """Solve M x = b at every node by Gaussian elimination.
 
-    M (m, m, N) and b (m, N) are overwritten.  Returns (x, det), det the
-    signed product of the pivots.  A zero pivot makes det zero or NaN and
-    x non-finite at that node; no floating-point warning is raised, so the
-    caller decides from det.
+    With ``pivot`` each column's largest entry is exchanged into the pivot
+    row (partial pivoting); without it no row moves, which gives the same
+    bits whenever partial pivoting would exchange none, as on column
+    diagonally dominant systems.  M (m, m, N) and b (m, N) are
+    overwritten.  Returns (x, det), det the signed product of the pivots.
+    A zero pivot makes det zero or NaN and x non-finite at that node; no
+    floating-point warning is raised, so the caller decides from det.
     """
     m = b.shape[0]
     det = np.ones(b.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(m - 1):
-            piv = k + np.argmax(np.abs(M[k:, k]), axis=0)
-            swap = np.flatnonzero(piv != k)
-            p = piv[swap]
-            M[p, k:, swap], M[k, k:, swap] = M[k, k:, swap], M[p, k:, swap]
-            b[p, swap], b[k, swap] = b[k, swap], b[p, swap]
-            det[swap] = -det[swap]
+            if pivot:
+                piv = k + np.argmax(np.abs(M[k:, k]), axis=0)
+                swap = np.flatnonzero(piv != k)
+                p = piv[swap]
+                M[p, k:, swap], M[k, k:, swap] = (M[k, k:, swap],
+                                                  M[p, k:, swap])
+                b[p, swap], b[k, swap] = b[k, swap], b[p, swap]
+                det[swap] = -det[swap]
             det *= M[k, k]
             f = M[k + 1:, k] / M[k, k]
             M[k + 1:, k + 1:] -= f[:, None] * M[k, k + 1:]
@@ -292,13 +325,15 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
     All nodes are advanced at once along the characteristics of `cm`.  D
     and the coupling matrix G of g = L tau + tau L^T come from `cm.grad_w`
     (G through `_coupling_matrices`), the right-hand side applies G to the
-    pulled-back tau_dep, and one pivoted elimination of M = (We/dt + 1/2) I
-    + (We/2) G yields both the solution and det M; `min_det_scale` is the
-    smallest |det M| / (We/dt + 1/2)^m.  The output inherits exact symmetry
-    from the component storage.  A per-node system with |det M| / (We/dt +
-    1/2)^m below 1e-12, or a zero or non-finite pivot product (extreme dt
-    |grad w|), raises SingularStressSystemError naming the node with the
-    smallest |det M|.
+    pulled-back tau_dep, and one elimination of M = (We/dt + 1/2) I +
+    (We/2) G yields both the solution and det M; `min_det_scale` is the
+    smallest |det M| / (We/dt + 1/2)^m.  The elimination skips the row
+    exchanges of partial pivoting when `_diagonally_dominant` certifies M
+    from max|grad w|, and pivots otherwise.  The output inherits exact
+    symmetry from the component storage.  A per-node system with |det M| /
+    (We/dt + 1/2)^m below 1e-12, or a zero or non-finite pivot product
+    (extreme dt |grad w|), raises SingularStressSystemError naming the node
+    with the smallest |det M|.
     """
     grid = tau_prev.grid
     m = tau_prev.ncomp
@@ -313,7 +348,8 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
 
     M = 0.5 * params.We * G
     M[np.arange(m), np.arange(m)] += lam + 0.5
-    sol, det = _solve_nodes(M, rhs)
+    sol, det = _solve_nodes(M, rhs, pivot=not _diagonally_dominant(
+        cm.grad_w, params.a, params.We, lam + 0.5))
 
     scale = (lam + 0.5) ** m
     dets = np.nan_to_num(det / scale, nan=0.0, posinf=0.0, neginf=0.0)

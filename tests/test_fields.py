@@ -184,7 +184,46 @@ def test_inner_and_hminus1_add_component_sums_in_order(dim, data):
 @settings(max_examples=25, deadline=None)
 @given(dim=st.sampled_from([2, 3]), data=st.data())
 def test_trajectory_norms_are_norms_of_each_node_and_rate(dim, data):
-    ws, pis, psis, dt = draw_trajectory(data, dim)
+    assert_table_is_norms_of_each_node_and_rate(*draw_trajectory(data, dim))
+
+
+@pytest.mark.parametrize("dim,n", [(3, 16), (2, 64)])
+def test_trajectory_norms_split_into_batches_are_norms_of_each_node(dim, n):
+    # the shapes of the benchmark windows: 11 nodes, whose velocity,
+    # density and stress stacks each take several batches, some of them
+    # several nodes long and the last one short
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(n)
+    ws, pis, psis = ([random_smooth_field(grid, rng, kind=kind)
+                      for _ in range(11)]
+                     for kind in ("vector", "scalar_free", "symtensor"))
+    per_batch = [max(1, fields._NORM_BATCH // (ncomp * (n + 1) ** dim))
+                 for ncomp in (dim, 1, dim * (dim + 1) // 2)]
+    assert max(per_batch) < 10 and any(11 % b > 1 for b in per_batch)
+    assert_table_is_norms_of_each_node_and_rate(ws, pis, psis, 1e-3)
+
+
+def test_trajectory_norms_reuse_the_given_first_rows(monkeypatch):
+    # node 0's rows come from an earlier table and are not recomputed
+    grid = Grid(2, 12)
+    rng = np.random.default_rng(5)
+    ws, pis, psis = ([random_smooth_field(grid, rng, kind=kind)
+                      for _ in range(4)]
+                     for kind in ("vector", "scalar_free", "symtensor"))
+    table = trajectory_norms(ws, pis, psis, 1e-2)
+    normed = []
+    real = fields._stack_norms
+    monkeypatch.setattr(fields, "_stack_norms",
+                        lambda grid, stack, *a: normed.append(len(stack))
+                        or real(grid, stack, *a))
+    again = trajectory_norms(ws, pis, psis, 1e-2,
+                             first_rows=table.first_rows)
+    assert sum(normed) == 3 * 3 + 3 * 3  # nodes 1..3 and three rates each
+    for name in ("w", "w_rate", "pi", "pi_rate", "psi", "psi_rate"):
+        assert np.array_equal(getattr(again, name), getattr(table, name))
+
+
+def assert_table_is_norms_of_each_node_and_rate(ws, pis, psis, dt):
     table = trajectory_norms(ws, pis, psis, dt)
 
     def rate(prev, cur):
@@ -953,6 +992,24 @@ def test_snapshot_round_trip_bit_exact(tmp_path_factory, dim, data):
     assert float(head[2 + dim]) == t
     back = np.loadtxt(path, skiprows=1).reshape((ncomp,) + g.node_shape)
     assert np.array_equal(back.reshape(f.values.shape), f.values)
+
+
+def test_snapshot_rows_are_the_per_value_format(tmp_path):
+    # one % per row writes the bytes of one f-string per value, signed
+    # zeros, subnormals and extreme exponents included
+    g = Grid(2, (8, 9))
+    vals = np.random.default_rng(3).normal(size=(2,) + g.node_shape)
+    specials = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                -1e300, 1e-300, 123456789012345678.0, 0.1, -1.0 / 3.0]
+    vals.flat[:len(specials)] = specials
+    f = VectorField(g, vals)
+    path = tmp_path / "snap.dat"
+    save_snapshot(f, t=-0.0, path=path)
+    expect = f"2 8 9 2 {-0.0:.17g}\n" + "".join(
+        " ".join(f"{x:.17g}" for x in row) + "\n"
+        for row in vals.reshape(-1, g.node_shape[-1]))
+    assert path.read_bytes() == expect.encode()
+    assert b"-0 0 4.9406564584124654e-324" in path.read_bytes()
 
 
 def test_inner_product_validation():

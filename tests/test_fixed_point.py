@@ -357,6 +357,59 @@ def test_iterate_converges_monotonically(converged32):
     assert min(hist.slack_mins) > 0.0
 
 
+def test_iterate_warms_every_sweep_but_the_first(monkeypatch):
+    # on the small-data preset (the `smalldata2d` config, n=32) a warm
+    # start from the input velocity keeps the sweep count and saves CG
+    # iterations against every sweep cold; the first sweep is cold
+    grid, params, u0, s0, t0 = small_preset(32)
+    real = fixed_point.picard_sweep
+
+    def run(cold):
+        warms, iters = [], []
+
+        def sweep(*args, **kwargs):
+            if cold:
+                kwargs["warm"] = False
+            warms.append(kwargs.get("warm", False))
+            out, diag = real(*args, **kwargs)
+            iters.append(sum(r.iterations for r in diag.velocity_reports))
+            return out, diag
+
+        monkeypatch.setattr(fixed_point, "picard_sweep", sweep)
+        hist = iterate(u0, s0, t0, params, T=0.01, dt=1e-3)[1]
+        return hist, warms, iters
+
+    warm_hist, warms, warm_iters = run(cold=False)
+    cold_hist, _, cold_iters = run(cold=True)
+    assert warms == [False] + [True] * (warm_hist.iterations - 1)
+    assert warm_hist.iterations == cold_hist.iterations > 2
+    assert warm_iters[0] == cold_iters[0]
+    assert sum(warm_iters) < sum(cold_iters)
+
+
+def test_iterate_norms_node_0_once(monkeypatch):
+    # every sweep passes node 0 through, so one iterate call norms it once
+    # and reuses its rows; the returned table is the solution's own
+    grid, params, u0, s0, t0 = small_preset(12)
+    firsts = []
+    real = fields._batched_norms
+
+    def batched(nodes, k, dt=None):
+        if dt is None:
+            firsts.append(nodes[0])
+        return real(nodes, k, dt)
+
+    monkeypatch.setattr(fields, "_batched_norms", batched)
+    sol, hist = iterate(u0, s0, t0, params, T=5e-3, dt=1e-3)
+    assert hist.iterations > 2
+    assert len(firsts) == 3 * hist.iterations
+    assert [sum(f is x for f in firsts) for x in (u0, s0, t0)] == [1, 1, 1]
+    fresh = trajectory_norms(sol.w, sol.pi, sol.psi, sol.dt)
+    for name in ("w", "w_rate", "pi", "pi_rate", "psi", "psi_rate"):
+        assert np.array_equal(getattr(hist.membership.table, name),
+                              getattr(fresh, name))
+
+
 @pytest.mark.parametrize("name", ["converged32", "converged64"])
 def test_distances_contract_over_two_sweeps(request, name):
     # every two-sweep factor d_k / d_{k-2} over the last four sweeps is at

@@ -270,6 +270,18 @@ def test_ledger_columns_match_their_sources(tmp_path):
     assert rows[0]["lin_iters"] > 0
 
 
+def test_cli_run_audit_sweep_solves_every_step_cold(tmp_path):
+    # `iterate` warms its later sweeps, but the audit sweep behind the
+    # ledger starts each velocity solve from the previous step, so every
+    # step of the converged window still takes CG iterations
+    path = os.path.join(DEMOS, "configs", "smalldata2d.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    rows = _ledger_rows(out)
+    assert len(rows) == 10
+    assert all(row["lin_iters"] > 0 for row in rows)
+
+
 def test_cli_run_reports_transport_bounds_without_gating(tmp_path, capsys):
     # the audit's fitted sup estimates, in strict JSON; no check reads
     # them and stdout does not print them

@@ -1,5 +1,6 @@
 """Characteristic trace, density and stress transport, a-priori bounds."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,10 @@ from oldroydb.fields import _diff1, random_smooth_field
 from oldroydb.mms import (_ADVECTION_AMP, _ADVECTION_T, _vortex_feet,
                           density_advection_study, density_still_study,
                           stress_relaxation_study, taylor_vortex)
-from oldroydb.transport import (_coupling_matrices, _rate_constant,
-                                _solve_nodes, check_density_bounds, check_stress_bounds,
+from oldroydb.transport import (_COUPLING_COLUMN_SUMS, _DOMINANCE_MARGIN,
+                                _coupling_matrices, _diagonally_dominant,
+                                _rate_constant, _solve_nodes,
+                                check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
 
 
@@ -596,6 +599,85 @@ def test_pivoted_elimination_matches_lapack(m):
     x, det = _solve_nodes(M.copy(), b.copy())
     assert np.abs(det - expect_det).max() <= 1e-12 * np.abs(expect_det).max()
     assert np.abs(x - expect_x).max() <= 1e-10 * np.abs(expect_x).max()
+
+
+def stress_system(grad_w, params, dt):
+    """The per-node matrix of `step_stress`, (We/dt + 1/2) I + (We/2) G."""
+    G = _coupling_matrices(grad_w, params.a)
+    m = G.shape[0]
+    M = 0.5 * params.We * G
+    M[np.arange(m), np.arange(m)] += params.We / dt + 0.5
+    return M
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), a=st.floats(-1.0, 1.0),
+       We=st.floats(1e-3, 10.0), dt=st.floats(1e-4, 1.0),
+       reach=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_certified_elimination_needs_no_row_exchange(dim, a, We, dt, reach,
+                                                    seed):
+    # inside the dominance certificate the elimination without row
+    # exchanges is the pivoted one, bit for bit, solution and determinant
+    rng = np.random.default_rng(seed)
+    grad_w = rng.normal(size=(dim, dim, 40))
+    diagonal = We / dt + 0.5
+    g_cap = diagonal / (_DOMINANCE_MARGIN * 0.5 * We
+                        * _COUPLING_COLUMN_SUMS[dim]
+                        * 0.5 * (abs(1.0 + a) + abs(a - 1.0)))
+    grad_w *= 0.999 * reach * g_cap / np.abs(grad_w).max()
+    assert _diagonally_dominant(grad_w, a, We, diagonal)
+    params = FluidParams(We=We, a=a)
+    M = stress_system(grad_w, params, dt)
+    m = M.shape[0]
+    diag = np.abs(M[np.arange(m), np.arange(m)])
+    assert np.all(np.abs(M).sum(axis=0) - diag < diag)  # column dominance
+    b = rng.normal(size=(m, 40))
+    x_piv, det_piv = _solve_nodes(M.copy(), b.copy(), pivot=True)
+    x, det = _solve_nodes(M.copy(), b.copy(), pivot=False)
+    assert np.array_equal(x, x_piv) and np.array_equal(det, det_piv)
+    grad_w[0, 0, 0] = np.nan
+    assert not _diagonally_dominant(grad_w, a, We, diagonal)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_uncertified_stress_step_pivots_and_matches_lapack(dim):
+    # a strong, step-long rotation fails the certificate, and the first
+    # column of some node's system has its largest entry off the
+    # diagonal; the system stays regular (the rotation part of G is skew
+    # up to scaling), and the pivoted fallback solves it
+    grid = Grid(dim, 8)
+    rng = np.random.default_rng(dim)
+    spin = rng.normal(size=(dim, dim) + grid.node_shape)
+    grad_w = (3.0 * (spin - spin.swapaxes(0, 1))
+              + 0.2 * rng.normal(size=spin.shape))
+    dt = 1.0
+    params = FluidParams(We=1.0, a=0.5)
+    still = trace(VectorField.zeros(grid, dirichlet=True), dt)
+    cm = dataclasses.replace(still, grad_w=grad_w)
+    assert not _diagonally_dominant(grad_w, params.a, params.We,
+                                    params.We / dt + 0.5)
+    M = stress_system(grad_w, params, dt)
+    assert np.any(np.argmax(np.abs(M[:, 0]), axis=0) != 0)
+
+    tau = SymTensorField(grid, rng.normal(size=(len(M),) + grid.node_shape))
+    with mock.patch.object(transport, "_solve_nodes",
+                           wraps=_solve_nodes) as solve:
+        out, rep = step_stress(tau, cm, params)
+    assert solve.call_args.kwargs["pivot"] is True
+    m = len(M)
+    t = tau.values.reshape(m, -1)
+    D = SymTensorField.from_full(grid, grad_w).values.reshape(m, -1)
+    G = _coupling_matrices(grad_w, params.a)
+    rhs = ((params.We / dt - 0.5) * t
+           - 0.5 * params.We * np.einsum("pqn,qn->pn", G, t)
+           + 2.0 * params.omega * D)
+    stacked = np.moveaxis(M, -1, 0)
+    expect = np.linalg.solve(stacked, rhs.T[..., None])[..., 0].T
+    assert rep.min_det_scale > 1e-3
+    assert (np.abs(out.values.reshape(m, -1) - expect).max()
+            <= 1e-12 * np.abs(expect).max())
 
 
 # ---------------------------------------------------------------------------

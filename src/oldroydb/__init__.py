@@ -22,7 +22,7 @@ from .transport import (CharacteristicMap, DensityBoundReport,
                         trace)
 from .velocity import (EnergyBudgetReport, RegularityReport,
                        VelocityStepReport, check_energy_budget,
-                       check_regularity_budget, run_velocity, step_velocity)
+                       check_regularity_budget, step_velocity)
 from .fixed_point import (ConvergenceHistory, IterTriple, MembershipReport,
                           ProbeReport, SweepDiagnostics, SystemResidual,
                           UniquenessReport, WindowAudit, assemble_forcing,

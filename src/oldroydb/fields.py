@@ -22,16 +22,18 @@ div w is always the diagonal of the gradient added in axis order
 (`diagonal_sum`), wherever the diagonal comes from.
 
 The elliptic block A_h = -(lap + grad div), which `viscous_operator`
-applies at interior nodes and the velocity step solves (`viscous_system`),
-is applied as a stencil on the flat, zero-bordered component stack with
-the same axis-stride offsets (`_viscous_stencil`): one compact second
-difference per axis for all components at once, with the weight doubled
-on component a along axis a (the compact d^2/dx_a^2 of A_h's diagonal
-block), and for each axis pair a < b the product of the two centered
-differences, which couples components a and b.  Every coefficient is the
-value the interior `_diff2` or `_diff1` stencil takes at a unit vector,
-so the matrix the stencil applies is exactly symmetric and is, entry for
-entry, the Kronecker assembly of the 1-D interior difference matrices.
+applies at interior nodes, `viscous_interior` applies with zero boundary
+rows for the sweep's forcing, and the velocity step solves
+(`viscous_system`), is applied as a stencil on the flat, zero-bordered
+component stack with the same axis-stride offsets (`_viscous_stencil`):
+one compact second difference per axis for all components at once, with
+the weight doubled on component a along axis a (the compact d^2/dx_a^2 of
+A_h's diagonal block), and for each axis pair a < b the product of the
+two centered differences, which couples components a and b.  Every
+coefficient is the value the interior `_diff2` or `_diff1` stencil takes
+at a unit vector, so the matrix the stencil applies is exactly symmetric
+and is, entry for entry, the Kronecker assembly of the 1-D interior
+difference matrices.
 
 Sine eigenpairs: on an m-cell axis the 1-D Dirichlet -d^2/dx^2 is
 S diag(lam) S with lam_k = (4/h^2) sin^2(k pi/2m) and the symmetric,
@@ -86,9 +88,9 @@ from .errors import NonDirichletError
 __all__ = [
     "Grid", "ScalarField", "VectorField", "SymTensorField",
     "gradient", "grad_tensor", "diagonal_sum", "divergence", "div_tensor",
-    "laplacian", "viscous_operator", "strain", "norm", "norms", "inner",
-    "mean", "mean_zero_project", "norm_hminus1", "sym_components",
-    "save_snapshot", "random_smooth_field",
+    "laplacian", "viscous_operator", "viscous_interior", "strain", "norm",
+    "norms", "inner", "mean", "mean_zero_project", "norm_hminus1",
+    "sym_components", "save_snapshot", "random_smooth_field",
     "conjugate_gradient", "viscous_system", "viscous_preconditioner",
     "TrajectoryNorms", "trajectory_norms",
 ]
@@ -498,7 +500,8 @@ def viscous_operator(v: VectorField) -> VectorField:
     for v = 0.  Boundary nodes carry the generic one-sided composition
     (they never enter the inner product because v vanishes there).  That
     composition is evaluated on the whole grid, but only its boundary
-    values are kept: the stencil overwrites every interior node.
+    values are kept: the stencil overwrites every interior node.  A reader
+    of the interior rows alone takes `viscous_interior`.
     """
     if not v.dirichlet:
         raise NonDirichletError("viscous_operator requires a dirichlet-flagged field")
@@ -507,6 +510,19 @@ def viscous_operator(v: VectorField) -> VectorField:
     interior = (slice(None),) + (slice(1, -1),) * g.dim
     vals[interior] = _viscous_stencil(g, v.values)[interior]
     return VectorField(g, vals, dirichlet=False)
+
+
+def viscous_interior(v: VectorField) -> VectorField:
+    """A_h v at interior nodes, zero on the boundary nodes: the rows of
+    `viscous_operator(v)` that a velocity step reads, equal to them to the
+    bit, without the whole-grid composition that only the boundary rows
+    need.
+    """
+    if not v.dirichlet:
+        raise NonDirichletError("viscous_interior requires a dirichlet-flagged field")
+    vals = _viscous_stencil(v.grid, v.values)
+    vals[:, v.grid.boundary_mask] = 0.0
+    return VectorField(v.grid, vals)
 
 
 def strain(v: VectorField) -> SymTensorField:

@@ -12,13 +12,18 @@ and then certified by one Jacobi sweep. Gauss-Seidel solves; Jacobi
 certifies. From its second sweep on, `iterate` starts each velocity solve
 from the input velocity (a warm start, which moves the output only
 within the linear tolerance); its first sweep, the audit sweep and the
-probe's sweeps start cold. Around the loop sit the admissible-set
-membership check (norm budgets summed from one `trajectory_norms` table
-per sweep, which takes node 0's norms from the first sweep's table, plus
-the density band), the audit of a converged window by one more sweep
-(`audit_window`), a continuity probe that perturbs the input trajectory
-and watches the output gap shrink linearly, and a two-solution energy
-experiment that fits the growth constant of the Gronwall envelope.
+probe's sweeps start cold. A sweep computes and holds only what its
+readers use: the velocity step reads the forcing at interior nodes, so a
+sweep takes A w there by the stencil CG applies (`viscous_interior`) and
+keeps no forcing; the whole-grid forcings the energy and regularity
+checks read are assembled once, by the audit. Around the loop sit the
+admissible-set membership check (norm budgets summed from one
+`trajectory_norms` table per sweep, which takes node 0's norms from the
+first sweep's table, plus the density band), the audit of a converged
+window by one more sweep (`audit_window`, whose table reuses the
+solution's node-0 rows), a continuity probe that perturbs the input
+trajectory and watches the output gap shrink linearly, and a two-solution
+energy experiment that fits the growth constant of the Gronwall envelope.
 
 Budgets and the Gronwall constant are empirical: the analysis guarantees
 their existence but not their size. The budgets are sized from the initial
@@ -36,7 +41,8 @@ from .errors import (ConfigError, DensityBandError, LinearSolveError,
                      SingularStressSystemError)
 from .fields import (ScalarField, SymTensorField, TrajectoryNorms,
                      VectorField, div_tensor, grad_tensor, gradient, mean,
-                     norm, strain, trajectory_norms, viscous_operator)
+                     norm, strain, trajectory_norms, viscous_interior,
+                     viscous_operator)
 from .rheology import momentum_source
 from .transport import (DensityBoundReport, StressBoundReport,
                         check_density_bounds, check_stress_bounds,
@@ -177,7 +183,10 @@ def assemble_forcing(w: VectorField, grad_w: np.ndarray, Aw: VectorField,
     Density-weighted remainder terms from the momentum source, minus the
     guess self-transport, minus the density push, plus the stress divergence.
     `grad_w` is `grad_tensor(w)`, in a sweep from the step's characteristic
-    map, and `Aw` is `viscous_operator(w)`; grad pi is taken here.
+    map; grad pi is taken here. `Aw` is A w: `viscous_operator(w)` gives
+    the whole-grid forcing the audit reads, and `viscous_interior(w)`, as
+    in a sweep, gives the same interior rows (all a velocity step reads) to
+    the bit, with its boundary rows not meaningful.
     """
     gp = gradient(pi)
     base = momentum_source(Aw, pi, gp, params)
@@ -189,10 +198,10 @@ def assemble_forcing(w: VectorField, grad_w: np.ndarray, Aw: VectorField,
 
 @dataclass(frozen=True)
 class SweepDiagnostics:
-    """Per-step byproducts of one sweep, in ledger order: entry k belongs
-    to step k+1, so ``forcings`` holds F(t_1) .. F(t_N) without F(0)."""
+    """Per-step reports of one sweep, in ledger order: entry k belongs to
+    step k+1. No forcing is kept; `audit_window` assembles the whole-grid
+    forcings it reads."""
 
-    forcings: tuple
     velocity_reports: tuple
     density_reports: tuple
     stress_reports: tuple
@@ -212,10 +221,12 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
     the density and the stress with the trace's map, then assembles the
     forcing and solves for the velocity. The trace takes the frozen
     velocity's gradient once; the density's div w, the stress's D and
-    coupling, and the forcing's transport term all read it. Only
-    `viscous_operator` differentiates that velocity again, for its own
-    divergence and second differences. No step reads the forcing at node
-    0, so none is assembled there. Initial data pass through exactly.
+    coupling, and the forcing's transport term all read it. The velocity
+    step reads the forcing at interior nodes only, so its A w is
+    `viscous_interior`, the stencil CG applies, with zero boundary rows;
+    `viscous_operator`'s whole-grid composition is never taken. No step
+    reads the forcing at node 0, so none is assembled there, and no
+    forcing outlives its step. Initial data pass through exactly.
     Solver failures gain a ``timestep`` attribute before propagating.
 
     By default the forcing reads the input's density and stress at node
@@ -238,7 +249,7 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
     """
     u, sg, tau = inp.w[0], inp.pi[0], inp.psi[0]
     us, sgs, taus = [u], [sg], [tau]
-    Fs, vreps, dreps, sreps = [], [], [], []
+    vreps, dreps, sreps = [], [], []
     for k in range(inp.nsteps):
         wk = inp.w[k + 1]
         try:
@@ -246,7 +257,7 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
             sg, dr = step_density(sg, cm, params)
             tau, sr = step_stress(tau, cm, params)
             pk, qk = (sg, tau) if seidel else (inp.pi[k + 1], inp.psi[k + 1])
-            Fk = assemble_forcing(wk, cm.grad_w, viscous_operator(wk), pk,
+            Fk = assemble_forcing(wk, cm.grad_w, viscous_interior(wk), pk,
                                   qk, params)
             u, vr = step_velocity(u, Fk, inp.dt, params, tol_lin=tol_lin,
                                   guess=wk if seidel or warm else None)
@@ -256,13 +267,11 @@ def picard_sweep(inp: IterTriple, params, tol_lin: float = TOL_LIN,
         us.append(u)
         sgs.append(sg)
         taus.append(tau)
-        Fs.append(Fk)
         vreps.append(vr)
         dreps.append(dr)
         sreps.append(sr)
     out = IterTriple(us, sgs, taus, inp.dt)
-    diag = SweepDiagnostics(tuple(Fs), tuple(vreps), tuple(dreps),
-                            tuple(sreps))
+    diag = SweepDiagnostics(tuple(vreps), tuple(dreps), tuple(sreps))
     return out, diag
 
 
@@ -534,8 +543,9 @@ class SystemResidual:
 @dataclass(frozen=True)
 class WindowAudit:
     """Every post-run estimate of a converged window: ``out`` and ``diag``
-    come from one more sweep, ``forcings`` holds F(0) .. F(t_N), and every
-    report reads ``table``, the norm table of ``out``."""
+    come from one more sweep, ``forcings`` holds the whole-grid F(0) ..
+    F(t_N) assembled from the window, and every report reads ``table``,
+    the norm table of ``out``."""
 
     out: IterTriple
     diag: SweepDiagnostics
@@ -548,19 +558,29 @@ class WindowAudit:
     stress: StressBoundReport
 
 
-def audit_window(sol: IterTriple, params,
-                 tol_lin: float = TOL_LIN) -> WindowAudit:
+def audit_window(sol: IterTriple, params, tol_lin: float = TOL_LIN,
+                 first_rows: tuple = None) -> WindowAudit:
     """Plug a converged trajectory into one more sweep and check that
     sweep against the energy, dissipation, regularity and transport
     estimates. Its gap to ``sol`` is the residual; its per-step reports
-    describe exactly the linear problems ``sol`` solves. F(0), which no
-    step reads, and the regularity bracket share one A u0.
+    describe exactly the linear problems ``sol`` solves. The energy and
+    regularity checks read whole-grid forcings, which the sweep does not
+    keep: F(t_k) is assembled here from node k of ``sol``, the node step k
+    of the sweep freezes, with `grad_tensor` and `viscous_operator`, so its
+    interior rows are the sweep's to the bit. F(0), which no step reads,
+    and the regularity bracket share one A u0. The norm table of ``out``
+    reuses ``first_rows``, node 0's rows from the table of ``sol``
+    (`TrajectoryNorms.first_rows`), when given: the sweep passes node 0
+    through unchanged.
     """
     out, diag = picard_sweep(sol, params, tol_lin=tol_lin)
-    u0, Au0 = sol.w[0], viscous_operator(sol.w[0])
-    forcings = (assemble_forcing(u0, grad_tensor(u0), Au0, sol.pi[0],
-                                 sol.psi[0], params),) + diag.forcings
-    table = trajectory_norms(out.w, out.pi, out.psi, out.dt)
+    Au0 = viscous_operator(sol.w[0])
+    forcings = tuple(
+        assemble_forcing(w, grad_tensor(w),
+                         Au0 if k == 0 else viscous_operator(w), p, q, params)
+        for k, (w, p, q) in enumerate(zip(sol.w, sol.pi, sol.psi)))
+    table = trajectory_norms(out.w, out.pi, out.psi, out.dt,
+                             first_rows=first_rows)
     residual_norms = [r.residual_norm for r in diag.velocity_reports]
     return WindowAudit(
         out=out, diag=diag, forcings=forcings, table=table,

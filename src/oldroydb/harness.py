@@ -286,7 +286,8 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     sol, hist = iterate(u0, s0, t0, params, cfg.T, cfg.dt,
                         tol_fp=cfg.tol_fp, max_iter=cfg.max_iter,
                         tol_lin=cfg.tol_lin)
-    audit = audit_window(sol, params, tol_lin=cfg.tol_lin)
+    audit = audit_window(sol, params, tol_lin=cfg.tol_lin,
+                         first_rows=hist.membership.table.first_rows)
     out, diag, table, energy = audit.out, audit.diag, audit.table, audit.energy
     density, stress = audit.density, audit.stress
     residual = audit.residual.worst

@@ -275,7 +275,8 @@ def _diagonally_dominant(grad_w, a, We, diagonal):
 def _coupling_matrices(grad_w, a):
     """Per-node matrix (m, m, N) of tau -> g(grad w, tau) on stored components.
 
-    L = -(W + a D) = -((1 + a) grad w + (a - 1) grad w^T) / 2.
+    L = -(W + a D) = -((1 + a) grad w + (a - 1) grad w^T) / 2.  The result
+    is a fresh C-contiguous array, which `step_stress` overwrites.
     """
     dim = grad_w.shape[0]
     m = dim * (dim + 1) // 2
@@ -326,14 +327,15 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
     and the coupling matrix G of g = L tau + tau L^T come from `cm.grad_w`
     (G through `_coupling_matrices`), the right-hand side applies G to the
     pulled-back tau_dep, and one elimination of M = (We/dt + 1/2) I +
-    (We/2) G yields both the solution and det M; `min_det_scale` is the
-    smallest |det M| / (We/dt + 1/2)^m.  The elimination skips the row
-    exchanges of partial pivoting when `_diagonally_dominant` certifies M
-    from max|grad w|, and pivots otherwise.  The output inherits exact
-    symmetry from the component storage.  A per-node system with |det M| /
-    (We/dt + 1/2)^m below 1e-12, or a zero or non-finite pivot product
-    (extreme dt |grad w|), raises SingularStressSystemError naming the node
-    with the smallest |det M|.
+    (We/2) G, built in G's own storage, yields both the solution and det
+    M; `min_det_scale` is the smallest |det M| / (We/dt + 1/2)^m.  The
+    elimination skips the row exchanges of partial pivoting when
+    `_diagonally_dominant` certifies M from max|grad w|, and pivots
+    otherwise.  The output inherits exact symmetry from the component
+    storage.  A per-node system with |det M| / (We/dt + 1/2)^m below
+    1e-12, or a zero or non-finite pivot product (extreme dt |grad w|),
+    raises SingularStressSystemError naming the node with the smallest
+    |det M|.
     """
     grid = tau_prev.grid
     m = tau_prev.ncomp
@@ -346,8 +348,11 @@ def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
            - 0.5 * params.We * np.einsum("pqn,qn->pn", G, tau_dep)
            + 2.0 * params.omega * D.reshape(m, -1))
 
-    M = 0.5 * params.We * G
-    M[np.arange(m), np.arange(m)] += lam + 0.5
+    # the right-hand side has read G: scale it into M in place, adding the
+    # diagonal through the strided view of the (m*m, N) rows
+    M = G
+    M *= 0.5 * params.We
+    M.reshape(m * m, -1)[::m + 1] += lam + 0.5
     sol, det = _solve_nodes(M, rhs, pivot=not _diagonally_dominant(
         cm.grad_w, params.a, params.We, lam + 0.5))
 

@@ -13,6 +13,10 @@ The shifted operator (`fields.viscous_system`) applies A_h as a stencil,
 so no matrix is assembled or held.  The preconditioner
 (`fields.viscous_preconditioner`) inverts its diagonal blocks exactly in
 the sine basis, which keeps the iteration count flat in n and dt.
+`step_velocity` takes one step and holds nothing between steps: the
+fixed-point sweep keeps the trajectories it returns, and the `mms` ladders
+keep only the current velocity.  The step reads its forcing at interior
+nodes only.
 
 Two a-posteriori checks instrument a computed trajectory:
 
@@ -56,9 +60,9 @@ from .fields import (ScalarField, SymTensorField, VectorField,
                      norm, norm_hminus1, viscous_operator,
                      viscous_preconditioner, viscous_system)
 
-__all__ = ["VelocityStepReport", "step_velocity", "run_velocity",
-           "EnergyBudgetReport", "check_energy_budget",
-           "RegularityReport", "check_regularity_budget"]
+__all__ = ["VelocityStepReport", "step_velocity", "EnergyBudgetReport",
+           "check_energy_budget", "RegularityReport",
+           "check_regularity_budget"]
 
 TOL_LIN = 1e-10  # default relative residual of a velocity solve
 
@@ -121,30 +125,6 @@ def step_velocity(u_prev: VectorField, F_rhs: VectorField, dt: float, params,
     report = VelocityStepReport(
         iterations=iters, residual=rel_res, residual_norm=res_weighted)
     return u, report
-
-
-def run_velocity(u0: VectorField, forcing, T: float, dt: float, params,
-                 tol_lin: float = TOL_LIN) -> tuple:
-    """Integrate over [0, T]; forcing(t) is evaluated at step endpoints.
-
-    Returns (times, us, Fs, reports) with us[0] = u0 and Fs[0] = forcing(0)
-    so that the budget checks can consume the trajectory directly.
-    """
-    nsteps = int(round(T / dt))
-    times = [0.0]
-    us = [u0]
-    Fs = [forcing(0.0)]
-    reports = []
-    u = u0
-    for n in range(nsteps):
-        t_next = (n + 1) * dt
-        F = forcing(t_next)
-        u, rep = step_velocity(u, F, dt, params, tol_lin=tol_lin)
-        times.append(t_next)
-        us.append(u)
-        Fs.append(F)
-        reports.append(rep)
-    return times, us, Fs, reports
 
 
 @dataclass

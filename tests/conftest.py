@@ -13,6 +13,7 @@ from oldroydb.fields import random_smooth_field
 from oldroydb.fixed_point import audit_window, iterate, march
 from oldroydb.harness import (PRESETS, RunConfig, build_initial_data,
                               load_config)
+from oldroydb.velocity import TOL_LIN, step_velocity
 
 UNIQUENESS_CONFIG = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos",
@@ -54,6 +55,30 @@ def draw_trajectory(data, dim):
                 for _ in range(nodes)]
 
     return draw("vector"), draw("scalar_free"), draw("symtensor"), dt
+
+
+def run_velocity(u0, forcing, T, dt, params, tol_lin=TOL_LIN):
+    """Integrate the velocity subproblem over [0, T], forcing(t) evaluated
+    at step endpoints, keeping the whole trajectory.
+
+    Returns (times, us, Fs, reports) with us[0] = u0 and Fs[0] = forcing(0)
+    so that the budget checks can consume the trajectory directly.
+    """
+    nsteps = int(round(T / dt))
+    times = [0.0]
+    us = [u0]
+    Fs = [forcing(0.0)]
+    reports = []
+    u = u0
+    for n in range(nsteps):
+        t_next = (n + 1) * dt
+        F = forcing(t_next)
+        u, rep = step_velocity(u, F, dt, params, tol_lin=tol_lin)
+        times.append(t_next)
+        us.append(u)
+        Fs.append(F)
+        reports.append(rep)
+    return times, us, Fs, reports
 
 
 def counting(monkeypatch, modules, names):

@@ -29,8 +29,8 @@ from oldroydb import fields
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
                              conjugate_gradient, random_smooth_field,
-                             sym_components, viscous_preconditioner,
-                             viscous_system)
+                             sym_components, viscous_interior,
+                             viscous_preconditioner, viscous_system)
 
 from conftest import counting, draw_trajectory
 
@@ -584,6 +584,23 @@ def test_viscous_operator_symmetric(dim, data):
     a = inner(viscous_operator(v), w)
     b = inner(viscous_operator(w), v)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_viscous_interior_is_the_operator_at_interior_nodes(dim, data):
+    # the rows a velocity step reads, to the bit, with zero boundary rows
+    n, extent, seed = data.draw(dirichlet_fields(dim))
+    g = Grid(dim, n, extent)
+    v = dirichlet_noise(g, seed)
+    inside = ~g.boundary_mask
+    got = viscous_interior(v)
+    assert np.array_equal(got.values[:, inside],
+                          viscous_operator(v).values[:, inside])
+    assert not got.values[:, g.boundary_mask].any()
+    with pytest.raises(NonDirichletError):
+        viscous_interior(VectorField(g, v.values))
 
 
 def _compact_d2(m, h):

@@ -20,10 +20,28 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       viscous_operator)
 from oldroydb import fields, fixed_point, rheology, transport, velocity
 from oldroydb.transport import check_density_bounds, check_stress_bounds
-from oldroydb.velocity import run_velocity
 
 from conftest import (centered_bump_perturbation, compressive_preset,
-                      counting, draw_trajectory, small_preset)
+                      counting, draw_trajectory, run_velocity, small_preset)
+
+
+def interior(grid):
+    """Index of a vector stack's interior nodes."""
+    return (slice(None),) + (slice(1, -1),) * grid.dim
+
+
+def forcing_spy(monkeypatch):
+    """Every forcing `assemble_forcing` returns inside `picard_sweep`, in
+    call order; the sweep keeps none of them."""
+    seen = []
+    real = fixed_point.assemble_forcing
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(fixed_point, "assemble_forcing", spy)
+    return seen
 
 
 # ---------------------------------------------------------------- triples
@@ -129,16 +147,20 @@ def test_zero_guess_maps_to_zero():
         assert not y.psi[k].values.any()
 
 
-def test_sweep_matches_manual_composition():
+def test_sweep_matches_manual_composition(monkeypatch):
     # one sweep must equal the three solvers chained by hand, sharing a
-    # single characteristic trace per step and passing data through node 0
+    # single characteristic trace per step and passing data through node 0;
+    # each step's forcing has the whole-grid forcing's interior rows, the
+    # only rows its velocity solve reads
     grid, params, u0, s0, t0 = small_preset(16)
     dt, nsteps = 1e-3, 4
     zero_f = VectorField.zeros(grid, dirichlet=True)
     _, us, _, _ = run_velocity(u0, lambda t: zero_f, nsteps * dt, dt, params)
     x = IterTriple(us, (s0,) * (nsteps + 1), (t0,) * (nsteps + 1), dt)
 
+    forcings = forcing_spy(monkeypatch)
     out, diag = picard_sweep(x, params)
+    inside = interior(grid)
 
     u, sg, tau = u0, s0, t0
     for k in range(nsteps):
@@ -149,12 +171,12 @@ def test_sweep_matches_manual_composition():
         u, _ = step_velocity(u, Fk, dt, params)
         sg, _ = step_density(sg, cm, params)
         tau, _ = step_stress(tau, cm, params)
-        assert np.array_equal(diag.forcings[k].values, Fk.values)
+        assert np.array_equal(forcings[k].values[inside], Fk.values[inside])
         assert np.array_equal(out.w[k + 1].values, u.values)
         assert np.array_equal(out.pi[k + 1].values, sg.values)
         assert np.array_equal(out.psi[k + 1].values, tau.values)
     assert out.w[0] is u0 and out.pi[0] is s0 and out.psi[0] is t0
-    assert len(diag.forcings) == len(diag.velocity_reports) == nsteps
+    assert len(forcings) == len(diag.velocity_reports) == nsteps
 
 
 def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
@@ -166,25 +188,44 @@ def test_sweep_differentiates_each_frozen_node_once(monkeypatch):
     x = IterTriple.constant(u0, s0, t0, nsteps, 1e-3)
     calls = counting(monkeypatch, (fixed_point, rheology, transport),
                      ["grad_tensor", "gradient"])
-    _, diag = picard_sweep(x, params)
-    assert len(diag.forcings) == nsteps
+    forcings = forcing_spy(monkeypatch)
+    picard_sweep(x, params)
+    assert len(forcings) == nsteps
     assert calls == {"grad_tensor": nsteps, "gradient": nsteps}
 
 
-def test_default_sweep_forcing_reads_the_input_node():
+def test_sweep_takes_no_whole_grid_viscous_operator(monkeypatch):
+    # a step reads only the interior rows of A w, which the stencil gives;
+    # the whole-grid composition `viscous_operator` builds is never taken
+    grid, params, u0, s0, t0 = small_preset(12)
+    nsteps = 4
+    x = IterTriple.constant(u0, s0, t0, nsteps, 1e-3)
+    calls = counting(monkeypatch,
+                     (fields, fixed_point, rheology, transport, velocity),
+                     ["viscous_operator", "viscous_interior"])
+    picard_sweep(x, params)
+    picard_sweep(x, params, seidel=True)
+    assert calls == {"viscous_operator": 0, "viscous_interior": 2 * nsteps}
+
+
+def test_default_sweep_forcing_reads_the_input_node(monkeypatch):
     # the paper's map, which `run` iterates and audits: step k's forcing
-    # is assembled from the input trajectory's node k+1 alone
+    # is assembled from the input trajectory's node k+1 alone, and its
+    # interior rows are the whole-grid forcing's to the bit
     grid, params, u0, s0, t0 = small_preset(16)
     x = picard_sweep(IterTriple.constant(u0, s0, t0, 4, 1e-3), params)[0]
-    _, diag = picard_sweep(x, params)
+    forcings = forcing_spy(monkeypatch)
+    picard_sweep(x, params)
+    assert len(forcings) == x.nsteps
+    inside = interior(grid)
     for k in range(x.nsteps):
         w = x.w[k + 1]
         F = assemble_forcing(w, grad_tensor(w), viscous_operator(w),
                              x.pi[k + 1], x.psi[k + 1], params)
-        assert np.array_equal(diag.forcings[k].values, F.values)
+        assert np.array_equal(forcings[k].values[inside], F.values[inside])
 
 
-def test_seidel_sweep_reads_the_fresh_density_and_stress():
+def test_seidel_sweep_reads_the_fresh_density_and_stress(monkeypatch):
     # a Gauss-Seidel sweep is the default sweep of the input that carries,
     # at node k+1, the density and stress step k produced: those and the
     # forcings are bit-identical, and the velocity, whose CG starts from
@@ -194,14 +235,16 @@ def test_seidel_sweep_reads_the_fresh_density_and_stress():
     # the gap it inherits
     grid, params, u0, s0, t0 = small_preset(16)
     x = picard_sweep(IterTriple.constant(u0, s0, t0, 4, 1e-3), params)[0]
+    forcings = forcing_spy(monkeypatch)
     gs, gs_diag = picard_sweep(x, params, seidel=True)
     fresh = IterTriple(x.w, (x.pi[0],) + gs.pi[1:],
                        (x.psi[0],) + gs.psi[1:], x.dt)
     jac, jac_diag = picard_sweep(fresh, params)
+    gs_forcings, jac_forcings = forcings[:x.nsteps], forcings[x.nsteps:]
+    assert len(jac_forcings) == x.nsteps
     bound = 0.0
     for k in range(x.nsteps):
-        assert np.array_equal(gs_diag.forcings[k].values,
-                              jac_diag.forcings[k].values)
+        assert np.array_equal(gs_forcings[k].values, jac_forcings[k].values)
         assert np.array_equal(gs.pi[k + 1].values, jac.pi[k + 1].values)
         assert np.array_equal(gs.psi[k + 1].values, jac.psi[k + 1].values)
         bound += (gs_diag.velocity_reports[k].residual_norm
@@ -449,11 +492,12 @@ def test_fixed_point_residual_small(converged32):
 
 
 def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
-    # the extra sweep applies A once per frozen node and once more at node 0,
-    # where F(0) and the regularity bracket share it; the energy check once
-    # per swept node, with each step's dissipation read from it; strain and
-    # divergence come from one gradient per node, not from separate
-    # derivatives
+    # the whole-grid forcings apply A once per node of the window, and at
+    # node 0 F(0) and the regularity bracket share it; the extra sweep
+    # takes only the stencil's interior rows; the energy check applies A
+    # once per swept node, with each step's dissipation read from it;
+    # strain and divergence come from one gradient per node, not from
+    # separate derivatives
     c = converged32
     nsteps = c.sol.nsteps
     calls = counting(monkeypatch, (fixed_point, rheology, transport, velocity),
@@ -465,6 +509,35 @@ def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
     assert audit.out.w[0] is c.sol.w[0]
     assert audit.residual == c.audit.residual
     assert audit.energy.dissipation_slack == c.audit.energy.dissipation_slack
+
+
+def test_audit_forcings_are_the_whole_grid_forcings_of_the_window(
+        converged32):
+    # F(t_k) is the whole-grid forcing of node k of the audited window, for
+    # every k = 0..N: the energy and regularity checks read its boundary
+    # rows, which the sweep's forcings do not carry
+    c = converged32
+    sol, forcings = c.sol, c.audit.forcings
+    assert len(forcings) == sol.nsteps + 1
+    for k, (w, p, q) in enumerate(zip(sol.w, sol.pi, sol.psi)):
+        F = assemble_forcing(w, grad_tensor(w), viscous_operator(w), p, q,
+                             c.params)
+        assert np.array_equal(forcings[k].values, F.values), k
+
+
+def test_audit_table_reuses_node_0_rows_bit_for_bit(converged32):
+    # the audit sweep passes node 0 through, so the solution table's node-0
+    # rows serve the audit table, which equals one normed from scratch
+    c = converged32
+    audit = audit_window(c.sol, c.params,
+                         first_rows=c.hist.membership.table.first_rows)
+    out = audit.out
+    fresh = trajectory_norms(out.w, out.pi, out.psi, out.dt)
+    for name in ("w", "w_rate", "pi", "pi_rate", "psi", "psi_rate"):
+        assert np.array_equal(getattr(audit.table, name),
+                              getattr(fresh, name)), name
+        assert np.array_equal(getattr(audit.table, name),
+                              getattr(c.audit.table, name)), name
 
 
 def test_iterate_rejects_bad_data():

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oldroydb
+import oldroydb.fields as fields
 import oldroydb.fixed_point as fixed_point
+import oldroydb.harness as harness
 from oldroydb import ConfigError, FluidParams, mean
 from oldroydb.cli import main
 from oldroydb.errors import (DensityBandError, LinearSolveError,
@@ -280,6 +282,30 @@ def test_cli_run_audit_sweep_solves_every_step_cold(tmp_path):
     rows = _ledger_rows(out)
     assert len(rows) == 10
     assert all(row["lin_iters"] > 0 for row in rows)
+
+
+def test_cli_run_norms_node_0_once(tmp_path, monkeypatch):
+    # `iterate` and the audit sweep pass the initial data through, so one
+    # `run` norms each field's node 0 once: the audit table reuses the
+    # solution table's node-0 rows
+    data, firsts = [], []
+    real_data, real_norms = harness.build_initial_data, fields._batched_norms
+
+    def built(cfg):
+        data.append(real_data(cfg))
+        return data[-1]
+
+    def batched(nodes, k, dt=None):
+        if dt is None:
+            firsts.append(nodes[0])
+        return real_norms(nodes, k, dt)
+
+    monkeypatch.setattr(harness, "build_initial_data", built)
+    monkeypatch.setattr(fields, "_batched_norms", batched)
+    path = os.path.join(DEMOS, "configs", "smalldata2d.cfg")
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+    (_, _, u0, s0, t0), = data
+    assert [sum(f is x for f in firsts) for x in (u0, s0, t0)] == [1, 1, 1]
 
 
 def test_cli_run_reports_transport_bounds_without_gating(tmp_path, capsys):

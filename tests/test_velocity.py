@@ -1,5 +1,7 @@
 """Backward-Euler velocity subproblem: solver, budgets, convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,14 @@ from oldroydb import (FluidParams, Grid, LinearSolveError, NonDirichletError,
                       ScalarField, SymTensorField, VectorField, divergence,
                       inner, norm, strain, trajectory_norms,
                       viscous_operator)
+from oldroydb import mms
 from oldroydb.fields import random_smooth_field
 from oldroydb.mms import (taylor_vortex, velocity_spatial_study,
                           velocity_temporal_study)
 from oldroydb.velocity import (check_energy_budget, check_regularity_budget,
-                               run_velocity, step_velocity)
+                               step_velocity)
 
-from conftest import draw_trajectory
+from conftest import draw_trajectory, run_velocity
 
 PARAMS = FluidParams()
 
@@ -317,3 +320,34 @@ def test_temporal_convergence_first_order():
     res = velocity_temporal_study(PARAMS)
     assert res.passed, res
     assert all(o >= 0.9 for o in res.orders)
+
+
+@pytest.mark.parametrize("n, T, nsteps, tol_lin",
+                         [(16, 0.04, 8, 1e-10), (24, 0.05, 8, 1e-11)],
+                         ids=["spatial-rung", "temporal-rung"])
+def test_ladder_rung_keeps_one_velocity_with_the_trajectory_bits(
+        n, T, nsteps, tol_lin):
+    # a rung of each velocity ladder holds only its current velocity; its
+    # final velocity is the last node of the whole trajectory, to the bit
+    grid = Grid.unit(n)
+    vort, forcing = mms._decaying_vortex(grid, PARAMS)
+    final = mms._final_velocity(vort, forcing, nsteps, T / nsteps, PARAMS,
+                                tol_lin)
+    _, us, _, _ = run_velocity(vort, forcing, T, T / nsteps, PARAMS,
+                               tol_lin=tol_lin)
+    assert len(us) == nsteps + 1
+    assert final.dirichlet
+    assert np.array_equal(final.values, us[-1].values)
+
+
+def test_spatial_study_peak_memory_is_one_velocity_per_rung():
+    # the n=64 rung takes 128 steps; holding every velocity and forcing
+    # peaked at 18.3 MB, one velocity at a time at 1.3 MB
+    tracemalloc.start()
+    try:
+        velocity_spatial_study(PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+

@@ -867,8 +867,9 @@ def save_snapshot(f, t: float, path) -> None:
     Values are written row-major with 17 significant digits, which
     round-trips float64 bit-exactly: ``np.loadtxt(path, skiprows=1)``
     reshaped to (components, *node_shape) reads them back.  Each row is
-    formatted by one ``%`` operation, which writes what ``f"{x:.17g}"``
-    writes for every float.
+    converted by its own ``tolist`` and formatted by one ``%`` operation,
+    which writes what ``f"{x:.17g}"`` writes for every float; no list of
+    the whole field is built.
     """
     g = f.grid
     vals = f.values if f.values.ndim == g.dim + 1 else f.values[None]
@@ -878,8 +879,8 @@ def save_snapshot(f, t: float, path) -> None:
         fh.write(f"{g.dim} {ns} {ncomp} {t:.17g}\n")
         flat = vals.reshape(-1, g.node_shape[-1])
         line = " ".join(["%.17g"] * flat.shape[1]) + "\n"
-        for row in flat.tolist():
-            fh.write(line % tuple(row))
+        for row in flat:
+            fh.write(line % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------------------

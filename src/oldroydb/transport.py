@@ -34,8 +34,10 @@ with grad w frozen at the arrival node:
 
 a dense system on the m = dim (dim+1)/2 symmetric components per node.  Its
 matrix G of tau -> g(grad w, tau) is written from grad w through a constant
-index table, and all nodes are solved at once by one Gaussian elimination,
-whose pivots also give the determinant.  The elimination exchanges rows
+index table, and the nodes are solved in batches of at most
+`_STRESS_BATCH` floats of systems, each batch by one Gaussian elimination
+whose pivots also give the determinant; every operation is per node, so
+the batch size moves no bit.  The elimination exchanges rows
 only when a step's certificate fails: max|grad w| and the table's column
 sums bound every column sum of (We/2)|G|, and when We/dt + 1/2 exceeds that
 bound four times over, every column of the system is diagonally dominant,
@@ -98,16 +100,15 @@ def _stencil(grid, points):
     return corners, weights
 
 
-def _gather(values, corners, weights):
-    """Interpolate a nodal array, or a stack of them, through a stencil.
+def _gather(flat, corners, weights):
+    """Interpolate rows of nodal values (k, N) at the n sample points of a
+    stencil (2^dim, n); the result is (k, n).
 
     Clipped indexing keeps a non-finite point (from a non-finite velocity)
     in range; its NaN weights then carry through to the result.
     """
-    flat = values.reshape(-1, corners.shape[1])
-    out = np.einsum("kcn,cn->kn", flat.take(corners, axis=1, mode="clip"),
-                    weights)
-    return out.reshape(values.shape)
+    return np.einsum("kcn,cn->kn", flat.take(corners, axis=1, mode="clip"),
+                     weights)
 
 
 @dataclass
@@ -133,7 +134,8 @@ class CharacteristicMap:
         if values.shape[values.ndim - self.grid.dim:] != self.grid.node_shape:
             raise ValueError(f"values of shape {values.shape} do not end in "
                              f"the node shape {self.grid.node_shape}")
-        return _gather(values, self.corners, self.weights)
+        flat = values.reshape(-1, self.corners.shape[1])
+        return _gather(flat, self.corners, self.weights).reshape(values.shape)
 
 
 def trace(w: VectorField, dt: float) -> CharacteristicMap:
@@ -158,7 +160,8 @@ def trace(w: VectorField, dt: float) -> CharacteristicMap:
     mid = base - (0.5 * dt / h) * w.values
     for i in range(grid.dim):
         np.clip(mid[i], 0.0, extents[i], out=mid[i])
-    w_mid = _gather(w.values, *_stencil(grid, mid))
+    w_mid = _gather(w.values.reshape(grid.dim, -1),
+                    *_stencil(grid, mid)).reshape(w.values.shape)
 
     dep = base - (dt / h) * w_mid
     max_exc = 0.0
@@ -257,6 +260,10 @@ _COUPLING_COLUMN_SUMS = {
 
 _DOMINANCE_MARGIN = 4.0  # factor by which the diagonal must exceed the bound
 
+# floats of per-node systems M (m*m per node) that one batch of
+# `step_stress` builds: 1 666 nodes in 3D, every benchmark 2D grid at once
+_STRESS_BATCH = 60_000
+
 
 def _diagonally_dominant(grad_w, a, We, diagonal):
     """Whether every column of diagonal I + (We/2) G dominates its diagonal
@@ -286,13 +293,18 @@ def _coupling_matrices(grad_w, a):
 
 
 def _solve_nodes(M, b, pivot=True):
-    """Solve M x = b at every node by Gaussian elimination.
+    """Solve M x = b at every node of a batch by Gaussian elimination.
 
-    With ``pivot`` each column's largest entry is exchanged into the pivot
-    row (partial pivoting); without it no row moves, which gives the same
-    bits whenever partial pivoting would exchange none, as on column
-    diagonally dominant systems.  M (m, m, N) and b (m, N) are
-    overwritten.  Returns (x, det), det the signed product of the pivots.
+    Each step of the elimination works on all nodes at once, and each
+    node's arithmetic is its own, so a node's bits do not depend on the
+    batch it is solved in.  With ``pivot`` each column's largest entry is
+    exchanged into the pivot row (partial pivoting); without it no row
+    moves, which gives the same bits whenever partial pivoting would
+    exchange none, as on column diagonally dominant systems.  The
+    trailing block is updated one row at a time and x is written over b,
+    which keeps the scratch of a step to one row of M.  M (m, m, n) is
+    overwritten.  Returns (x, det), x the storage of b and det the signed
+    product of the pivots.
     A zero pivot makes det zero or NaN and x non-finite at that node; no
     floating-point warning is raised, so the caller decides from det.
     """
@@ -310,51 +322,66 @@ def _solve_nodes(M, b, pivot=True):
                 det[swap] = -det[swap]
             det *= M[k, k]
             f = M[k + 1:, k] / M[k, k]
-            M[k + 1:, k + 1:] -= f[:, None] * M[k, k + 1:]
+            for i in range(k + 1, m):
+                M[i, k + 1:] -= f[i - k - 1] * M[k, k + 1:]
             b[k + 1:] -= f * b[k]
         det *= M[m - 1, m - 1]
-        x = np.empty_like(b)
         for k in reversed(range(m)):
-            x[k] = (b[k] - (M[k, k + 1:] * x[k + 1:]).sum(axis=0)) / M[k, k]
-    return x, det
+            b[k] = (b[k] - (M[k, k + 1:] * b[k + 1:]).sum(axis=0)) / M[k, k]
+    return b, det
 
 
 def step_stress(tau_prev: SymTensorField, cm: CharacteristicMap,
                 params) -> tuple:
     """One semi-Lagrangian, trapezoid-relaxation step of the stress.
 
-    All nodes are advanced at once along the characteristics of `cm`.  D
-    and the coupling matrix G of g = L tau + tau L^T come from `cm.grad_w`
-    (G through `_coupling_matrices`), the right-hand side applies G to the
-    pulled-back tau_dep, and one elimination of M = (We/dt + 1/2) I +
-    (We/2) G, built in G's own storage, yields both the solution and det
-    M; `min_det_scale` is the smallest |det M| / (We/dt + 1/2)^m.  The
-    elimination skips the row exchanges of partial pivoting when
-    `_diagonally_dominant` certifies M from max|grad w|, and pivots
-    otherwise.  The output inherits exact symmetry from the component
-    storage.  A per-node system with |det M| / (We/dt + 1/2)^m below
-    1e-12, or a zero or non-finite pivot product (extreme dt |grad w|),
-    raises SingularStressSystemError naming the node with the smallest
-    |det M|.
+    Every node is advanced along the characteristics of `cm`, in batches
+    of at most `_STRESS_BATCH` floats of per-node systems.  What reads the
+    whole grid is done once: the certificate, which lets the elimination
+    skip the row exchanges of partial pivoting when `_diagonally_dominant`
+    certifies M from max|grad w| (it pivots otherwise), the D samples of
+    `cm.grad_w`, and the search for the smallest determinant.  Each batch
+    pulls tau back through its columns of the departure stencil, builds
+    the coupling matrix G of g = L tau + tau L^T for its nodes
+    (`_coupling_matrices`), applies G to the pulled-back tau_dep for the
+    right-hand side, and eliminates M = (We/dt + 1/2) I + (We/2) G, built
+    in G's own storage, for both the solution and det M.  Every operation
+    is per node, so the batches give the bits of a one-shot step.
+    `min_det_scale` is the smallest |det M| / (We/dt + 1/2)^m.  The output
+    inherits exact symmetry from the component storage.  A per-node system
+    with |det M| / (We/dt + 1/2)^m below 1e-12, or a zero or non-finite
+    pivot product (extreme dt |grad w|), raises SingularStressSystemError
+    naming the node with the smallest |det M|.
     """
     grid = tau_prev.grid
     m = tau_prev.ncomp
-    tau_dep = cm.pull(tau_prev.values).reshape(m, -1)
-
-    D = SymTensorField.from_full(grid, cm.grad_w).values
-    G = _coupling_matrices(cm.grad_w, params.a)
     lam = params.We / cm.dt
-    rhs = ((lam - 0.5) * tau_dep
-           - 0.5 * params.We * np.einsum("pqn,qn->pn", G, tau_dep)
-           + 2.0 * params.omega * D.reshape(m, -1))
-
-    # the right-hand side has read G: scale it into M in place, adding the
-    # diagonal through the strided view of the (m*m, N) rows
-    M = G
-    M *= 0.5 * params.We
-    M.reshape(m * m, -1)[::m + 1] += lam + 0.5
-    sol, det = _solve_nodes(M, rhs, pivot=not _diagonally_dominant(
-        cm.grad_w, params.a, params.We, lam + 0.5))
+    pivot = not _diagonally_dominant(cm.grad_w, params.a, params.We,
+                                     lam + 0.5)
+    D = SymTensorField.from_full(grid, cm.grad_w).values.reshape(m, -1)
+    grad_w = cm.grad_w.reshape(grid.dim, grid.dim, -1)
+    tau = tau_prev.values.reshape(m, -1)
+    sol = np.empty_like(tau)
+    det = np.empty(tau.shape[1])
+    # two nodes at least per batch, the last one taking a lone node left
+    # over: an einsum over one node sums in another order
+    size = max(2, _STRESS_BATCH // (m * m))
+    bounds = [*range(0, tau.shape[1] - 1, size), tau.shape[1]]
+    for b in map(slice, bounds[:-1], bounds[1:]):
+        tau_dep = _gather(tau, cm.corners[:, b], cm.weights[:, b])
+        G = _coupling_matrices(grad_w[:, :, b], params.a)
+        # the right-hand side goes into the batch's columns of the
+        # solution, which the elimination overwrites with x
+        rhs = sol[:, b]
+        np.add((lam - 0.5) * tau_dep
+               - 0.5 * params.We * np.einsum("pqn,qn->pn", G, tau_dep),
+               2.0 * params.omega * D[:, b], out=rhs)
+        # the right-hand side has read G: scale it into M in place, adding
+        # the diagonal through the strided view of the (m*m, n) rows
+        M = G
+        M *= 0.5 * params.We
+        M.reshape(m * m, -1)[::m + 1] += lam + 0.5
+        det[b] = _solve_nodes(M, rhs, pivot=pivot)[1]
 
     scale = (lam + 0.5) ** m
     dets = np.nan_to_num(det / scale, nan=0.0, posinf=0.0, neginf=0.0)

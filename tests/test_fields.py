@@ -12,6 +12,7 @@ import math
 import os
 import pkgutil
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1027,6 +1028,24 @@ def test_snapshot_rows_are_the_per_value_format(tmp_path):
         for row in vals.reshape(-1, g.node_shape[-1]))
     assert path.read_bytes() == expect.encode()
     assert b"-0 0 4.9406564584124654e-324" in path.read_bytes()
+
+
+def test_snapshot_formats_one_row_at_a_time(tmp_path):
+    # a new fixed bound: a list of the whole 3D n=16 stress field peaked at
+    # 1.07 MB, one row's list at a time at 0.02 MB
+    g = Grid(3, 16)
+    f = SymTensorField(g, np.random.default_rng(4).normal(
+        size=(6,) + g.node_shape))
+    path = tmp_path / "snap.dat"
+    tracemalloc.start()
+    try:
+        save_snapshot(f, t=0.5, path=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    back = np.loadtxt(path, skiprows=1)
+    assert np.array_equal(back.reshape(f.values.shape), f.values)
 
 
 def test_inner_product_validation():

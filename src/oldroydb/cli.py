@@ -1,7 +1,9 @@
 """Command-line front end: run | mms | uniqueness | probe.
 
 Every invocation, success or failure, leaves a machine-readable
-``summary.json`` in the output directory naming any violated invariant.
+``summary.json`` in the output directory, unless that directory cannot be
+created (exit 2, the reason on stderr).  A driver returns ``checks``, each
+check's verdict by name; `main` alone derives ``failed_checks`` from it.
 Exit codes: 0 all checks pass, 2 configuration problem, 3 solver failure,
 4 invariant violation.  Failures of kinds 3 and 4 also record
 ``failed_timestep``, the step that failed or null if none did, and, when
@@ -57,8 +59,12 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_summary(out_dir, payload) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_summary(out_dir, payload):
+    """Write ``summary.json``; None when ``out_dir`` cannot be created."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError:
+        return None
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
@@ -96,8 +102,8 @@ def _print_run(payload) -> None:
     if ratios:
         print(f"contraction ratio: worst {max(ratios):.3f}")
     _print_membership(payload["membership"])
-    en = payload["energy"]
-    print(f"energy budget: {'pass' if en['satisfied'] else 'FAIL'} "
+    en, ok = payload["energy"], payload["checks"]["energy_budget"]
+    print(f"energy budget: {'pass' if ok else 'FAIL'} "
           f"(lhs {en['lhs']:.6g} vs rhs {en['rhs']:.6g})")
     cons = payload["constants"]
     c1 = "vacuous" if cons["c1_vacuous"] else f"{cons['c1_emp']:.6g}"
@@ -112,22 +118,22 @@ def _print_mms(payload) -> None:
     print(f"{'study':<{width}}{'ladder':<26}{'orders':<16}status")
     for st in payload["studies"]:
         ladder = ", ".join(str(lab) for lab in st["labels"])
-        status = "pass" if st["passed"] else "FAIL"
-        gate = ("round-off" if st["exact"]
-                else f">= {st['threshold']:.2g}")
+        status = "pass" if payload["checks"][st["name"]] else "FAIL"
+        gate = "round-off" if st["exact"] else f">= {st['threshold']:.2g}"
         print(f"{st['name']:<{width}}{ladder:<26}"
               f"{st['orders_text']:<16}{status} ({gate})")
 
 
 def _print_uniqueness(payload) -> None:
     if payload["identical"]:
-        print("identical data: gap energy at solver-tolerance level "
-              f"(final {payload['gap_energy_final']:.3e})")
+        print("identical data: final gap energy "
+              f"{payload['gap_energy_final']:.3e}")
     else:
         fitted = "fitted" if payload["c12_fitted"] else "held"
         print(f"gap constant c12 = {payload['c12']:.6g} ({fitted}); "
               f"max energy/envelope ratio {payload['max_ratio']:.6f}")
-    print(f"envelope {'satisfied' if payload['satisfied'] else 'VIOLATED'} "
+    ok = payload["checks"]["gronwall_envelope"]
+    print(f"envelope {'satisfied' if ok else 'VIOLATED'} "
           f"with delta = {payload['delta']:.6g} "
           f"(threshold {payload['delta_cap']:.6g})")
     for solve, mem in payload["membership"].items():
@@ -143,7 +149,7 @@ def _print_probe(payload) -> None:
         ratios = ", ".join(f"{r:.3f}" for r in payload["shrink_ratios"])
         print(f"gap shrink ratios per halving: {ratios}")
     print("linear response: "
-          + ("yes" if payload["linear_ok"] else "NO"))
+          + ("yes" if payload["checks"]["probe_linearity"] else "NO"))
     _print_membership(payload["membership"])
     _print_sweeps(payload["sweeps"])
 
@@ -153,8 +159,8 @@ def _commands() -> dict:
 
     Built at call time from the module globals, so a rebinding of a driver
     or printer (a tracer, a test) takes effect.  A driver takes
-    ``(cfg, out_dir)`` and returns its payload, with the sorted names of
-    the failed checks under ``failed_checks``; a printer takes the payload.
+    ``(cfg, out_dir)`` and returns its payload, with each check's name and
+    verdict under ``checks``; a printer takes the payload.
     """
     return {
         "run": ("converge one window and check every estimate",
@@ -181,15 +187,18 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         out_dir = cfg.out_dir
         payload["config"] = config_as_dict(cfg)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot create output directory "
+                              f"{out_dir!r}: {exc.strerror}") from None
         payload.update(driver(cfg, out_dir))
-        failed = payload["failed_checks"]
-        payload["status"] = "invariant-violation" if failed else "ok"
-        payload["exit_code"] = EXIT_INVARIANT if failed else EXIT_OK
-    except ConfigError as exc:
-        payload["status"] = "config-error"
+        failed = sorted(n for n, ok in payload["checks"].items() if not ok)
+        payload.update(failed_checks=failed,
+                       status="invariant-violation" if failed else "ok",
+                       exit_code=EXIT_INVARIANT if failed else EXIT_OK)
+    except ConfigError as exc:  # status and exit code keep their defaults
         payload["error"] = str(exc)
-        payload["exit_code"] = EXIT_CONFIG
     except _SOLVER_FAILURES as exc:
         payload.update(status="solver-failure", error=str(exc),
                        exit_code=EXIT_SOLVER, **_failure_record(exc))
@@ -203,7 +212,8 @@ def main(argv=None) -> int:
         print(f"{payload['status']}: {payload['error']}", file=sys.stderr)
     else:
         printer(payload)
-    print(f"summary: {summary_path}")
+    if summary_path is not None:
+        print(f"summary: {summary_path}")
     return payload["exit_code"]
 
 

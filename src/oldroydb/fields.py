@@ -266,9 +266,6 @@ class _FieldBase:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
 
 class ScalarField(_FieldBase):
     """Scalar samples at the grid nodes."""

@@ -366,7 +366,6 @@ class ConvergenceHistory:
     ratios: tuple
     slack_mins: tuple
     iterations: int
-    converged: bool
     membership: MembershipReport
     local_sweeps: tuple = ()
 
@@ -455,8 +454,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
         if d <= tol_fp:
             return y, ConvergenceHistory(
                 distances=tuple(dists), ratios=tuple(ratios),
-                slack_mins=tuple(slacks), iterations=k, converged=True,
-                membership=mem)
+                slack_mins=tuple(slacks), iterations=k, membership=mem)
         if not math.isfinite(d):
             break
         x = y

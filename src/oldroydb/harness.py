@@ -5,12 +5,12 @@ A run is described by a flat text config (``section.key = value`` lines).
 and the test fixtures take the shipped data from it too.  Each driver
 takes a config and an existing output directory, runs its experiment,
 writes its CSV tables there and returns a JSON-ready payload whose
-``failed_checks`` lists, sorted, the names of the checks that failed; the
-CLI turns that list into a status and an exit code.  Every table goes
-through `_write_csv`: the per-timestep energy ledger (one dict per step,
-keyed by `LEDGER_COLUMNS`), the sweep convergence history and the
-per-command reports.  Every numeric cell is written with 17 significant
-digits so repeated runs of one config are byte-identical.
+``checks`` maps the name of each check to its verdict; the CLI alone
+derives the failed checks, the status and the exit code from that map.
+Every table goes through `_write_csv`: the per-timestep energy ledger
+(one dict per step, keyed by `LEDGER_COLUMNS`), the sweep convergence
+history and the per-command reports.  Every numeric cell is written with
+17 significant digits so repeated runs of one config are byte-identical.
 """
 
 import csv
@@ -277,8 +277,8 @@ def _write_csv(path, columns, rows) -> None:
 def run_experiment(cfg: RunConfig, out_dir) -> dict:
     """Converge the coupled system, check every estimate, write artifacts.
 
-    Returns the summary payload, whose ``failed_checks`` names every check
-    that failed. Config and solver failures propagate as exceptions for
+    Returns the summary payload, whose ``checks`` maps each check's name
+    to its verdict. Config and solver failures propagate as exceptions for
     the caller to translate.
     """
     _, params, u0, s0, t0 = build_initial_data(cfg)
@@ -316,14 +316,12 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
     mean_sigma_max = max(abs(mean(p)) for p in out.pi)
 
     checks = {
-        "fixed_point_converged": hist.converged,
         "membership": hist.membership.passed,
         "system_residual": residual < 10.0 * cfg.tol_fp,
         "energy_budget": energy.satisfied,
         "step_dissipation": energy.dissipation_satisfied,
         "density_mean_zero": mean_sigma_max <= 1e-12 * sigma_scale,
     }
-    failed = sorted(name for name, ok in checks.items() if not ok)
 
     ledger_path = os.path.join(out_dir, "ledger.csv")
     _write_csv(ledger_path, LEDGER_COLUMNS,
@@ -341,17 +339,15 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
         snaps[name] = path
 
     return {
-        "failed_checks": failed,
         "checks": checks,
         "iterations": hist.iterations,
-        "converged": hist.converged,
         "distances": list(hist.distances),
         "contraction_ratios": [None if math.isnan(r) else r
                                for r in hist.ratios],
         "system_residual": residual,
         "membership": _membership_summary(hist.membership),
         "energy": {"lhs": energy.lhs, "rhs": energy.rhs,
-                   "slack": energy.slack, "satisfied": energy.satisfied},
+                   "slack": energy.slack},
         "constants": {"c1_emp": None if audit.regularity.vacuous
                       else audit.regularity.c1_emp,
                       "c1_vacuous": audit.regularity.vacuous,
@@ -388,8 +384,7 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     """Refinement studies for each linear solver, in a fixed order."""
     studies = all_studies(build_params(cfg))
 
-    rows = []
-    report = []
+    rows, report = [], []
     for st in studies:
         orders = "exact" if st.exact else " ".join(f"{o:.2f}"
                                                    for o in st.orders)
@@ -397,7 +392,7 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
                        "errors": list(st.errors),
                        "orders": None if st.exact else list(st.orders),
                        "exact": st.exact, "threshold": st.threshold,
-                       "passed": st.passed, "orders_text": orders})
+                       "orders_text": orders})
         for i, (lab, err) in enumerate(zip(st.labels, st.errors)):
             order = "" if (st.exact or i == 0) else st.orders[i - 1]
             rows.append((st.name, lab, err, order))
@@ -406,8 +401,7 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
     _write_csv(path, ("study", "label", "error", "order"), rows)
 
     return {
-        "failed_checks": sorted(st["name"] for st in report
-                                if not st["passed"]),
+        "checks": {st.name: st.passed for st in studies},
         "studies": report,
         "artifacts": {"mms": path},
     }
@@ -424,9 +418,10 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
 
     amp = cfg.uniqueness_amplitude
     tols = dict(tol_fp=cfg.tol_fp, max_iter=cfg.max_iter, tol_lin=cfg.tol_lin)
-    data = [s0] if amp == 0.0 else [s0, s0 + _bump_density(grid, amp)]
-    solves = [march(u0, s, t0, params, cfg.T, cfg.dt, **tols) for s in data]
-    (sol1, hist1), (sol2, hist2) = solves[0], solves[-1]
+    # at amplitude 0 the bump is zero and both solves start from equal data
+    (sol1, hist1), (sol2, hist2) = (
+        march(u0, s, t0, params, cfg.T, cfg.dt, **tols)
+        for s in (s0, s0 + _bump_density(grid, amp)))
 
     rep = uniqueness_experiment(sol1, hist1.membership.table, sol2,
                                 hist2.membership.table, cfg.delta, params,
@@ -436,7 +431,7 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
                zip(rep.times, rep.gap_energy, rep.envelope,
                    rep.growth_rate))
     return {
-        "failed_checks": [] if rep.satisfied else ["gronwall_envelope"],
+        "checks": {"gronwall_envelope": rep.satisfied},
         "amplitude": amp,
         "delta": rep.delta,
         "delta_cap": rep.delta_cap,
@@ -444,7 +439,6 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
         "c12": rep.c12,
         "c12_fitted": rep.c12_fitted,
         "max_ratio": rep.max_ratio,
-        "satisfied": rep.satisfied,
         "gap_energy_final": rep.gap_energy[-1],
         "membership": {"base": _membership_summary(hist1.membership),
                        "perturbed": _membership_summary(hist2.membership)},
@@ -468,12 +462,11 @@ def probe_experiment(cfg: RunConfig, out_dir) -> dict:
                zip(rep.deltas, rep.velocity_gaps, rep.density_gaps,
                    rep.stress_gaps, rep.gaps))
     return {
-        "failed_checks": [] if rep.linear_ok else ["probe_linearity"],
+        "checks": {"probe_linearity": rep.linear_ok},
         "delta": rep.delta,
         "deltas": list(rep.deltas),
         "gaps": list(rep.gaps),
         "shrink_ratios": list(rep.shrink_ratios),
-        "linear_ok": rep.linear_ok,
         "membership": _membership_summary(hist.membership),
         "sweeps": _sweeps_summary(hist),
         "artifacts": {"probe": path},

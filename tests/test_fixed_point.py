@@ -383,7 +383,7 @@ def test_iterate_zero_data_is_immediate():
     z_s = ScalarField(grid, np.zeros(grid.node_shape))
     z_t = SymTensorField.zeros(grid)
     sol, hist = iterate(z_w, z_s, z_t, params, T=5e-3, dt=1e-3)
-    assert hist.converged and hist.iterations == 1
+    assert hist.iterations == 1
     assert hist.distances == (0.0,)
     assert math.isnan(hist.ratios[0])
     assert not sol.w[-1].values.any()
@@ -391,7 +391,7 @@ def test_iterate_zero_data_is_immediate():
 
 def test_iterate_converges_monotonically(converged32):
     hist = converged32.hist
-    assert hist.converged
+    assert hist.distances[-1] <= 1e-8
     assert hist.iterations <= 20
     d = hist.distances
     assert all(d[i + 1] < d[i] for i in range(len(d) - 1))
@@ -608,7 +608,7 @@ def test_march_lands_on_the_sweep_fixed_point(converged32):
     c = converged32
     sol, hist = march(c.u0, c.s0, c.t0, c.params, T=0.01, dt=1e-3)
     assert sol.nsteps == 10 and sol.w[0] is c.u0
-    assert hist.converged and hist.iterations == 1
+    assert hist.iterations == 1
     assert hist.distances[0] <= 1e-8
     assert hist.membership.passed
     assert trajectory_distance(sol, c.sol, c.params) <= 1e-8
@@ -624,7 +624,7 @@ def test_march_certifies_long_window():
     # discrete fixed point of the window map, certified by one sweep
     grid, params, u0, s0, t0 = small_preset(32)
     sol, hist = march(u0, s0, t0, params, T=0.08, dt=1e-3)
-    assert hist.converged and hist.iterations == 1
+    assert hist.iterations == 1
     assert hist.distances[0] <= 1e-8
     assert hist.membership.passed
 
@@ -791,7 +791,7 @@ def test_identical_data_land_on_same_trajectory(converged32):
         IterTriple.constant(c.u0, c.s0, c.t0, 10, 1e-3), c.params)[0]
     sol_b, hist_b = iterate(c.u0, c.s0, c.t0, c.params, T=0.01,
                             dt=1e-3, initial_guess=nudge)
-    assert hist_b.converged
+    assert hist_b.distances[-1] <= 1e-8
     rep = uniqueness_experiment(c.sol, c.hist.membership.table, sol_b,
                                 hist_b.membership.table, 1.0, c.params,
                                 fp_tol=1e-8)

@@ -1,0 +1,269 @@
+"""Every gate can fail: each one driven to exit 4 by a defect of its own.
+
+A gate that no defect can trip certifies nothing.  Each case below puts a
+one-line defect in the code a gate checks, never in the gate's comparison
+or bound, and runs the command through the CLI: it must exit 4 with
+exactly that gate in ``failed_checks``.  `test_every_gate_is_driven_to_failure`
+holds the cases against the ``checks`` of passing runs of all four
+commands, so a new gate that no case drives fails the suite.  The last
+tests pin two bounds at their edges: the energy budget's (1 + 10 dt)
+slack and the probe's linearity band [2/1.5, 2 * 1.5].
+"""
+
+import dataclasses
+import json
+import os
+
+import numpy as np
+import pytest
+
+import oldroydb.fixed_point as fixed_point
+import oldroydb.harness as harness
+import oldroydb.mms as mms
+import oldroydb.transport as transport
+import oldroydb.velocity as velocity
+from oldroydb.cli import main
+from oldroydb.fields import ScalarField
+from oldroydb.fixed_point import (IterTriple, _perturb, _probe_shapes,
+                                  audit_window, continuity_probe, iterate)
+from oldroydb.harness import RunConfig, build_initial_data, parse_config
+from oldroydb.velocity import check_energy_budget
+
+from conftest import counting
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "demos", "configs")
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+SMALL = _shipped("smalldata2d.cfg")
+# the small-data window with a noisy density: its density H2 norm, not the
+# viscous load of the velocity, sizes the first membership budget.  On
+# SMALL, each velocity-step defect tried that broke the energy budget had
+# overrun that budget first, so the energy gate did not fail alone there
+NOISY = SMALL + "ic.density = noise\nic.density_amplitude = 0.1\n"
+QUICK = "grid.n = 16\ntime.T = 0.005\n"
+
+
+def _cli(tmp_path, command, config):
+    path = tmp_path / "case.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    return code, json.loads((out / "summary.json").read_text())
+
+
+def _wrap(monkeypatch, module, name, wrapper):
+    """Replace ``module.name`` by ``wrapper(real)``."""
+    monkeypatch.setattr(module, name, wrapper(getattr(module, name)))
+
+
+# ----------------------------------------------------------- the defects
+
+def _no_mean_reprojection(monkeypatch):
+    # `step_density` reads a zero mean, so it skips its re-projection
+    monkeypatch.setattr(transport, "mean", lambda f: 0.0)
+
+
+def _budgets_too_small(monkeypatch):
+    _wrap(monkeypatch, fixed_point, "suggest_budgets",
+          lambda real: lambda *a: tuple(1e-3 * b for b in real(*a)))
+
+
+def _iterate_stops_at_once(monkeypatch):
+    # every distance reads 0, so `iterate` returns its first sweep
+    monkeypatch.setattr(fixed_point, "trajectory_distance",
+                        lambda a, b, params: 0.0)
+
+
+def _overdamped_velocity_step(monkeypatch):
+    # the velocity system carries ten times the viscous coefficient
+    _wrap(monkeypatch, velocity, "viscous_system",
+          lambda real: lambda grid, alpha, coef: real(grid, alpha,
+                                                      10.0 * coef))
+
+
+def _heavy_velocity_step(monkeypatch):
+    # the sweep's velocity step divides by a tenth of the step
+    _wrap(monkeypatch, fixed_point, "step_velocity",
+          lambda real: lambda u, F, dt, params, **kw: real(
+              u, F, 0.1 * dt, params, **kw))
+
+
+def _second_solve_settles_loosely(monkeypatch):
+    # the perturbed solve of `uniqueness` settles to 1e5 times tol.fp
+    calls = []
+
+    def march(*args, tol_fp, **kwargs):
+        calls.append(tol_fp)
+        loose = 1e5 if len(calls) == 2 else 1.0
+        return real(*args, tol_fp=loose * tol_fp, **kwargs)
+
+    real = harness.march
+    monkeypatch.setattr(harness, "march", march)
+
+
+def _sweep_jumps_off_the_base(monkeypatch):
+    # a map with a jump: any input other than the probed base gains a
+    # fixed density offset, so the output gaps stop halving
+    real_probe, real_sweep = harness.continuity_probe, fixed_point.picard_sweep
+
+    def probe(base, *args, **kwargs):
+        offset = ScalarField(base.grid, np.full(base.grid.node_shape, 1e-2))
+
+        def sweep(inp, *a, **k):
+            out, diag = real_sweep(inp, *a, **k)
+            if inp is not base:
+                out = IterTriple(out.w, [p + offset for p in out.pi],
+                                 out.psi, out.dt)
+            return out, diag
+
+        monkeypatch.setattr(fixed_point, "picard_sweep", sweep)
+        return real_probe(base, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "continuity_probe", probe)
+
+
+def _velocity_forcing_off(monkeypatch):
+    # the studied velocity step reads 1% too much forcing
+    _wrap(monkeypatch, mms, "step_velocity",
+          lambda real: lambda u, F, dt, params, **kw: real(
+              u, F * 1.01, dt, params, **kw))
+
+
+def _velocity_tolerance_ignored(monkeypatch):
+    # the studied velocity step stops its solve at 1e-4, whatever asked
+    _wrap(monkeypatch, mms, "step_velocity",
+          lambda real: lambda u, F, dt, params, tol_lin, **kw: real(
+              u, F, dt, params, tol_lin=1e-4, **kw))
+
+
+def _trace_too_fast(monkeypatch):
+    # the characteristics are traced with 5% too much velocity
+    _wrap(monkeypatch, mms, "trace",
+          lambda real: lambda w, dt: real(w * 1.05, dt))
+
+
+def _density_leaks(monkeypatch):
+    # the density step loses 1e-9 of the remainder at every step
+    def leaky(real):
+        def step(sigma, cm, params):
+            out, rep = real(sigma, cm, params)
+            return out * (1.0 - 1e-9), rep
+        return step
+
+    _wrap(monkeypatch, mms, "step_density", leaky)
+
+
+def _relaxation_time_off(monkeypatch):
+    # the stress step relaxes with a Weissenberg number 1% too large
+    _wrap(monkeypatch, mms, "step_stress",
+          lambda real: lambda tau, cm, params: real(
+              tau, cm, dataclasses.replace(params, We=1.01 * params.We)))
+
+
+# (command, gate, config, defect): the defect drives exactly that gate
+DEFECTS = [
+    ("run", "density_mean_zero", SMALL, _no_mean_reprojection),
+    ("run", "membership", SMALL, _budgets_too_small),
+    ("run", "system_residual", SMALL, _iterate_stops_at_once),
+    ("run", "energy_budget", NOISY, _overdamped_velocity_step),
+    ("run", "step_dissipation", SMALL, _heavy_velocity_step),
+    ("uniqueness", "gronwall_envelope",
+     QUICK + "uniqueness.amplitude = 0\n", _second_solve_settles_loosely),
+    ("probe", "probe_linearity", QUICK, _sweep_jumps_off_the_base),
+    ("mms", "velocity diffusion, space", "", _velocity_forcing_off),
+    ("mms", "velocity diffusion, time", "", _velocity_tolerance_ignored),
+    ("mms", "density advection, vortex", "", _trace_too_fast),
+    ("mms", "density transport, still fluid", "", _density_leaks),
+    ("mms", "stress relaxation, time", "", _relaxation_time_off),
+]
+
+
+@pytest.mark.parametrize("command, gate, config, defect", DEFECTS,
+                         ids=[d[3].__name__.strip("_") for d in DEFECTS])
+def test_defect_fails_exactly_its_gate(tmp_path, monkeypatch, command, gate,
+                                       config, defect):
+    monkeypatch.setenv("OLDROYD_SEED", "0")
+    defect(monkeypatch)
+    code, summary = _cli(tmp_path, command, config)
+    assert code == 4
+    assert summary["status"] == "invariant-violation"
+    assert summary["failed_checks"] == [gate]
+    assert summary["checks"][gate] is False
+
+
+def test_uniqueness_at_zero_amplitude_runs_both_solves(tmp_path,
+                                                      monkeypatch):
+    # the identical-data envelope compares two solves, not one with itself
+    calls = counting(monkeypatch, [harness], ["march"])
+    code, summary = _cli(tmp_path, "uniqueness",
+                         QUICK + "uniqueness.amplitude = 0\n")
+    assert code == 0 and summary["identical"]
+    assert calls["march"] == 2
+
+
+def test_every_gate_is_driven_to_failure(tmp_path, monkeypatch):
+    # the gates the cases above trip are exactly the checks that passing
+    # runs of the four commands report
+    monkeypatch.setenv("OLDROYD_SEED", "0")
+    gates = set()
+    for command in ("run", "uniqueness", "probe", "mms"):
+        (tmp_path / command).mkdir()
+        code, summary = _cli(tmp_path / command, command, QUICK)
+        assert code == 0 and summary["failed_checks"] == []
+        assert all(summary["checks"].values())
+        gates |= set(summary["checks"])
+    assert {gate for _, gate, _, _ in DEFECTS} == gates
+    assert len(DEFECTS) == len(gates)
+
+
+# ------------------------------------------------------------ edge pins
+
+def test_energy_gate_slack_is_ten_dt():
+    # a window that starts at rest has no initial strain, so the forcing
+    # integral is the whole right side; scaling the forcings puts the
+    # ratio lhs / rhs just past and just inside 1 + 10 dt
+    cfg = parse_config(QUICK + "ic.velocity = zero\n")
+    _, params, u0, s0, t0 = build_initial_data(cfg)
+    sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt)
+    audit = audit_window(sol, params)
+    base = audit.energy
+    assert base.rhs_history[0] == 0.0 and base.rhs > 0.0
+    residual_norms = [r.residual_norm for r in audit.diag.velocity_reports]
+    for eta, holds in ((1e-6, False), (-1e-6, True)):
+        target = base.lhs / ((1.0 + 10.0 * cfg.dt) * (1.0 + eta))
+        scale = np.sqrt(target / base.rhs)
+        energy = check_energy_budget(
+            audit.table, audit.out.w, [F * scale for F in audit.forcings],
+            params, residual_norms)
+        assert energy.lhs == base.lhs
+        assert energy.rhs == pytest.approx(target, rel=1e-12)
+        assert energy.satisfied is holds, eta
+
+
+@pytest.mark.parametrize("ratio, linear", [
+    (2.0 / 1.5 * (1.0 - 1e-6), False), (2.0 / 1.5 * (1.0 + 1e-6), True),
+    (2.0 * 1.5 * (1.0 - 1e-6), True), (2.0 * 1.5 * (1.0 + 1e-6), False)],
+    ids=["below-low-edge", "above-low-edge", "below-high-edge",
+         "above-high-edge"])
+def test_probe_band_edges(monkeypatch, ratio, linear):
+    # a sweep whose output gap grows as amplitude**p halves its gap by
+    # 2**p = ratio per halving of the amplitude
+    _, _, u0, s0, t0 = build_initial_data(RunConfig(grid_n=8))
+    base = IterTriple.constant(u0, s0, t0, 2, 1e-3)
+    shapes = _probe_shapes(base.grid)
+    p = np.log2(ratio)
+
+    def sweep(inp, params, tol_lin=None):
+        amp = np.abs(inp.w[-1].values - base.w[-1].values).max()
+        return _perturb(base, amp ** p, shapes, "wps"), None
+
+    monkeypatch.setattr(fixed_point, "picard_sweep", sweep)
+    rep = continuity_probe(base, 1e-3, None)
+    assert rep.shrink_ratios == pytest.approx((ratio, ratio), rel=1e-9)
+    assert rep.linear_ok is linear

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oldroydb
+import oldroydb.cli as cli
 import oldroydb.fields as fields
 import oldroydb.fixed_point as fixed_point
 import oldroydb.harness as harness
@@ -555,7 +556,7 @@ def test_cli_probe_reports_membership_of_one_certifying_sweep(tmp_path):
     assert main(["probe", "--config", path, "--out", str(out)]) == 0
     cfg = load_config(path)
     hist, block = _certified_membership(cfg, build_initial_data(cfg)[3])
-    assert hist.converged and hist.iterations == 1
+    assert hist.iterations == 1
     summary = _strict_summary(out)
     assert summary["membership"] == block
     assert block["passed"]
@@ -624,6 +625,32 @@ def test_cli_unreadable_config(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_cli_derives_failed_checks_from_checks(tmp_path, monkeypatch):
+    # a driver returns verdicts only; the CLI names the false ones, sorted
+    monkeypatch.setattr(cli, "probe_experiment", lambda cfg, out: {
+        "checks": {"zeta": False, "alpha": True, "mu": False}})
+    monkeypatch.setattr(cli, "_print_probe", lambda payload: None)
+    out = tmp_path / "out"
+    assert main(["probe", "--out", str(out)]) == 4
+    summary = _strict_summary(out)
+    assert summary["failed_checks"] == ["mu", "zeta"]
+    assert summary["status"] == "invariant-violation"
+    assert summary["exit_code"] == 4
+
+
+def test_cli_uncreatable_output_dir_is_a_config_error(tmp_path, capsys):
+    # --out under a regular file: exit 2 with the reason on stderr, the
+    # one case that leaves no summary.json
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert main(["mms", "--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config-error: cannot create output "
+                                   "directory")
+    assert "summary:" not in captured.out
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
 def _scipy_after(code):
     """The scipy modules loaded in a fresh process that runs code."""
     src = os.path.dirname(os.path.dirname(oldroydb.__file__))
@@ -684,7 +711,8 @@ def test_cli_mms_smoke(tmp_path, capsys):
     summary = _strict_summary(out)
     names = [st["name"] for st in summary["studies"]]
     assert len(names) == 5
-    assert all(st["passed"] for st in summary["studies"])
+    assert sorted(summary["checks"]) == sorted(names)
+    assert all(summary["checks"].values())
     assert any(st["exact"] for st in summary["studies"])
     assert (out / "mms.csv").exists()
 
@@ -709,7 +737,7 @@ def test_cli_uniqueness_perturbed(tmp_path):
     assert code == 0
     summary = _strict_summary(out)
     assert not summary["identical"]
-    assert summary["satisfied"]
+    assert summary["checks"] == {"gronwall_envelope": True}
     assert summary["c12_fitted"]
 
 
@@ -739,7 +767,7 @@ def test_cli_probe_smoke(tmp_path):
     code = main(["probe", "--config", cfg, "--out", str(out)])
     assert code == 0
     summary = _strict_summary(out)
-    assert summary["linear_ok"]
+    assert summary["checks"] == {"probe_linearity": True}
     assert len(summary["gaps"]) == 3
     for r in summary["shrink_ratios"]:
         assert 2.0 / 1.5 <= r <= 2.0 * 1.5

@@ -3,7 +3,8 @@
 Every invocation, success or failure, leaves a machine-readable
 ``summary.json`` in the output directory, unless that directory cannot be
 created (exit 2, the reason on stderr).  A driver returns ``checks``, each
-check's verdict by name; `main` alone derives ``failed_checks`` from it.
+check's verdict by name (`uniqueness` gates only identical data: its fitted
+envelope closes by construction); `main` alone derives ``failed_checks``.
 Exit codes: 0 all checks pass, 2 configuration problem, 3 solver failure,
 4 invariant violation.  Failures of kinds 3 and 4 also record
 ``failed_timestep``, the step that failed or null if none did, and, when
@@ -98,9 +99,6 @@ def _print_sweeps(sweeps, label="march") -> None:
 def _print_run(payload) -> None:
     print(f"converged in {payload['iterations']} sweeps; system residual "
           f"{payload['system_residual']:.3e}")
-    ratios = [r for r in payload["contraction_ratios"] if r is not None]
-    if ratios:
-        print(f"contraction ratio: worst {max(ratios):.3f}")
     _print_membership(payload["membership"])
     en, ok = payload["energy"], payload["checks"]["energy_budget"]
     print(f"energy budget: {'pass' if ok else 'FAIL'} "
@@ -126,15 +124,15 @@ def _print_mms(payload) -> None:
 
 def _print_uniqueness(payload) -> None:
     if payload["identical"]:
+        ok = payload["checks"]["gronwall_envelope"]
         print("identical data: final gap energy "
-              f"{payload['gap_energy_final']:.3e}")
+              f"{payload['gap_energy_final']:.3e}; envelope "
+              f"{'satisfied' if ok else 'VIOLATED'}")
     else:
-        fitted = "fitted" if payload["c12_fitted"] else "held"
-        print(f"gap constant c12 = {payload['c12']:.6g} ({fitted}); "
+        print(f"gap constant c12 = {payload['c12']:.6g} (fitted); "
               f"max energy/envelope ratio {payload['max_ratio']:.6f}")
-    ok = payload["checks"]["gronwall_envelope"]
-    print(f"envelope {'satisfied' if ok else 'VIOLATED'} "
-          f"with delta = {payload['delta']:.6g} "
+        print("the fitted envelope closes by construction: not a check")
+    print(f"delta = {payload['delta']:.6g} "
           f"(threshold {payload['delta_cap']:.6g})")
     for solve, mem in payload["membership"].items():
         _print_membership(mem, f"membership of the {solve} solve")

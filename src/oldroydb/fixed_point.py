@@ -356,7 +356,7 @@ def suggest_budgets(u0: VectorField, sigma0: ScalarField,
 
 @dataclass(frozen=True)
 class ConvergenceHistory:
-    """Distances, contraction ratios and membership slack per sweep.
+    """Distances, per-sweep distance ratios and membership slack per sweep.
 
     ``local_sweeps`` is empty from `iterate`; from `march` it holds the
     local sweeps of each step, which the other fields do not count.
@@ -541,13 +541,11 @@ class SystemResidual:
 @dataclass(frozen=True)
 class WindowAudit:
     """Every post-run estimate of a converged window: ``out`` and ``diag``
-    come from one more sweep, ``forcings`` holds the whole-grid F(0) ..
-    F(t_N) assembled from the window, and every report reads ``table``,
-    the norm table of ``out``."""
+    come from one more sweep, and every report reads ``table``, the norm
+    table of ``out``."""
 
     out: IterTriple
     diag: SweepDiagnostics
-    forcings: tuple
     table: TrajectoryNorms
     residual: SystemResidual
     energy: EnergyBudgetReport
@@ -581,7 +579,7 @@ def audit_window(sol: IterTriple, params, tol_lin: float = TOL_LIN,
                              first_rows=first_rows)
     residual_norms = [r.residual_norm for r in diag.velocity_reports]
     return WindowAudit(
-        out=out, diag=diag, forcings=forcings, table=table,
+        out=out, diag=diag, table=table,
         residual=SystemResidual(*map(np.max, _node_gaps(out, sol))),
         energy=check_energy_budget(table, out.w, forcings, params,
                                    residual_norms),
@@ -713,8 +711,9 @@ def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
     Those norms are read from ``table1`` and ``table2``, the solutions'
     `trajectory_norms` tables; only the gaps are measured here.
     With c12=None the smallest constant closing the envelope at every step
-    is fitted in closed form; pass a fitted value (plus slack) to hold it on
-    another run. Identical initial data switch the check to a flat
+    is fitted in closed form, so that envelope closes by construction; pass
+    a fitted value (plus slack) to hold it on another run. ``max_ratio``
+    reads steps k >= 1. Identical initial data switch the check to a flat
     solver-tolerance budget, since the envelope degenerates to zero.
     """
     npts = sol1.nsteps + 1
@@ -771,8 +770,7 @@ def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
         else:
             c = c12
         envelope = e[0] * np.exp(2.0 * (c * cum_lin + c * c * cum_quad))
-        ratios = e[1:] / envelope[1:]
-        max_ratio = float(max(ratios.max(), e[0] / envelope[0]))
+        max_ratio = float((e[1:] / envelope[1:]).max())
         satisfied = max_ratio <= (1.0 + slack) * (1.0 + 1e-12)
 
     rate = c * lin + c * c * quad

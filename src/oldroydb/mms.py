@@ -34,9 +34,13 @@ class StudyResult:
     name: str
     labels: list          # resolution or timestep labels, coarse to fine
     errors: list
-    orders: list          # len(errors) - 1 pairwise observed orders
     threshold: float      # minimum acceptable order; 0 marks an exact case
     exact: bool = False
+
+    @property
+    def orders(self):
+        # len(errors) - 1 pairwise observed orders; none for an exact case
+        return [] if self.exact else observed_orders(self.errors)
 
     @property
     def passed(self):
@@ -117,8 +121,7 @@ def velocity_spatial_study(params) -> StudyResult:
         exact = VectorField(grid, np.exp(-0.5 * T) * vort.values)
         errors.append(norm(VectorField(grid, u.values - exact.values), 0))
     return StudyResult(name="velocity diffusion, space", labels=list(ns),
-                       errors=errors, orders=observed_orders(errors),
-                       threshold=1.8)
+                       errors=errors, threshold=1.8)
 
 
 def velocity_temporal_study(params) -> StudyResult:
@@ -132,8 +135,7 @@ def velocity_temporal_study(params) -> StudyResult:
               for a, b in zip(finals[:-1], finals[1:])]
     labels = [f"{T}/{m}" for m in nsteps[:-1]]
     return StudyResult(name="velocity diffusion, time", labels=labels,
-                       errors=errors, orders=observed_orders(errors),
-                       threshold=0.9)
+                       errors=errors, threshold=0.9)
 
 
 def _gaussian_remainder(grid, center, width):
@@ -207,8 +209,7 @@ def density_advection_study() -> StudyResult:
             grid, np.exp(-sq / (2.0 * width ** 2)).reshape(grid.node_shape)))
         errors.append(norm(ScalarField(grid, s.values - exact.values), 0))
     return StudyResult(name="density advection, vortex", labels=list(ns),
-                       errors=errors, orders=observed_orders(errors),
-                       threshold=0.9)
+                       errors=errors, threshold=0.9)
 
 
 def density_still_study() -> StudyResult:
@@ -226,8 +227,8 @@ def density_still_study() -> StudyResult:
             s, _ = step_density(s, cm, params)
         errors.append(float(np.abs(s.values - sigma0.values).max()))
     return StudyResult(name="density transport, still fluid",
-                       labels=list(ns), errors=errors, orders=[],
-                       threshold=0.0, exact=True)
+                       labels=list(ns), errors=errors, threshold=0.0,
+                       exact=True)
 
 
 def stress_relaxation_study() -> StudyResult:
@@ -248,8 +249,7 @@ def stress_relaxation_study() -> StudyResult:
         errors.append(norm(SymTensorField(grid, tau.values - exact), 0))
     labels = [f"{T}/{m}" for m in nsteps]
     return StudyResult(name="stress relaxation, time", labels=labels,
-                       errors=errors, orders=observed_orders(errors),
-                       threshold=0.9)
+                       errors=errors, threshold=0.9)
 
 
 def all_studies(params) -> list:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import strategies as st
 
 from oldroydb import Grid
-from oldroydb.fields import random_smooth_field
-from oldroydb.fixed_point import audit_window, iterate, march
+from oldroydb.fields import grad_tensor, random_smooth_field, viscous_operator
+from oldroydb.fixed_point import (assemble_forcing, audit_window, iterate,
+                                  march)
 from oldroydb.harness import (PRESETS, RunConfig, build_initial_data,
                               load_config)
 from oldroydb.velocity import TOL_LIN, step_velocity
@@ -97,6 +98,15 @@ def counting(monkeypatch, modules, names):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
     return calls
+
+
+def window_forcings(sol, params):
+    """The whole-grid F(0) .. F(t_N) of a window, assembled from its nodes
+    as `audit_window` assembles the forcings its energy and regularity
+    checks read."""
+    return [assemble_forcing(w, grad_tensor(w), viscous_operator(w), p, q,
+                             params)
+            for w, p, q in zip(sol.w, sol.pi, sol.psi)]
 
 
 def centered_bump_perturbation(grid):

@@ -11,7 +11,6 @@ import itertools
 import math
 import os
 import pkgutil
-import re
 import tracemalloc
 
 import numpy as np
@@ -1105,19 +1104,18 @@ def _package_modules():
 
 def test_every_exported_name_has_a_reader_outside_the_tests():
     # read by a package module (its own included; the re-exports of
-    # `__init__` read nothing), by a demo, or named in README.md
+    # `__init__` read nothing) or by a demo; a name README.md mentions but
+    # no code reads does not count
     read = set().union(*map(_names_read, _reader_files()))
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        readme = set(re.findall(r"\w+", fh.read()))
     unread = [f"{module.__name__}.{name}" for module in _package_modules()
               for name in getattr(module, "__all__", ())
-              if name not in read and name not in readme]
+              if name not in read]
     assert unread == []
 
 
 def test_every_dataclass_field_has_a_reader_outside_the_tests():
     # a field is read when a package module or a demo loads it as an
-    # attribute, or README.md names it in backticks.  The check goes by
+    # attribute; README.md naming it does not count.  The check goes by
     # name: a field passes when a field of the same name in another class
     # is read (so `RegularityReport.lhs` would pass on
     # `EnergyBudgetReport.lhs`, and `MembershipReport.velocity_budget`
@@ -1128,14 +1126,11 @@ def test_every_dataclass_field_has_a_reader_outside_the_tests():
             loaded.update(node.attr for node in ast.walk(ast.parse(fh.read()))
                           if isinstance(node, ast.Attribute)
                           and isinstance(node.ctx, ast.Load))
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        ticked = set(re.findall(r"\w+", " ".join(
-            re.findall(r"`([^`]*)`", fh.read()))))
     unread = [f"{module.__name__}.{name}.{f.name}"
               for module in _package_modules()
               for name, cls in vars(module).items()
               if dataclasses.is_dataclass(cls) and isinstance(cls, type)
               and cls.__module__ == module.__name__
               for f in dataclasses.fields(cls)
-              if f.name not in loaded and f.name not in ticked]
+              if f.name not in loaded]
     assert unread == []

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       IterTriple, NonConvergenceError, ScalarField,
                       SymTensorField, SystemResidual, VectorField,
-                      assemble_forcing, audit_window, check_membership,
+                      assemble_forcing, audit_window, check_energy_budget,
+                      check_membership, check_regularity_budget,
                       continuity_probe, delta_threshold, grad_tensor,
                       iterate, march, mean, norm, picard_sweep,
                       step_density, step_stress, step_velocity,
@@ -22,7 +23,8 @@ from oldroydb import fields, fixed_point, rheology, transport, velocity
 from oldroydb.transport import check_density_bounds, check_stress_bounds
 
 from conftest import (centered_bump_perturbation, compressive_preset,
-                      counting, draw_trajectory, run_velocity, small_preset)
+                      counting, draw_trajectory, run_velocity, small_preset,
+                      window_forcings)
 
 
 def interior(grid):
@@ -505,7 +507,6 @@ def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
     audit = audit_window(c.sol, c.params)
     assert calls["viscous_operator"] == 2 * nsteps + 1
     assert calls["divergence"] == calls["strain"] == 0
-    assert len(audit.forcings) == nsteps + 1
     assert audit.out.w[0] is c.sol.w[0]
     assert audit.residual == c.audit.residual
     assert audit.energy.dissipation_slack == c.audit.energy.dissipation_slack
@@ -513,16 +514,18 @@ def test_audit_takes_each_node_A_u_once(converged32, monkeypatch):
 
 def test_audit_forcings_are_the_whole_grid_forcings_of_the_window(
         converged32):
-    # F(t_k) is the whole-grid forcing of node k of the audited window, for
-    # every k = 0..N: the energy and regularity checks read its boundary
-    # rows, which the sweep's forcings do not carry
-    c = converged32
-    sol, forcings = c.sol, c.audit.forcings
-    assert len(forcings) == sol.nsteps + 1
-    for k, (w, p, q) in enumerate(zip(sol.w, sol.pi, sol.psi)):
-        F = assemble_forcing(w, grad_tensor(w), viscous_operator(w), p, q,
-                             c.params)
-        assert np.array_equal(forcings[k].values, F.values), k
+    # the energy and regularity checks read F(t_k), the whole-grid forcing
+    # of node k of the audited window, for every k = 0..N: its boundary
+    # rows too, which the sweep's forcings do not carry
+    c, audit = converged32, converged32.audit
+    Fs = window_forcings(c.sol, c.params)
+    residual_norms = [r.residual_norm for r in audit.diag.velocity_reports]
+    energy = check_energy_budget(audit.table, audit.out.w, Fs, c.params,
+                                 residual_norms)
+    assert (energy.lhs, energy.rhs) == (audit.energy.lhs, audit.energy.rhs)
+    assert energy.dissipation_slack == audit.energy.dissipation_slack
+    assert check_regularity_budget(
+        audit.table, viscous_operator(c.sol.w[0]), Fs) == audit.regularity
 
 
 def test_audit_table_reuses_node_0_rows_bit_for_bit(converged32):
@@ -830,4 +833,19 @@ def test_compressive_pair_fits_positive_constant(gronwall32):
     held = uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0,
                                  g.params, c12=rep.c12, slack=0.05)
     assert not held.c12_fitted
+    assert held.satisfied
+
+
+def test_coarse_constant_held_on_the_fine_pair_reads_below_one(gronwall32,
+                                                              gronwall64):
+    # the fitted envelope closes by construction; the n=32 constant held
+    # on the n=64 pair is a measurement, and it stays inside its envelope
+    # at every step k >= 1 (e_0 / envelope_0 = 1 is not counted)
+    g32, g64 = gronwall32, gronwall64
+    fit = uniqueness_experiment(g32.sol, g32.table, g32.solp, g32.tablep,
+                                1.0, g32.params)
+    held = uniqueness_experiment(g64.sol, g64.table, g64.solp, g64.tablep,
+                                 1.0, g64.params, c12=fit.c12)
+    assert not held.c12_fitted and held.c12 == fit.c12
+    assert held.max_ratio < 1.0
     assert held.satisfied

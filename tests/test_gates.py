@@ -6,8 +6,12 @@ or bound, and runs the command through the CLI: it must exit 4 with
 exactly that gate in ``failed_checks``.  `test_every_gate_is_driven_to_failure`
 holds the cases against the ``checks`` of passing runs of all four
 commands, so a new gate that no case drives fails the suite.  The last
-tests pin two bounds at their edges: the energy budget's (1 + 10 dt)
-slack and the probe's linearity band [2/1.5, 2 * 1.5].
+tests pin every fixed bound at its edge, by scaling an input or the
+measurement a gate reads 1e-6 relative past and inside it: the residual's
+10 tol.fp, the density mean's 1e-12 max(1, sup |sigma|), the energy
+budget's (1 + 10 dt) slack, the dissipation allowance, the mms orders and
+round-off, the probe's linearity band [2/1.5, 2 * 1.5] and the
+identical-data envelope's (10 tol.fp)^2.
 """
 
 import dataclasses
@@ -23,13 +27,15 @@ import oldroydb.mms as mms
 import oldroydb.transport as transport
 import oldroydb.velocity as velocity
 from oldroydb.cli import main
-from oldroydb.fields import ScalarField
-from oldroydb.fixed_point import (IterTriple, _perturb, _probe_shapes,
-                                  audit_window, continuity_probe, iterate)
+from oldroydb.fields import ScalarField, inner
+from oldroydb.fixed_point import (TOL_FP, IterTriple, SystemResidual,
+                                  _gap_energies, _perturb, _probe_shapes,
+                                  audit_window, continuity_probe, iterate,
+                                  trajectory_norms, uniqueness_experiment)
 from oldroydb.harness import RunConfig, build_initial_data, parse_config
 from oldroydb.velocity import check_energy_budget
 
-from conftest import counting
+from conftest import counting, window_forcings
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "demos", "configs")
@@ -209,12 +215,16 @@ def test_uniqueness_at_zero_amplitude_runs_both_solves(tmp_path,
 
 def test_every_gate_is_driven_to_failure(tmp_path, monkeypatch):
     # the gates the cases above trip are exactly the checks that passing
-    # runs of the four commands report
+    # runs of the four commands report; `uniqueness` gates only identical
+    # data, so it runs at amplitude 0 too
     monkeypatch.setenv("OLDROYD_SEED", "0")
     gates = set()
-    for command in ("run", "uniqueness", "probe", "mms"):
-        (tmp_path / command).mkdir()
-        code, summary = _cli(tmp_path / command, command, QUICK)
+    runs = [(command, QUICK) for command in ("run", "uniqueness", "probe",
+                                             "mms")]
+    runs.append(("uniqueness", QUICK + "uniqueness.amplitude = 0\n"))
+    for i, (command, config) in enumerate(runs):
+        (tmp_path / str(i)).mkdir()
+        code, summary = _cli(tmp_path / str(i), command, config)
         assert code == 0 and summary["failed_checks"] == []
         assert all(summary["checks"].values())
         gates |= set(summary["checks"])
@@ -224,26 +234,134 @@ def test_every_gate_is_driven_to_failure(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------ edge pins
 
-def test_energy_gate_slack_is_ten_dt():
-    # a window that starts at rest has no initial strain, so the forcing
-    # integral is the whole right side; scaling the forcings puts the
-    # ratio lhs / rhs just past and just inside 1 + 10 dt
+EDGES = [(1e-6, False), (-1e-6, True)]  # (eta, verdict): past, inside
+EDGE_IDS = ["past", "inside"]
+
+
+def _run_with_audit(tmp_path, monkeypatch, edit):
+    """`run` on QUICK, its gates reading ``edit(audit)`` for its audit."""
+    _wrap(monkeypatch, harness, "audit_window",
+          lambda real: lambda *a, **k: edit(real(*a, **k)))
+    return _cli(tmp_path, "run", QUICK)
+
+
+@pytest.mark.parametrize("eta, holds", EDGES, ids=EDGE_IDS)
+def test_residual_gate_edge(tmp_path, monkeypatch, eta, holds):
+    # the measured residual scaled to 10 tol.fp (1 + eta)
+    target = 10.0 * RunConfig.tol_fp * (1.0 + eta)
+
+    def edit(audit):
+        r = audit.residual
+        scale = target / r.worst
+        return dataclasses.replace(audit, residual=SystemResidual(
+            r.velocity * scale, r.density * scale, r.stress * scale))
+
+    code, summary = _run_with_audit(tmp_path, monkeypatch, edit)
+    assert summary["system_residual"] == pytest.approx(target, rel=1e-12)
+    assert summary["checks"]["system_residual"] is holds
+    assert code == (0 if holds else 4)
+
+
+@pytest.mark.parametrize("sup_scale", [1.0, 1e3], ids=["sup-below-1",
+                                                       "sup-above-1"])
+@pytest.mark.parametrize("eta, holds", EDGES, ids=EDGE_IDS)
+def test_density_mean_gate_edge(tmp_path, monkeypatch, eta, holds,
+                                sup_scale):
+    # the measured mean set to 1e-12 max(1, sup |sigma|) (1 + eta); the
+    # audit table's L2 column, scaled by 1e3, puts sup |sigma| above 1
+    target = []
+
+    def edit(audit):
+        pi = audit.table.pi * [[sup_scale, 1.0, 1.0]]
+        sup = pi[:, 0].max()
+        assert bool(sup > 1.0) is (sup_scale > 1.0)
+        target.append(1e-12 * max(1.0, sup) * (1.0 + eta))
+        return dataclasses.replace(
+            audit, table=dataclasses.replace(audit.table, pi=pi))
+
+    monkeypatch.setattr(harness, "mean", lambda f: target[0])
+    code, summary = _run_with_audit(tmp_path, monkeypatch, edit)
+    assert summary["mean_sigma_max"] == target[0]
+    assert summary["checks"]["density_mean_zero"] is holds
+    assert code == (0 if holds else 4)
+
+
+@pytest.fixture(scope="module")
+def rest_window():
+    """A converged QUICK window that starts at rest, its audit and the
+    whole-grid forcings its energy checks read."""
     cfg = parse_config(QUICK + "ic.velocity = zero\n")
     _, params, u0, s0, t0 = build_initial_data(cfg)
     sol, _ = iterate(u0, s0, t0, params, cfg.T, cfg.dt)
-    audit = audit_window(sol, params)
+    return cfg, params, audit_window(sol, params), window_forcings(sol,
+                                                                   params)
+
+
+def test_energy_gate_slack_is_ten_dt(rest_window):
+    # a window that starts at rest has no initial strain, so the forcing
+    # integral is the whole right side; scaling the forcings puts the
+    # ratio lhs / rhs just past and just inside 1 + 10 dt
+    cfg, params, audit, forcings = rest_window
     base = audit.energy
     assert base.rhs_history[0] == 0.0 and base.rhs > 0.0
     residual_norms = [r.residual_norm for r in audit.diag.velocity_reports]
-    for eta, holds in ((1e-6, False), (-1e-6, True)):
+    for eta, holds in EDGES:
         target = base.lhs / ((1.0 + 10.0 * cfg.dt) * (1.0 + eta))
         scale = np.sqrt(target / base.rhs)
         energy = check_energy_budget(
-            audit.table, audit.out.w, [F * scale for F in audit.forcings],
+            audit.table, audit.out.w, [F * scale for F in forcings],
             params, residual_norms)
         assert energy.lhs == base.lhs
         assert energy.rhs == pytest.approx(target, rel=1e-12)
         assert energy.satisfied is holds, eta
+
+
+def test_dissipation_gate_edge(rest_window):
+    # each step's lhs <= rhs + 1e-11 max(1, |lhs|, |rhs|).  With the
+    # residual terms zeroed, rhs is <F_n, u_n>; scaling each step's forcing
+    # on its own puts every step's lhs 1e-6 relative past and inside its
+    # bound.  Every side is below 1 on this window, so the bound is rhs + 1e-11
+    _, params, audit, forcings = rest_window
+    us = audit.out.w
+    zero = [0.0] * (len(us) - 1)
+    rhs = [inner(F, u) for F, u in zip(forcings[1:], us[1:])]
+    lhs = [r - s for r, s in zip(rhs, check_energy_budget(
+        audit.table, us, forcings, params, zero).dissipation_slack)]
+    assert all(0.0 < x < 1.0 and 0.0 < r < 1.0 for x, r in zip(lhs, rhs))
+    for eta, holds in EDGES:
+        target = [x / (1.0 + eta) - 1e-11 for x in lhs]
+        scaled = [forcings[0]] + [F * (t / r) for F, t, r in
+                                  zip(forcings[1:], target, rhs)]
+        energy = check_energy_budget(audit.table, us, scaled, params, zero)
+        assert energy.dissipation_slack == pytest.approx(
+            [t - x for t, x in zip(target, lhs)], rel=1e-6)
+        assert energy.dissipation_satisfied is holds, eta
+
+
+@pytest.mark.parametrize("eta, holds", [(1e-6, True), (-1e-6, False)],
+                         ids=["inside", "past"])
+def test_mms_gate_edges(tmp_path, monkeypatch, eta, holds):
+    # every study's measured errors replaced by a dyadic ladder whose
+    # observed orders are threshold (1 + eta), and the exact study's by
+    # 1e-12 (1 - eta): each study's gate sits 1e-6 relative inside or past
+    real = mms.StudyResult
+
+    def edge(*, errors, threshold, exact=False, **kw):
+        errors = ([1e-12 * (1.0 - eta)] * len(errors) if exact else
+                  [2.0 ** (-threshold * (1.0 + eta) * i)
+                   for i in range(len(errors))])
+        return real(errors=errors, threshold=threshold, exact=exact, **kw)
+
+    monkeypatch.setattr(mms, "StudyResult", edge)
+    code, summary = _cli(tmp_path, "mms", "")
+    assert code == (0 if holds else 4)
+    assert list(summary["checks"].values()) == [holds] * 5
+    graded = [st for st in summary["studies"] if not st["exact"]]
+    assert sorted({st["threshold"] for st in graded}) == [0.9, 1.8]
+    for st in graded:
+        assert st["orders"] == pytest.approx(
+            [st["threshold"] * (1.0 + eta)] * (len(st["errors"]) - 1),
+            rel=1e-12)
 
 
 @pytest.mark.parametrize("ratio, linear", [
@@ -267,3 +385,26 @@ def test_probe_band_edges(monkeypatch, ratio, linear):
     rep = continuity_probe(base, 1e-3, None)
     assert rep.shrink_ratios == pytest.approx((ratio, ratio), rel=1e-9)
     assert rep.linear_ok is linear
+
+
+@pytest.mark.parametrize("eta, holds", EDGES, ids=EDGE_IDS)
+def test_identical_data_envelope_edge(eta, holds):
+    # equal node-0 data, and the second trajectory offset at nodes k >= 1
+    # (a ramp that vanishes at node 0) so that its largest gap energy is
+    # (10 tol_fp)^2 (1 + eta)
+    _, params, u0, s0, t0 = build_initial_data(RunConfig(grid_n=8))
+    base = IterTriple.constant(u0, s0, t0, 3, 1e-3)
+    shapes = _probe_shapes(base.grid)
+    budget = (10.0 * TOL_FP) ** 2
+    unit = max(_gap_energies(base, _perturb(base, 1.0, shapes, "wps"),
+                             params))
+    second = _perturb(base, np.sqrt(budget * (1.0 + eta) / unit), shapes,
+                      "wps")
+    tables = [trajectory_norms(x.w, x.pi, x.psi, x.dt)
+              for x in (base, second)]
+    rep = uniqueness_experiment(base, tables[0], second, tables[1], 1.0,
+                                params)
+    assert rep.identical
+    assert max(rep.gap_energy) == pytest.approx(budget * (1.0 + eta),
+                                                rel=1e-9)
+    assert rep.satisfied is holds

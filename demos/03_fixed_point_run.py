@@ -9,6 +9,7 @@ measures the true system residual and the trajectory energy budget.
 import os
 
 from oldroydb import audit_window, iterate
+from oldroydb.gates import GATES
 from oldroydb.harness import build_initial_data, load_config
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
@@ -40,8 +41,9 @@ def main():
           f"inside [{mem.band_lo}, {mem.band_hi}]")
 
     energy = audit.energy
+    c = GATES["energy_budget"][0]
     print(f"energy budget: lhs {energy.lhs:.5f} <= "
-          f"rhs (1 + 10 dt) = {energy.rhs * (1 + 10 * sol.dt):.5f} "
+          f"rhs (1 + {c:g} dt) = {energy.rhs * (1 + c * sol.dt):.5f} "
           f"-> {'holds' if energy.satisfied else 'VIOLATED'}")
 
     # the same construction refuses a window that is too long for the data

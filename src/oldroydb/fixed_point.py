@@ -43,6 +43,7 @@ from .fields import (ScalarField, SymTensorField, TrajectoryNorms,
                      VectorField, div_tensor, grad_tensor, gradient, mean,
                      norm, strain, trajectory_norms, viscous_interior,
                      viscous_operator)
+from .gates import GATES
 from .rheology import momentum_source
 from .transport import (DensityBoundReport, StressBoundReport,
                         check_density_bounds, check_stress_bounds,
@@ -341,9 +342,9 @@ def suggest_budgets(u0: VectorField, sigma0: ScalarField,
     The first budget covers the largest of the squared viscous load of the
     initial velocity and the H2 norms of the density and stress data; the
     second follows the relaxation-weighted structure of the stress-rate
-    bound. Both carry the empirical, not theoretical, margin 4.
+    bound. Both carry the empirical, not theoretical, margin of `gates.GATES`.
     """
-    margin = 4.0
+    margin = GATES["membership"]
     visc0 = norm(viscous_operator(u0), 0) ** 2
     s2, t2 = norm(sigma0, 2), norm(tau0, 2)
     base1 = max(visc0, s2, t2)
@@ -356,18 +357,26 @@ def suggest_budgets(u0: VectorField, sigma0: ScalarField,
 
 @dataclass(frozen=True)
 class ConvergenceHistory:
-    """Distances, per-sweep distance ratios and membership slack per sweep.
+    """Distances and membership slack per sweep.
 
     ``local_sweeps`` is empty from `iterate`; from `march` it holds the
     local sweeps of each step, which the other fields do not count.
     """
 
     distances: tuple
-    ratios: tuple
     slack_mins: tuple
-    iterations: int
     membership: MembershipReport
     local_sweeps: tuple = ()
+
+    @property
+    def iterations(self):
+        return len(self.distances)
+
+    @property
+    def ratios(self):
+        # d_k / d_{k-1}, NaN at the first sweep and after a zero distance
+        d = (math.nan,) + self.distances
+        return tuple(b / a if a > 0.0 else math.nan for a, b in zip(d, d[1:]))
 
 
 def _check_hypotheses(u0: VectorField, sigma0: ScalarField,
@@ -436,7 +445,7 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
         if not pinned:
             raise ConfigError("initial guess must start from the given data")
 
-    dists, ratios, slacks = [], [], []
+    dists, slacks = [], []
     first_rows = None  # node 0 passes through every sweep: norm it once
     for k in range(1, max_iter + 1):
         try:
@@ -447,14 +456,10 @@ def iterate(u0: VectorField, sigma0: ScalarField, tau0: SymTensorField,
         d = trajectory_distance(y, x, params)
         mem = check_membership(y, b1, b2, params, first_rows=first_rows)
         first_rows = mem.table.first_rows
-        ratios.append(d / dists[-1] if dists and dists[-1] > 0.0
-                      else float("nan"))
         dists.append(d)
         slacks.append(mem.slack_min)
         if d <= tol_fp:
-            return y, ConvergenceHistory(
-                distances=tuple(dists), ratios=tuple(ratios),
-                slack_mins=tuple(slacks), iterations=k, membership=mem)
+            return y, ConvergenceHistory(tuple(dists), tuple(slacks), mem)
         if not math.isfinite(d):
             break
         x = y
@@ -644,20 +649,20 @@ class ProbeReport:
 def continuity_probe(base: IterTriple, delta: float, params,
                      components: str = "wps",
                      tol_lin: float = TOL_LIN) -> ProbeReport:
-    """Perturb the input trajectory at amplitudes delta, delta/2, delta/4.
+    """Perturb the input trajectory at amplitudes delta > 0, delta/2, delta/4.
 
     The perturbation is a fixed smooth shape times a linear time ramp (so
     initial data stay pinned); the report records the sup-in-time L2 output
-    gaps and whether they shrink linearly, within a factor 1.5, as the
-    amplitude halves. ``components`` selects which of w/p/s move.
+    gaps and whether they shrink linearly, within `gates.GATES`' factor, as
+    the amplitude halves. ``components`` selects which of w/p/s move.
     """
-    if delta < 0.0:
-        raise ValueError("perturbation amplitude must be nonnegative")
+    if not delta > 0.0:
+        raise ValueError("perturbation amplitude must be positive")
     if not components or set(components) - set("wps"):
         raise ValueError("components must be a nonempty subset of 'wps'")
     shapes = _probe_shapes(base.grid)
     ref = picard_sweep(base, params, tol_lin=tol_lin)[0]
-    scales = (delta, delta / 2.0, delta / 4.0) if delta > 0.0 else (0.0,)
+    scales = (delta, delta / 2.0, delta / 4.0)
     rows = []  # sup-in-time gap of each component, then of all three
     for s in scales:
         out = picard_sweep(_perturb(base, s, shapes, components), params,
@@ -667,7 +672,8 @@ def continuity_probe(base: IterTriple, delta: float, params,
     gv, gp, gs, gtot = zip(*rows)
     shrink = tuple(gtot[i] / gtot[i + 1] if gtot[i + 1] > 0.0
                    else float("inf") for i in range(len(gtot) - 1))
-    linear_ok = all(2.0 / 1.5 <= r <= 2.0 * 1.5 for r in shrink)
+    band = GATES["probe_linearity"]
+    linear_ok = all(2.0 / band <= r <= 2.0 * band for r in shrink)
     return ProbeReport(
         delta=delta, deltas=scales, velocity_gaps=gv, density_gaps=gp,
         stress_gaps=gs, gaps=gtot, shrink_ratios=shrink, linear_ok=linear_ok)
@@ -689,7 +695,6 @@ class UniquenessReport:
     delta: float
     delta_cap: float
     c12: float
-    c12_fitted: bool
     identical: bool
     times: tuple
     gap_energy: tuple
@@ -741,10 +746,9 @@ def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
     cum_quad = np.concatenate([[0.0], np.cumsum(dt * quad[1:])])
 
     identical = bool(e[0] == 0.0)
-    fitted = False
     if identical:
         c = 0.0 if c12 is None else c12
-        budget = (10.0 * fp_tol) ** 2
+        budget = (GATES["gronwall_envelope"] * fp_tol) ** 2
         envelope = np.full(npts, budget)
         satisfied = bool(np.all(e <= budget))
         max_ratio = float(e.max() / budget)
@@ -766,7 +770,6 @@ def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
                     raise ConfigError("gap grew under identically zero "
                                       "solutions; data are inconsistent")
                 c = max(c, root)
-            fitted = True
         else:
             c = c12
         envelope = e[0] * np.exp(2.0 * (c * cum_lin + c * c * cum_quad))
@@ -775,7 +778,6 @@ def uniqueness_experiment(sol1: IterTriple, table1: TrajectoryNorms,
 
     rate = c * lin + c * c * quad
     return UniquenessReport(
-        delta=delta, delta_cap=cap, c12=c, c12_fitted=fitted,
-        identical=identical, times=sol1.times, gap_energy=tuple(e),
-        growth_rate=tuple(rate), envelope=tuple(envelope),
-        max_ratio=max_ratio, satisfied=satisfied)
+        delta=delta, delta_cap=cap, c12=c, identical=identical,
+        times=sol1.times, gap_energy=tuple(e), growth_rate=tuple(rate),
+        envelope=tuple(envelope), max_ratio=max_ratio, satisfied=satisfied)

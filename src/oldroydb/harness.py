@@ -26,6 +26,7 @@ from .fields import (Grid, ScalarField, SymTensorField, VectorField, mean,
 from .fixed_point import (MAX_ITER, TOL_FP, audit_window, continuity_probe,
                           delta_threshold, iterate, march,
                           uniqueness_experiment)
+from .gates import GATES
 from .mms import all_studies, taylor_vortex
 from .rheology import FluidParams
 from .velocity import TOL_LIN
@@ -130,8 +131,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("tol.max_iter must be at least 1")
     if cfg.tol_lin <= 0.0 or cfg.tol_fp <= 0.0:
         raise ConfigError("tol.lin and tol.fp must be positive")
-    if cfg.probe_amplitude < 0.0:
-        raise ConfigError("probe.amplitude must be nonnegative")
+    if cfg.probe_amplitude <= 0.0:
+        raise ConfigError("probe.amplitude must be positive")
     for key, builders in PRESETS.items():
         value = getattr(cfg, _KEY_TO_ATTR[key][0])
         if value not in builders:
@@ -317,10 +318,11 @@ def run_experiment(cfg: RunConfig, out_dir) -> dict:
 
     checks = {
         "membership": hist.membership.passed,
-        "system_residual": residual < 10.0 * cfg.tol_fp,
+        "system_residual": residual < GATES["system_residual"] * cfg.tol_fp,
         "energy_budget": energy.satisfied,
         "step_dissipation": energy.dissipation_satisfied,
-        "density_mean_zero": mean_sigma_max <= 1e-12 * sigma_scale,
+        "density_mean_zero":
+            mean_sigma_max <= GATES["density_mean_zero"] * sigma_scale,
     }
 
     ledger_path = os.path.join(out_dir, "ledger.csv")
@@ -389,7 +391,8 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
         report.append({"name": st.name, "labels": list(st.labels),
                        "errors": list(st.errors),
                        "orders": None if st.exact else list(st.orders),
-                       "exact": st.exact, "threshold": st.threshold,
+                       "exact": st.exact,
+                       "threshold": 0.0 if st.exact else GATES[st.name],
                        "orders_text": orders})
         for i, (lab, err) in enumerate(zip(st.labels, st.errors)):
             order = "" if (st.exact or i == 0) else st.orders[i - 1]
@@ -438,7 +441,6 @@ def uniqueness_pair_experiment(cfg: RunConfig, out_dir) -> dict:
         "delta_cap": rep.delta_cap,
         "identical": rep.identical,
         "c12": rep.c12,
-        "c12_fitted": rep.c12_fitted,
         "max_ratio": rep.max_ratio,
         "gap_energy_final": rep.gap_energy[-1],
         "membership": {"base": _membership_summary(hist1.membership),

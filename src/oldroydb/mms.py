@@ -5,9 +5,9 @@ closed-form exact solution and reports errors and observed orders across a
 refinement ladder.  Only the final state of each rung is read, so a rung
 holds one state at a time: the velocity ladders step
 `velocity.step_velocity` and keep only the current velocity
-(`_final_velocity`).  Passing thresholds: order >= 1.8 for the second-order
-diffusion pieces, >= 0.9 for transport pieces, and machine-zero error for
-cases the schemes reproduce exactly.
+(`_final_velocity`).  A study passes at the bound `gates.GATES` holds under
+its name: a least order, or a round-off error for a case the schemes
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .fields import (Grid, ScalarField, SymTensorField, VectorField,
                      mean_zero_project, norm, random_smooth_field)
+from .gates import GATES
 from .rheology import FluidParams
 from .transport import step_density, step_stress, trace
 from .velocity import step_velocity
@@ -34,8 +35,7 @@ class StudyResult:
     name: str
     labels: list          # resolution or timestep labels, coarse to fine
     errors: list
-    threshold: float      # minimum acceptable order; 0 marks an exact case
-    exact: bool = False
+    exact: bool = False   # its errors, not its orders, are gated
 
     @property
     def orders(self):
@@ -45,8 +45,8 @@ class StudyResult:
     @property
     def passed(self):
         if self.exact:
-            return all(e < 1e-12 for e in self.errors)
-        return all(o >= self.threshold for o in self.orders)
+            return all(e < GATES[self.name] for e in self.errors)
+        return all(o >= GATES[self.name] for o in self.orders)
 
 
 def observed_orders(errors):
@@ -121,7 +121,7 @@ def velocity_spatial_study(params) -> StudyResult:
         exact = VectorField(grid, np.exp(-0.5 * T) * vort.values)
         errors.append(norm(VectorField(grid, u.values - exact.values), 0))
     return StudyResult(name="velocity diffusion, space", labels=list(ns),
-                       errors=errors, threshold=1.8)
+                       errors=errors)
 
 
 def velocity_temporal_study(params) -> StudyResult:
@@ -135,7 +135,7 @@ def velocity_temporal_study(params) -> StudyResult:
               for a, b in zip(finals[:-1], finals[1:])]
     labels = [f"{T}/{m}" for m in nsteps[:-1]]
     return StudyResult(name="velocity diffusion, time", labels=labels,
-                       errors=errors, threshold=0.9)
+                       errors=errors)
 
 
 def _gaussian_remainder(grid, center, width):
@@ -209,7 +209,7 @@ def density_advection_study() -> StudyResult:
             grid, np.exp(-sq / (2.0 * width ** 2)).reshape(grid.node_shape)))
         errors.append(norm(ScalarField(grid, s.values - exact.values), 0))
     return StudyResult(name="density advection, vortex", labels=list(ns),
-                       errors=errors, threshold=0.9)
+                       errors=errors)
 
 
 def density_still_study() -> StudyResult:
@@ -227,8 +227,7 @@ def density_still_study() -> StudyResult:
             s, _ = step_density(s, cm, params)
         errors.append(float(np.abs(s.values - sigma0.values).max()))
     return StudyResult(name="density transport, still fluid",
-                       labels=list(ns), errors=errors, threshold=0.0,
-                       exact=True)
+                       labels=list(ns), errors=errors, exact=True)
 
 
 def stress_relaxation_study() -> StudyResult:
@@ -249,7 +248,7 @@ def stress_relaxation_study() -> StudyResult:
         errors.append(norm(SymTensorField(grid, tau.values - exact), 0))
     labels = [f"{T}/{m}" for m in nsteps]
     return StudyResult(name="stress relaxation, time", labels=labels,
-                       errors=errors, threshold=0.9)
+                       errors=errors)
 
 
 def all_studies(params) -> list:

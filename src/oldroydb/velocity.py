@@ -26,7 +26,7 @@ Two a-posteriori checks instrument a computed trajectory:
         + (1-omega) sup ||D u||^2 + (1-omega) sup ||div u||^2
       <= 4 (1-omega) ||D u0||^2 + int ||F||^2
 
-  up to a (1 + 10 dt) discretization slack, with the ||u|| and ||u'||
+  up to a discretization slack (`gates.GATES`), with the ||u|| and ||u'||
   terms read from a `fields.trajectory_norms` table, and from the same
   A u_n the dissipation inequality each backward-Euler step enforces up to
   its weighted linear residual r_n,
@@ -59,6 +59,7 @@ from .fields import (ScalarField, SymTensorField, VectorField,
                      conjugate_gradient, diagonal_sum, grad_tensor, inner,
                      norm, norm_hminus1, viscous_operator,
                      viscous_preconditioner, viscous_system)
+from .gates import GATES
 
 __all__ = ["VelocityStepReport", "step_velocity", "EnergyBudgetReport",
            "check_energy_budget", "RegularityReport",
@@ -134,7 +135,7 @@ class EnergyBudgetReport:
 
     lhs: float
     rhs: float
-    slack: float                 # rhs (1 + 10 dt) - lhs, >= 0 when satisfied
+    slack: float                 # rhs (1 + c dt) - lhs, >= 0 when satisfied
     satisfied: bool
     dissipation_slack: tuple     # per step, rhs - lhs of its inequality
     dissipation_satisfied: bool  # every step's inequality holds
@@ -147,7 +148,7 @@ def check_energy_budget(table, us, Fs, params,
                         residual_norms) -> EnergyBudgetReport:
     """Evaluate both sides of the trajectory energy inequality and the
     dissipation inequality of every step, taking each node's gradient and
-    A u once.
+    A u once; both read their bounds from `gates.GATES`.
 
     table: the `trajectory_norms` table of the trajectory, which supplies dt
     and the L2 norms of each velocity node and rate; us: fields at t_0 ..
@@ -161,6 +162,8 @@ def check_energy_budget(table, us, Fs, params,
         raise ValueError("need one residual norm per step")
     om = params.omega
     dt = table.dt
+    slack_rate, round_off = GATES["energy_budget"]
+    allowance = GATES["step_dissipation"]
     # squared on Python floats to match `norm(...) ** 2` to the bit
     u_l2 = table.w[:, 0].tolist()
     rate_l2 = table.w_rate[:, 0].tolist()
@@ -197,13 +200,14 @@ def check_energy_budget(table, us, Fs, params,
                     + residual_norms[n - 1] * np.sqrt(u1sq) / dt)
         diss_slack.append(step_rhs - step_lhs)
         scale = max(1.0, abs(step_lhs), abs(step_rhs))
-        diss_ok = diss_ok and bool(step_lhs <= step_rhs + 1e-11 * scale)
+        diss_ok = diss_ok and bool(step_lhs <= step_rhs + allowance * scale)
 
     lhs, rhs = lhs_hist[-1], rhs_hist[-1]
-    slack = np.array(rhs_hist) * (1.0 + 10.0 * dt) - np.array(lhs_hist)
+    allowed = np.array(rhs_hist) * (1.0 + slack_rate * dt)
+    slack = allowed - np.array(lhs_hist)
     return EnergyBudgetReport(
         lhs=lhs, rhs=rhs, slack=float(slack[-1]),
-        satisfied=bool(lhs <= rhs * (1.0 + 10.0 * dt) + 1e-14 * (1.0 + rhs)),
+        satisfied=bool(lhs <= allowed[-1] + round_off * (1.0 + rhs)),
         dissipation_slack=tuple(diss_slack),
         dissipation_satisfied=diss_ok, lhs_history=np.array(lhs_hist),
         rhs_history=np.array(rhs_hist), slack_history=slack)

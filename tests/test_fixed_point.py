@@ -713,12 +713,12 @@ def test_probe_gaps_shrink_linearly(converged32):
     assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2] > 0.0
 
 
-def test_probe_zero_amplitude_is_exact(converged32):
-    rep = continuity_probe(converged32.sol, 0.0, converged32.params)
-    assert rep.deltas == (0.0,)
-    assert rep.gaps == (0.0,)
-    assert rep.shrink_ratios == ()
-    assert rep.linear_ok
+def test_probe_refuses_zero_amplitude(converged32):
+    # a zero amplitude measures one gap and no shrink ratio, so the
+    # linearity verdict would pass on an empty measurement
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            continuity_probe(converged32.sol, delta, converged32.params)
 
 
 def test_probe_stress_only_leaves_density_alone(converged32):
@@ -731,7 +731,7 @@ def test_probe_stress_only_leaves_density_alone(converged32):
 
 
 def test_probe_validates_arguments(converged32):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="positive"):
         continuity_probe(converged32.sol, -1e-3, converged32.params)
     with pytest.raises(ValueError, match="subset"):
         continuity_probe(converged32.sol, 1e-3, converged32.params,
@@ -813,7 +813,6 @@ def test_dissipative_pair_needs_no_growth_constant(converged32):
     rep = uniqueness_experiment(c.sol, c.hist.membership.table, solp,
                                 histp.membership.table, 1.0, c.params)
     assert not rep.identical
-    assert rep.c12_fitted
     assert rep.c12 == 0.0
     assert rep.satisfied
     assert max(rep.gap_energy) <= rep.gap_energy[0]
@@ -824,7 +823,6 @@ def test_compressive_pair_fits_positive_constant(gronwall32):
     rep = uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0,
                                 g.params)
     assert not rep.identical
-    assert rep.c12_fitted
     assert 1e-4 < rep.c12 < 1e-1
     assert max(rep.gap_energy) > rep.gap_energy[0]  # genuine growth
     assert rep.satisfied
@@ -832,7 +830,7 @@ def test_compressive_pair_fits_positive_constant(gronwall32):
 
     held = uniqueness_experiment(g.sol, g.table, g.solp, g.tablep, 1.0,
                                  g.params, c12=rep.c12, slack=0.05)
-    assert not held.c12_fitted
+    assert held.c12 == rep.c12
     assert held.satisfied
 
 
@@ -846,6 +844,6 @@ def test_coarse_constant_held_on_the_fine_pair_reads_below_one(gronwall32,
                                 1.0, g32.params)
     held = uniqueness_experiment(g64.sol, g64.table, g64.solp, g64.tablep,
                                  1.0, g64.params, c12=fit.c12)
-    assert not held.c12_fitted and held.c12 == fit.c12
+    assert held.c12 == fit.c12
     assert held.max_ratio < 1.0
     assert held.satisfied

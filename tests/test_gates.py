@@ -4,14 +4,17 @@ A gate that no defect can trip certifies nothing.  Each case below puts a
 one-line defect in the code a gate checks, never in the gate's comparison
 or bound, and runs the command through the CLI: it must exit 4 with
 exactly that gate in ``failed_checks``.  `test_every_gate_is_driven_to_failure`
-holds the cases against the ``checks`` of passing runs of all four
-commands, so a new gate that no case drives fails the suite.  The last
-tests pin every fixed bound at its edge, by scaling an input or the
-measurement a gate reads 1e-6 relative past and inside it: the residual's
-10 tol.fp, the density mean's 1e-12 max(1, sup |sigma|), the energy
-budget's (1 + 10 dt) slack, the dissipation allowance, the mms orders and
-round-off, the probe's linearity band [2/1.5, 2 * 1.5] and the
-identical-data envelope's (10 tol.fp)^2.
+holds the cases, and the keys of the bound table `gates.GATES`, against
+the ``checks`` of passing runs of all four commands, so a new gate that no
+case drives fails the suite.  The table is pinned to literal values, and
+moving any one entry alone fails exactly its gate, so no check keeps a
+copy of its bound.  The last tests pin every fixed bound at its edge with
+literals of their own, by scaling an input or the measurement a gate reads
+1e-6 relative past and inside it: the residual's 10 tol.fp, the density
+mean's 1e-12 max(1, sup |sigma|), the energy budget's (1 + 10 dt) slack,
+the dissipation allowance, the mms orders and round-off, the probe's
+linearity band [2/1.5, 2 * 1.5] and the identical-data envelope's
+(10 tol.fp)^2.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ from oldroydb.fixed_point import (TOL_FP, IterTriple, SystemResidual,
                                   _gap_energies, _perturb, _probe_shapes,
                                   audit_window, continuity_probe, iterate,
                                   trajectory_norms, uniqueness_experiment)
+from oldroydb.gates import GATES
 from oldroydb.harness import RunConfig, build_initial_data, parse_config
 from oldroydb.velocity import check_energy_budget
 
@@ -100,14 +104,14 @@ def _heavy_velocity_step(monkeypatch):
               u, F, 0.1 * dt, params, **kw))
 
 
-def _second_solve_settles_loosely(monkeypatch):
-    # the perturbed solve of `uniqueness` settles to 1e5 times tol.fp
+def _second_solve_settles_loosely(monkeypatch, loose=1e5):
+    # the perturbed solve of `uniqueness` settles to ``loose`` times tol.fp
     calls = []
 
     def march(*args, tol_fp, **kwargs):
         calls.append(tol_fp)
-        loose = 1e5 if len(calls) == 2 else 1.0
-        return real(*args, tol_fp=loose * tol_fp, **kwargs)
+        factor = loose if len(calls) == 2 else 1.0
+        return real(*args, tol_fp=factor * tol_fp, **kwargs)
 
     real = harness.march
     monkeypatch.setattr(harness, "march", march)
@@ -230,6 +234,71 @@ def test_every_gate_is_driven_to_failure(tmp_path, monkeypatch):
         gates |= set(summary["checks"])
     assert {gate for _, gate, _, _ in DEFECTS} == gates
     assert len(DEFECTS) == len(gates)
+    assert set(GATES) == gates
+
+
+# ------------------------------------------------------------ the table
+
+def test_gate_table_values():
+    # loosening a bound has to edit this test
+    assert GATES == {
+        "membership": 4.0,
+        "system_residual": 10.0,
+        "energy_budget": (10.0, 1e-14),
+        "step_dissipation": 1e-11,
+        "density_mean_zero": 1e-12,
+        "gronwall_envelope": 10.0,
+        "probe_linearity": 1.5,
+        "velocity diffusion, space": 1.8,
+        "velocity diffusion, time": 0.9,
+        "density advection, vortex": 0.9,
+        "density transport, still fluid": 1e-12,
+        "stress relaxation, time": 0.9,
+    }
+
+
+IDENTICAL = QUICK + "uniqueness.amplitude = 0\n"
+
+# (command, gate, moved bound, config): each passing run violates the
+# moved bound
+BOUND_MOVES = [
+    ("run", "membership", 1e-3, QUICK),
+    ("run", "system_residual", 1e-6, QUICK),
+    ("run", "energy_budget", (-2e3, 1e-14), QUICK),
+    ("run", "energy_budget", (10.0, -1.0), QUICK),
+    ("run", "step_dissipation", -1.0, QUICK),
+    ("run", "density_mean_zero", -1.0, QUICK),
+    ("uniqueness", "gronwall_envelope", 1e-4, IDENTICAL),
+    ("probe", "probe_linearity", 0.5, QUICK),
+    ("mms", "velocity diffusion, space", 10.0, ""),
+    ("mms", "velocity diffusion, time", 10.0, ""),
+    ("mms", "density advection, vortex", 10.0, ""),
+    ("mms", "density transport, still fluid", 0.0, ""),
+    ("mms", "stress relaxation, time", 10.0, ""),
+]
+
+
+def test_every_table_entry_is_moved():
+    assert {gate for _, gate, _, _ in BOUND_MOVES} == set(GATES)
+
+
+@pytest.mark.parametrize("command, gate, bound, config", BOUND_MOVES,
+                         ids=[f"{g}={b}" for _, g, b, _ in BOUND_MOVES])
+def test_moving_an_entry_fails_exactly_its_gate(tmp_path, monkeypatch,
+                                                command, gate, bound,
+                                                config):
+    # a check that kept a copy of its bound would still pass
+    monkeypatch.setenv("OLDROYD_SEED", "0")
+    if gate == "gronwall_envelope":
+        # equal data give two equal solves; a second one settled to
+        # 10 tol.fp leaves a gap that the (10 tol.fp)^2 envelope admits
+        _second_solve_settles_loosely(monkeypatch, loose=10.0)
+    monkeypatch.setitem(GATES, gate, bound)
+    code, summary = _cli(tmp_path, command, config)
+    assert code == 4
+    assert summary["failed_checks"] == [gate]
+    if gate == "gronwall_envelope":
+        assert 0.0 < summary["max_ratio"] * (bound / 10.0) ** 2 <= 1.0
 
 
 # ------------------------------------------------------------ edge pins
@@ -342,15 +411,19 @@ def test_dissipation_gate_edge(rest_window):
                          ids=["inside", "past"])
 def test_mms_gate_edges(tmp_path, monkeypatch, eta, holds):
     # every study's measured errors replaced by a dyadic ladder whose
-    # observed orders are threshold (1 + eta), and the exact study's by
-    # 1e-12 (1 - eta): each study's gate sits 1e-6 relative inside or past
+    # observed orders are its least order (1 + eta), and the exact study's
+    # by 1e-12 (1 - eta): each study's gate sits 1e-6 relative inside or past
     real = mms.StudyResult
+    least = {"velocity diffusion, space": 1.8,
+             "velocity diffusion, time": 0.9,
+             "density advection, vortex": 0.9,
+             "stress relaxation, time": 0.9}
 
-    def edge(*, errors, threshold, exact=False, **kw):
+    def edge(*, name, errors, exact=False, **kw):
         errors = ([1e-12 * (1.0 - eta)] * len(errors) if exact else
-                  [2.0 ** (-threshold * (1.0 + eta) * i)
+                  [2.0 ** (-least[name] * (1.0 + eta) * i)
                    for i in range(len(errors))])
-        return real(errors=errors, threshold=threshold, exact=exact, **kw)
+        return real(name=name, errors=errors, exact=exact, **kw)
 
     monkeypatch.setattr(mms, "StudyResult", edge)
     code, summary = _cli(tmp_path, "mms", "")

@@ -82,7 +82,7 @@ def valid_configs(draw):
         ic_density_amplitude=real(-1.0, 1.0),
         ic_stress=draw(st.sampled_from(list(STRESS))),
         ic_stress_amplitude=real(-1.0, 1.0),
-        probe_amplitude=real(0.0, 1.0),
+        probe_amplitude=real(0.0, 1.0, exclude_min=True),
         uniqueness_amplitude=real(-1.0, 1.0),
         out_dir=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)))
 
@@ -151,9 +151,10 @@ def test_config_validation():
                 "tol.fp = -1e-8\n"):
         with pytest.raises(ConfigError, match="tol.lin and tol.fp"):
             parse_config(bad)
-    with pytest.raises(ConfigError, match="probe.amplitude"):
-        parse_config("probe.amplitude = -1e-3\n")
-    assert parse_config("probe.amplitude = 0\n").probe_amplitude == 0.0
+    for bad in ("probe.amplitude = -1e-3\n", "probe.amplitude = 0\n"):
+        with pytest.raises(ConfigError, match="probe.amplitude must be "
+                                              "positive"):
+            parse_config(bad)
     for bad in ("time.dt = nan\n", "grid.extent = inf\n",
                 "tol.lin = nan\n", "probe.amplitude = nan\n",
                 "params.We = -inf\n"):
@@ -745,7 +746,7 @@ def test_cli_uniqueness_perturbed(tmp_path):
     # c12 is fitted to this pair, so its envelope closes by construction:
     # reported, never gated
     assert summary["checks"] == {}
-    assert summary["c12_fitted"]
+    assert "c12_fitted" not in summary
     assert summary["max_ratio"] <= 1.0 + 1e-12
 
 
@@ -782,14 +783,16 @@ def test_cli_probe_smoke(tmp_path):
 
 
 def test_cli_probe_negative_amplitude_is_config_error(tmp_path):
-    cfg = _cfg_file(tmp_path, "probe.amplitude = -1e-3\n"
-                              "grid.n = 8\ntime.T = 0.002\n")
-    out = tmp_path / "out"
-    code = main(["probe", "--config", cfg, "--out", str(out)])
-    assert code == 2
-    summary = _strict_summary(out)
-    assert summary["status"] == "config-error"
-    assert "probe.amplitude" in summary["error"]
+    # a zero amplitude is refused too: it would gate an empty measurement
+    for amp in ("-1e-3", "0"):
+        cfg = _cfg_file(tmp_path, f"probe.amplitude = {amp}\n"
+                                  "grid.n = 8\ntime.T = 0.002\n")
+        out = tmp_path / f"out{amp}"
+        code = main(["probe", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        summary = _strict_summary(out)
+        assert summary["status"] == "config-error"
+        assert "probe.amplitude must be positive" in summary["error"]
 
 
 @pytest.mark.parametrize("command", ["uniqueness", "probe"])

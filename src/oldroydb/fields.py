@@ -90,7 +90,7 @@ __all__ = [
     "gradient", "grad_tensor", "diagonal_sum", "divergence", "div_tensor",
     "laplacian", "viscous_operator", "viscous_interior", "strain", "norm",
     "norms", "inner", "mean", "mean_zero_project", "norm_hminus1",
-    "sym_components", "save_snapshot", "random_smooth_field",
+    "sym_components", "save_snapshot",
     "conjugate_gradient", "viscous_system", "viscous_preconditioner",
     "TrajectoryNorms", "trajectory_norms",
 ]
@@ -240,9 +240,6 @@ class _FieldBase:
     def ncomp(self):
         return self.values.shape[0]
 
-    def copy(self):
-        return self.__class__(self.grid, self.values.copy(), **self._flags())
-
     def _flags(self):
         return {}
 
@@ -277,10 +274,6 @@ class ScalarField(_FieldBase):
     def _shape(grid):
         return grid.node_shape
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, fn(*grid.coords))
-
 
 class VectorField(_FieldBase):
     """Vector samples, component-first storage (dim, *node_shape).
@@ -304,11 +297,6 @@ class VectorField(_FieldBase):
     def _flags(self):
         return {"dirichlet": self.dirichlet}
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.stack([np.broadcast_to(c, grid.node_shape)
-                                   for c in fn(*grid.coords)]))
-
 
 class SymTensorField(_FieldBase):
     """Symmetric tensor samples; only the upper triangle is stored.
@@ -323,14 +311,6 @@ class SymTensorField(_FieldBase):
     @staticmethod
     def _shape(grid):
         return (grid.dim * (grid.dim + 1) // 2,) + grid.node_shape
-
-    @classmethod
-    def identity(cls, grid, scale=1.0):
-        out = cls.zeros(grid)
-        for k, (i, j) in enumerate(sym_components(grid.dim)):
-            if i == j:
-                out.values[k] = scale
-        return out
 
     def full(self):
         """Dense (dim, dim, *node_shape) view; exactly symmetric."""
@@ -879,45 +859,3 @@ def save_snapshot(f, t: float, path) -> None:
         for row in flat:
             fh.write(line % tuple(row.tolist()))
 
-
-# ---------------------------------------------------------------------------
-# smooth random test fields
-
-
-def random_smooth_field(grid: Grid, rng, kind="vector", amplitude=1.0):
-    """Random low-mode trigonometric field; 'vector'/'scalar' vanish on the
-    boundary (products of sines), 'scalar_free' uses cosines instead."""
-    coords = grid.coords
-
-    def trig_sum(fn, first):
-        # wave vectors with entries first..3, the zero vector left out
-        acc = np.zeros(grid.node_shape)
-        for kv in itertools.product(range(first, 4), repeat=grid.dim):
-            if sum(kv) == 0:
-                continue
-            c = rng.normal() * amplitude / (sum(kv) ** 2)
-            term = np.ones(grid.node_shape)
-            for ax, k in enumerate(kv):
-                term = term * fn(k * np.pi * coords[ax] / grid.extent[ax])
-            acc += c * term
-        return acc
-
-    def sine_sum():
-        acc = trig_sum(np.sin, 1)
-        acc[grid.boundary_mask] = 0.0  # sin(k*pi) is only zero to round-off
-        return acc
-
-    def cosine_sum():
-        return trig_sum(np.cos, 0)
-
-    if kind == "scalar":
-        return ScalarField(grid, sine_sum())
-    if kind == "scalar_free":
-        return ScalarField(grid, cosine_sum())
-    if kind == "vector":
-        vals = np.stack([sine_sum() for _ in range(grid.dim)])
-        return VectorField(grid, vals, dirichlet=True)
-    if kind == "symtensor":
-        m = grid.dim * (grid.dim + 1) // 2
-        return SymTensorField(grid, np.stack([cosine_sum() for _ in range(m)]))
-    raise ValueError(f"unknown field kind {kind!r}")

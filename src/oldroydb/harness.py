@@ -392,7 +392,7 @@ def mms_experiment(cfg: RunConfig, out_dir) -> dict:
                        "errors": list(st.errors),
                        "orders": None if st.exact else list(st.orders),
                        "exact": st.exact,
-                       "threshold": 0.0 if st.exact else GATES[st.name],
+                       "threshold": GATES[st.name],
                        "orders_text": orders})
         for i, (lab, err) in enumerate(zip(st.labels, st.errors)):
             order = "" if (st.exact or i == 0) else st.orders[i - 1]

@@ -1,5 +1,6 @@
-"""Shared presets and session-scoped converged runs."""
+"""Shared presets, field builders and session-scoped converged runs."""
 
+import itertools
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from oldroydb import Grid
-from oldroydb.fields import grad_tensor, random_smooth_field, viscous_operator
+from oldroydb.fields import (ScalarField, SymTensorField, VectorField,
+                             grad_tensor, sym_components, viscous_operator)
 from oldroydb.fixed_point import (assemble_forcing, audit_window, iterate,
                                   march)
 from oldroydb.harness import (PRESETS, RunConfig, build_initial_data,
@@ -19,6 +21,71 @@ from oldroydb.velocity import TOL_LIN, step_velocity
 UNIQUENESS_CONFIG = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos",
     "configs", "uniqueness2d.cfg")
+
+
+def random_smooth_field(grid, rng, kind="vector", amplitude=1.0):
+    """Random low-mode trigonometric field; 'vector'/'scalar' vanish on the
+    boundary (products of sines), 'scalar_free' uses cosines instead."""
+    coords = grid.coords
+
+    def trig_sum(fn, first):
+        # wave vectors with entries first..3, the zero vector left out
+        acc = np.zeros(grid.node_shape)
+        for kv in itertools.product(range(first, 4), repeat=grid.dim):
+            if sum(kv) == 0:
+                continue
+            c = rng.normal() * amplitude / (sum(kv) ** 2)
+            term = np.ones(grid.node_shape)
+            for ax, k in enumerate(kv):
+                term = term * fn(k * np.pi * coords[ax] / grid.extent[ax])
+            acc += c * term
+        return acc
+
+    def sine_sum():
+        acc = trig_sum(np.sin, 1)
+        acc[grid.boundary_mask] = 0.0  # sin(k*pi) is only zero to round-off
+        return acc
+
+    def cosine_sum():
+        return trig_sum(np.cos, 0)
+
+    if kind == "scalar":
+        return ScalarField(grid, sine_sum())
+    if kind == "scalar_free":
+        return ScalarField(grid, cosine_sum())
+    if kind == "vector":
+        vals = np.stack([sine_sum() for _ in range(grid.dim)])
+        return VectorField(grid, vals, dirichlet=True)
+    if kind == "symtensor":
+        m = grid.dim * (grid.dim + 1) // 2
+        return SymTensorField(grid, np.stack([cosine_sum() for _ in range(m)]))
+    raise ValueError(f"unknown field kind {kind!r}")
+
+
+def scalar_from_function(grid, fn):
+    """The scalar field fn(x, y[, z]) at the grid nodes."""
+    return ScalarField(grid, fn(*grid.coords))
+
+
+def vector_from_function(grid, fn):
+    """The vector field whose components fn(x, y[, z]) returns; a constant
+    component is broadcast to the nodes."""
+    return VectorField(grid, np.stack([np.broadcast_to(c, grid.node_shape)
+                                       for c in fn(*grid.coords)]))
+
+
+def identity_tensor(grid, scale=1.0):
+    """scale times the identity at every node."""
+    out = SymTensorField.zeros(grid)
+    for k, (i, j) in enumerate(sym_components(grid.dim)):
+        if i == j:
+            out.values[k] = scale
+    return out
+
+
+def copy_field(f):
+    """A field of the same kind and flags holding a copy of f's values."""
+    return f.__class__(f.grid, f.values.copy(), **f._flags())
 
 
 def uniqueness_config(n=32):

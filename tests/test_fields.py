@@ -28,11 +28,13 @@ from oldroydb import (Grid, ScalarField, SymTensorField, VectorField,
 from oldroydb import fields
 from oldroydb.errors import NonDirichletError
 from oldroydb.fields import (_diff1, _diff2, _poisson_dirichlet,
-                             conjugate_gradient, random_smooth_field,
-                             sym_components, viscous_interior,
-                             viscous_preconditioner, viscous_system)
+                             conjugate_gradient, sym_components,
+                             viscous_interior, viscous_preconditioner,
+                             viscous_system)
 
-from conftest import counting, draw_trajectory
+from conftest import (counting, draw_trajectory, identity_tensor,
+                      random_smooth_field, scalar_from_function,
+                      vector_from_function)
 
 
 def weighted_l2(grid, values):
@@ -89,7 +91,7 @@ def test_h1_norm_of_cosine_converges_to_closed_form():
     errs = []
     for n in (32, 64):
         g = Grid(2, n)
-        f = ScalarField.from_function(g, lambda x, y: np.cos(2 * np.pi * x))
+        f = scalar_from_function(g, lambda x, y: np.cos(2 * np.pi * x))
         errs.append(abs(norm(f, 1) ** 2 - target))
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 0.005 * target
@@ -356,7 +358,7 @@ def test_gradient_trig_error_below_fitted_ch2():
     errs = {}
     for n in (32, 64):
         g = Grid(2, n)
-        f = ScalarField.from_function(g, lambda x, y: np.sin(2 * np.pi * x))
+        f = scalar_from_function(g, lambda x, y: np.sin(2 * np.pi * x))
         exact = 2 * np.pi * np.cos(2 * np.pi * g.coords[0])
         errs[n] = float(np.max(np.abs(gradient(f).values[0] - exact)))
     order = math.log2(errs[32] / errs[64])
@@ -367,13 +369,13 @@ def test_gradient_trig_error_below_fitted_ch2():
 
 def test_divergence_of_shear_rotation_is_zero():
     g = Grid(2, 16)
-    v = VectorField.from_function(g, lambda x, y: (x, -y))
+    v = vector_from_function(g, lambda x, y: (x, -y))
     assert np.allclose(divergence(v).values, 0.0, atol=1e-12)
 
 
 def test_div_tensor_of_constant_identity_is_zero():
     for g in (Grid(2, 8), Grid(3, 8)):
-        t = SymTensorField.identity(g, 3.5)
+        t = identity_tensor(g, 3.5)
         assert np.allclose(div_tensor(t).values, 0.0, atol=1e-12)
 
 
@@ -500,7 +502,7 @@ def test_laplacian_trig_order():
     errs = {}
     for n in (32, 64):
         g = Grid(2, n)
-        v = VectorField.from_function(
+        v = vector_from_function(
             g, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y), 0.0 * x))
         exact = -2 * np.pi**2 * np.sin(np.pi * g.coords[0]) * np.sin(np.pi * g.coords[1])
         errs[n] = float(np.max(np.abs(laplacian(v).values[0] - exact)))
@@ -521,7 +523,7 @@ def dirichlet_noise(grid, seed):
 
 def test_viscous_operator_rejects_non_dirichlet():
     g = Grid(2, 8)
-    v = VectorField.from_function(g, lambda x, y: (x, y))
+    v = vector_from_function(g, lambda x, y: (x, y))
     with pytest.raises(NonDirichletError):
         viscous_operator(v)
 
@@ -786,10 +788,10 @@ def symmetrized_reference(grid, tensor):
 
 def test_strain_rotation_and_dilation():
     g = Grid(2, 16)
-    rot = VectorField.from_function(g, lambda x, y: (-(y - 0.5), x - 0.5))
+    rot = vector_from_function(g, lambda x, y: (-(y - 0.5), x - 0.5))
     assert np.allclose(strain(rot).values, 0.0, atol=1e-12)
 
-    D = strain(VectorField.from_function(g, lambda x, y: (x, y)))
+    D = strain(vector_from_function(g, lambda x, y: (x, y)))
     assert np.allclose(D.values[0], 1.0, atol=1e-12)
     assert np.allclose(D.values[1], 0.0, atol=1e-12)
     assert np.allclose(D.values[2], 1.0, atol=1e-12)
@@ -840,7 +842,7 @@ def test_trace_inequality_pointwise_and_normwise():
 def test_hminus1_matches_eigenfunction_closed_form():
     # -lap phi = f with f = sin(pi x) sin(pi y) gives |f|_{-1}^2 = |f|^2 / (2 pi^2)
     g = Grid(2, 32)
-    f = ScalarField.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    f = scalar_from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     target = math.sqrt(norm(f, 0) ** 2 / (2 * math.pi**2))
     assert norm_hminus1(f) == pytest.approx(target, rel=0.01)
 

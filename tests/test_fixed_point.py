@@ -16,14 +16,15 @@ from oldroydb import (ConfigError, DensityBandError, FluidParams, Grid,
                       continuity_probe, delta_threshold, grad_tensor,
                       iterate, march, mean, norm, picard_sweep,
                       step_density, step_stress, step_velocity,
-                      suggest_budgets, trace, trajectory_distance,
-                      trajectory_norms, uniqueness_experiment,
-                      viscous_operator)
+                      suggest_budgets, sym_components, trace,
+                      trajectory_distance, trajectory_norms,
+                      uniqueness_experiment, viscous_operator)
 from oldroydb import fields, fixed_point, rheology, transport, velocity
 from oldroydb.transport import check_density_bounds, check_stress_bounds
 
 from conftest import (centered_bump_perturbation, compressive_preset,
-                      counting, draw_trajectory, run_velocity, small_preset,
+                      copy_field, counting, draw_trajectory,
+                      random_smooth_field, run_velocity, small_preset,
                       window_forcings)
 
 
@@ -125,8 +126,8 @@ def test_distance_skips_the_shared_node_0(monkeypatch):
     grid, params, u0, s0, t0 = small_preset(12)
     x = IterTriple.constant(u0, s0, t0, 1, 1e-3)
     y = picard_sweep(x, params)[0]
-    copied = IterTriple((u0.copy(), y.w[1]), (s0.copy(), y.pi[1]),
-                        (t0.copy(), y.psi[1]), y.dt)
+    copied = IterTriple((copy_field(u0), y.w[1]), (copy_field(s0), y.pi[1]),
+                        (copy_field(t0), y.psi[1]), y.dt)
     calls = counting(monkeypatch, [fixed_point], ["norm"])
     shared = trajectory_distance(y, x, params)
     assert calls["norm"] == 3
@@ -284,6 +285,67 @@ def test_one_sweep_already_contracts():
     d1 = trajectory_distance(y1, x0, params)
     d2 = trajectory_distance(y2, y1, params)
     assert d2 < 0.5 * d1
+
+
+def _reflected(f, axis):
+    """f under x_axis -> L - x_axis: velocity component axis and the
+    stress components with exactly one index equal to axis change sign."""
+    if isinstance(f, ScalarField):
+        return ScalarField(f.grid, np.flip(f.values, axis))
+    if isinstance(f, VectorField):
+        signs = [-1.0 if i == axis else 1.0 for i in range(f.grid.dim)]
+    else:
+        signs = [-1.0 if (i == axis) != (j == axis) else 1.0
+                 for i, j in sym_components(f.grid.dim)]
+    signs = np.reshape(signs, (-1,) + (1,) * f.grid.dim)
+    return type(f)(f.grid, np.flip(f.values, axis + 1) * signs, **f._flags())
+
+
+def _permuted(f, perm):
+    """f with new axis i read from old axis perm[i], its components too."""
+    if isinstance(f, ScalarField):
+        return ScalarField(f.grid, np.transpose(f.values, perm))
+    if isinstance(f, VectorField):
+        comps = list(perm)
+    else:
+        index = {ij: k for k, ij in enumerate(sym_components(f.grid.dim))}
+        comps = [index[tuple(sorted((perm[i], perm[j])))]
+                 for i, j in sym_components(f.grid.dim)]
+    vals = np.stack([np.transpose(f.values[c], perm) for c in comps])
+    return type(f)(f.grid, vals, **f._flags())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sweep_commutes_with_the_grid_symmetries(dim, data):
+    # the frame-indifferent equations on a square or cubic box: reflecting
+    # or permuting the axes of the data reflects or permutes the sweep
+    n = data.draw(st.integers(8, 12 if dim == 2 else 10), label="n")
+    nsteps = data.draw(st.integers(2, 3), label="nsteps")
+    dt = data.draw(st.floats(1e-3, 1e-2), label="dt")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    grid = Grid(dim, n)
+    x = IterTriple(*([random_smooth_field(grid, rng, kind=kind)
+                      for _ in range(nsteps + 1)]
+                     for kind in ("vector", "scalar_free", "symtensor")), dt)
+    params = FluidParams()
+    out = picard_sweep(x, params)[0]
+    if dim == 2:
+        maps = [lambda f: _reflected(f, 0), lambda f: _reflected(f, 1),
+                lambda f: _permuted(f, (1, 0))]
+    else:
+        maps = [lambda f: _reflected(f, 2), lambda f: _permuted(f, (1, 2, 0))]
+    for g in maps:
+        moved = picard_sweep(IterTriple(*([g(f) for f in fs] for fs in
+                                          (x.w, x.pi, x.psi)), dt),
+                             params)[0]
+        for fs, gs in zip((out.w, out.pi, out.psi),
+                          (moved.w, moved.pi, moved.psi)):
+            for f, h in zip(fs, gs):
+                scale = np.abs(f.values).max()
+                assert np.abs(g(f).values - h.values).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------ membership

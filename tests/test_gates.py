@@ -232,6 +232,11 @@ def test_every_gate_is_driven_to_failure(tmp_path, monkeypatch):
         assert code == 0 and summary["failed_checks"] == []
         assert all(summary["checks"].values())
         gates |= set(summary["checks"])
+        if command == "mms":
+            # each study reports the bound its gate reads
+            assert {st["name"]: st["threshold"]
+                    for st in summary["studies"]} == {
+                        name: GATES[name] for name in summary["checks"]}
     assert {gate for _, gate, _, _ in DEFECTS} == gates
     assert len(DEFECTS) == len(gates)
     assert set(GATES) == gates
@@ -299,6 +304,9 @@ def test_moving_an_entry_fails_exactly_its_gate(tmp_path, monkeypatch,
     assert summary["failed_checks"] == [gate]
     if gate == "gronwall_envelope":
         assert 0.0 < summary["max_ratio"] * (bound / 10.0) ** 2 <= 1.0
+    if command == "mms":
+        [study] = [st for st in summary["studies"] if st["name"] == gate]
+        assert study["threshold"] == bound
 
 
 # ------------------------------------------------------------ edge pins

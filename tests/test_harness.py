@@ -656,13 +656,15 @@ def test_cli_uncreatable_output_dir_is_a_config_error(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["afile"]
 
 
-def _scipy_after(code):
-    """The scipy modules loaded in a fresh process that runs code."""
+def _loaded_after(code, prefixes=("scipy",)):
+    """The modules named by a prefix, or below one, that are loaded in a
+    fresh process that runs code."""
     src = os.path.dirname(os.path.dirname(oldroydb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (f"import sys\n{code}\n"
+             f"prefixes = {tuple(prefixes)!r}\n"
              "print('loaded:', *(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "if any(m == p or m.startswith(p + '.') for p in prefixes)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -672,15 +674,17 @@ def _scipy_after(code):
 def test_cli_import_loads_no_scipy():
     # every command pays for what the package imports at start-up, and
     # the package needs only numpy
-    assert _scipy_after("import oldroydb.cli") == []
+    assert _loaded_after("import oldroydb.cli") == []
 
 
 def test_cli_mms_loads_no_scipy(tmp_path):
     # the studies' references are closed forms and a fixed-step
-    # Dormand-Prince trace, so the whole mms command stays on numpy
+    # Dormand-Prince trace, and their data are fixed draws, so the whole
+    # mms command stays on numpy without numpy.random and the hashlib it
+    # pulls in
     code = ("from oldroydb.cli import main\n"
             f"assert main(['mms', '--out', {str(tmp_path / 'out')!r}]) == 0")
-    assert _scipy_after(code) == []
+    assert _loaded_after(code, ("scipy", "numpy.random", "hashlib")) == []
 
 
 @pytest.mark.parametrize("command", ["run", "mms", "uniqueness", "probe"])

@@ -12,8 +12,9 @@ from oldroydb import (DensityBandError, FluidParams, Grid, ScalarField,
                       grad_tensor, gradient, momentum_source, norm,
                       sym_components, viscous_operator)
 from oldroydb import rheology
-from oldroydb.fields import random_smooth_field
 from oldroydb.transport import _coupling_matrices
+
+from conftest import identity_tensor, random_smooth_field
 
 
 def make_params(**kw):
@@ -167,7 +168,7 @@ def test_coupling_identity_tau_gives_minus_2a_rate():
     grid = Grid.unit(12)
     gw = sample_flow(grid, seed=3)
     a = 0.6
-    g = applied_coupling(gw, SymTensorField.identity(grid), a)
+    g = applied_coupling(gw, identity_tensor(grid), a)
     D = 0.5 * (gw + np.swapaxes(gw, 0, 1))
     for k, (i, j) in enumerate(sym_components(grid.dim)):
         assert np.allclose(g.values[k], -2.0 * a * D[i, j],

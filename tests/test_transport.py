@@ -18,8 +18,9 @@ from oldroydb import (DensityBandError, FluidParams, Grid,
                       grad_tensor, mean, mean_zero_project, norm, strain,
                       sym_components, trajectory_norms)
 from oldroydb import transport
-from oldroydb.fields import _diff1, random_smooth_field
-from oldroydb.mms import (_ADVECTION_AMP, _ADVECTION_T, _vortex_feet,
+from oldroydb.fields import _diff1
+from oldroydb.mms import (_ADVECTION_AMP, _ADVECTION_T, _RELAX_DRAWS,
+                          _STILL_DRAWS, _cosine_sum, _vortex_feet,
                           density_advection_study, density_still_study,
                           stress_relaxation_study, taylor_vortex)
 from oldroydb.transport import (_COUPLING_COLUMN_SUMS, _DOMINANCE_MARGIN,
@@ -27,6 +28,8 @@ from oldroydb.transport import (_COUPLING_COLUMN_SUMS, _DOMINANCE_MARGIN,
                                 _rate_constant, _solve_nodes,
                                 check_density_bounds, check_stress_bounds,
                                 step_density, step_stress, trace)
+
+from conftest import identity_tensor, random_smooth_field
 
 
 def smoothstep(s):
@@ -509,7 +512,7 @@ def test_stress_identity_under_rigid_rotation_only_relaxes():
     params = FluidParams(We=0.5, a=1.0)
     grid = Grid.unit(32)
     w = rotation_field(grid, rate=1.5)
-    tau = SymTensorField.identity(grid)
+    tau = identity_tensor(grid)
     dt, nsteps = 1e-3, 10
     for _ in range(nsteps):
         tau, _ = step_stress(tau, trace(w, dt), params)
@@ -563,7 +566,7 @@ def test_stress_singular_system_raises_with_node(dim):
     w = VectorField(grid, vals, dirichlet=True)
     params = FluidParams(We=We, a=a)
     with pytest.raises(SingularStressSystemError) as err:
-        step_stress(SymTensorField.identity(grid), trace(w, dt), params)
+        step_stress(identity_tensor(grid), trace(w, dt), params)
     assert err.value.node == node
 
 
@@ -579,7 +582,7 @@ def test_stress_exactly_singular_system_raises_without_warnings():
     w = VectorField(grid, vals, dirichlet=True)
     assert grad_tensor(w)[0, 0, 8, 8] == 1.5
     with pytest.raises(SingularStressSystemError) as err:
-        step_stress(SymTensorField.identity(grid), trace(w, 1.0),
+        step_stress(identity_tensor(grid), trace(w, 1.0),
                     FluidParams(We=1.0, a=1.0))
     assert err.value.node == (8, 8)
     assert err.value.det == 0.0
@@ -993,6 +996,55 @@ def test_vortex_feet_match_a_tight_adaptive_reference(n):
     ref = solve_ivp(back_velocity, (0.0, T), nodes.ravel(), method="DOP853",
                     rtol=1e-13, atol=1e-15).y[:, -1].reshape(2, -1)
     assert np.abs(_vortex_feet(nodes, amp, T) - ref).max() <= 1e-11
+
+
+def test_coarse_feet_are_strides_of_the_finest_trace():
+    # the advection study traces its finest rung's nodes once and reads
+    # each coarser rung's feet at a stride: the rungs' nodes nest bit for
+    # bit, and the elementwise trace of those nodes, raveled as the study
+    # once traced them rung by rung, is the strided slice of the fine trace
+    amp, T = _ADVECTION_AMP, _ADVECTION_T
+    fine = Grid.unit(96).coords
+    feet = _vortex_feet(fine, amp, T)
+    for n in (24, 48):
+        coords = Grid.unit(n).coords
+        stride = 96 // n
+        assert np.array_equal(coords, fine[:, ::stride, ::stride])
+        direct = _vortex_feet(coords.reshape(2, -1), amp, T)
+        assert np.array_equal(direct.reshape(coords.shape),
+                              feet[:, ::stride, ::stride])
+
+
+def test_study_draws_are_the_seeded_normal_draws():
+    # the still-fluid and relaxation studies hold the draws they once took
+    # from seeded generators, so the mms command loads no numpy.random
+    rng42, rng7 = np.random.default_rng(42), np.random.default_rng(7)
+    assert _STILL_DRAWS == tuple(rng42.normal() for _ in range(15))
+    assert _RELAX_DRAWS == tuple(rng7.normal() for _ in range(45))
+
+
+@pytest.mark.parametrize("grid", [Grid.unit(16), Grid.unit(32),
+                                  Grid(2, (8, 12), (0.5, 2.0)),
+                                  Grid(3, 8, (1.0, 0.5, 2.0))],
+                         ids=["2d-16", "2d-32", "2d-box", "3d-box"])
+def test_cosine_sum_is_the_seeded_random_field_bit_for_bit(grid):
+    # the studies' builder given a generator's draws repeats the arithmetic
+    # of the test fields' cosine sum: the same wave order, coefficients and
+    # product order, so the studies' data keep every bit
+    rng = np.random.default_rng(42)
+    draws = [rng.normal() for _ in range(4 ** grid.dim - 1)]
+    free = random_smooth_field(grid, np.random.default_rng(42),
+                               kind="scalar_free")
+    assert np.array_equal(_cosine_sum(grid, draws), free.values)
+
+
+def test_relaxation_stress_is_the_seeded_random_field():
+    # the relaxation study's tau0: one component per 15 draws, in order
+    grid = Grid.unit(16)
+    tau = random_smooth_field(grid, np.random.default_rng(7),
+                              kind="symtensor")
+    assert np.array_equal(np.stack([_cosine_sum(grid, _RELAX_DRAWS[i:i + 15])
+                                    for i in (0, 15, 30)]), tau.values)
 
 
 def test_density_still_study_exact():

@@ -12,13 +12,12 @@ from oldroydb import (FluidParams, Grid, LinearSolveError, NonDirichletError,
                       inner, norm, strain, trajectory_norms,
                       viscous_operator)
 from oldroydb import mms
-from oldroydb.fields import random_smooth_field
 from oldroydb.mms import (taylor_vortex, velocity_spatial_study,
                           velocity_temporal_study)
 from oldroydb.velocity import (check_energy_budget, check_regularity_budget,
                                step_velocity)
 
-from conftest import draw_trajectory, run_velocity
+from conftest import draw_trajectory, random_smooth_field, run_velocity
 
 PARAMS = FluidParams()
 
